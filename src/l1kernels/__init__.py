@@ -57,10 +57,6 @@ from .gram import (
     PointSet,
     Side,
     build_system,
-    cardinal_coefficients,
-    kx_column,
-    kx_row,
-    solve,
 )
 from .admissibility import (
     AuditReport,
@@ -83,11 +79,7 @@ from .admissibility import (
 from .interpolation import (
     ExpansionFunction,
     bilinear_form,
-    bnorm,
-    bsharp_norm,
-    evaluate,
     expansion,
-    grid_sup_norm,
     min_norm_interpolant_b,
     min_norm_interpolant_bsharp,
     section,

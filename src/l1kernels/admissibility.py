@@ -14,12 +14,18 @@ whose supremum over the domain is the Lebesgue constant of kernel
 interpolation on x.  Condition (A4) asks for L(t) <= 1 everywhere; the
 relaxed condition only asks for a finite bound beta_n, estimated here as a
 grid supremum (always a lower bound of the true constant).
+
+The sampled audits (A1, A4, relaxed A4) share one trial loop: per-trial
+Philox streams, Gram construction, skipped singular Grams and worst-value
+tracking are the same for all three, which differ only in what they measure
+per trial and when they FAIL.  A failed point draw or Gram construction
+makes any of them INCONCLUSIVE.  A4 FAILs only above 1 + A4_TOL + eps/rcond,
+so the solve round-off of an ill-conditioned Gram is not read as a violation.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,8 +61,10 @@ __all__ = [
 ]
 
 # Tolerance on the unit Lebesgue bound: absorbs solve round-off while staying
-# orders of magnitude below any genuine violation seen in practice.
+# orders of magnitude below any genuine violation seen in practice.  audit_a4
+# adds eps/rcond, the forward-error bound of an ill-conditioned Gram solve.
 A4_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 # |Schur complement| below this means the extended Gram is numerically singular.
 SCHUR_FLOOR = 1e-14
@@ -224,6 +232,72 @@ class RandomPointSets:
 # audits
 
 
+def _inconclusive(condition: Condition, n_trials: int, message: str) -> AuditReport:
+    return AuditReport(condition, Verdict.INCONCLUSIVE, None, AuditStats(n_trials, None), message)
+
+
+def _sampled_audit(condition, label, kernel, generator, trials, master_seed, measure, fails=None):
+    """The sampled-trial loop of audit_a1, audit_a4 and audit_relaxed_a4.
+
+    Trial i draws a point set from the stream (master_seed, i, label) and
+    builds its Gram system; a failed draw or construction ends the audit
+    INCONCLUSIVE.  A numerically singular Gram is the A1 violation itself;
+    the Lebesgue audits skip and count it instead, and are INCONCLUSIVE when
+    every trial was skipped.  measure(ps, system) gives the trial's
+    (value, t): the rcond estimate for A1, where lower is worse, or the grid
+    supremum of L and its location, where higher is worse.  fails(ps,
+    system, value, t) returns a FAIL message that stops the audit at that
+    trial, or None.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    lower_is_worse = condition is Condition.A1
+    worst = worst_loc = None
+    skipped = 0
+    for i in range(trials):
+        rng = stream(master_seed, i, label)
+        try:
+            ps = generator(rng)
+        except (DuplicatePoints, ValueError, RuntimeError) as exc:
+            return _inconclusive(condition, i, f"point sampling failed on trial {i}: {exc}")
+        try:
+            system = build_system(kernel, ps)
+        except SingularGram as exc:
+            if condition is Condition.A1:
+                points = ps.points.tolist()
+                witness = Witness(tuple(points), None, exc.rcond)
+                stats = AuditStats(i + 1, exc.rcond, points)
+                return AuditReport(condition, Verdict.FAIL, witness, stats, message=str(exc))
+            skipped += 1
+            continue
+        except (DomainError, DuplicatePoints) as exc:
+            return _inconclusive(condition, i, f"system construction failed on trial {i}: {exc}")
+        value, t = measure(ps, system)
+        points = ps.points.tolist()
+        loc = points if t is None else {"points": points, "t": t}
+        if worst is None or (value < worst if lower_is_worse else value > worst):
+            worst, worst_loc = value, loc
+        message = fails(ps, system, value, t) if fails is not None else None
+        if message is not None:
+            witness = Witness(tuple(points), t, value)
+            return AuditReport(condition, Verdict.FAIL, witness, AuditStats(i + 1, value, loc), message)
+    if skipped == trials:
+        return _inconclusive(condition, trials, "every sampled Gram matrix was numerically singular")
+    message = f"{skipped} of {trials} trials skipped (singular Gram)" if skipped else None
+    return AuditReport(condition, Verdict.PASS, None, AuditStats(trials, worst, worst_loc), message)
+
+
+def _lebesgue_measure(kernel: KernelSpec, generator, domain: Interval | None, grid_size: int):
+    """Trial measure of the Lebesgue audits: grid supremum of L and its location."""
+    domain = domain or getattr(generator, "domain", None) or kernel.domain
+
+    def measure(ps: PointSet, system: GramSystem):
+        prof = lebesgue_constant(system, profile_grid(domain, grid_size, ps))
+        return prof.max_value, prof.argmax
+
+    return measure
+
+
 def audit_a1(
     kernel: KernelSpec,
     generator: Callable[[np.random.Generator], PointSet],
@@ -231,49 +305,9 @@ def audit_a1(
     master_seed: int = 0,
 ) -> AuditReport:
     """Sample point sets and check every Gram matrix is numerically nonsingular."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    worst = math.inf
-    worst_points = None
-    for i in range(trials):
-        rng = stream(master_seed, i, "audit-a1")
-        try:
-            ps = generator(rng)
-        except (DuplicatePoints, ValueError, RuntimeError) as exc:
-            return AuditReport(
-                Condition.A1,
-                Verdict.INCONCLUSIVE,
-                None,
-                AuditStats(i, None),
-                message=f"point sampling failed on trial {i}: {exc}",
-            )
-        try:
-            system = build_system(kernel, ps)
-        except SingularGram as exc:
-            witness = Witness(tuple(ps.points.tolist()), None, exc.rcond)
-            return AuditReport(
-                Condition.A1,
-                Verdict.FAIL,
-                witness,
-                AuditStats(i + 1, exc.rcond, list(witness.points)),
-                message=str(exc),
-            )
-        except (DomainError, DuplicatePoints) as exc:
-            return AuditReport(
-                Condition.A1,
-                Verdict.INCONCLUSIVE,
-                None,
-                AuditStats(i, None),
-                message=f"system construction failed on trial {i}: {exc}",
-            )
-        if system.rcond_estimate < worst:
-            worst = system.rcond_estimate
-            worst_points = ps.points.tolist()
-    return AuditReport(
-        Condition.A1,
-        Verdict.PASS,
-        None,
-        AuditStats(trials, worst, worst_points),
+    return _sampled_audit(
+        Condition.A1, "audit-a1", kernel, generator, trials, master_seed,
+        lambda ps, system: (system.rcond_estimate, None),
     )
 
 
@@ -309,65 +343,19 @@ def audit_a4(
 ) -> AuditReport:
     """Grid-search the Lebesgue function for a value above 1 on sampled point sets.
 
+    A trial FAILs when its grid supremum exceeds 1 + A4_TOL + eps/rcond,
+    where eps/rcond bounds the cardinal solves' forward error (kappa * u).
     Numerically singular Gram draws are skipped (and counted); a report is
     INCONCLUSIVE only if every trial was skipped.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    domain = domain or getattr(generator, "domain", None) or kernel.domain
-    worst = -math.inf
-    worst_loc = None
-    skipped = 0
-    for i in range(trials):
-        rng = stream(master_seed, i, "audit-a4")
-        try:
-            ps = generator(rng)
-        except (DuplicatePoints, ValueError, RuntimeError) as exc:
-            return AuditReport(
-                Condition.A4,
-                Verdict.INCONCLUSIVE,
-                None,
-                AuditStats(i, None),
-                message=f"point sampling failed on trial {i}: {exc}",
-            )
-        try:
-            system = build_system(kernel, ps)
-        except SingularGram:
-            skipped += 1
-            continue
-        grid = profile_grid(domain, grid_size, ps)
-        prof = lebesgue_constant(system, grid)
-        if prof.max_value > worst:
-            worst = prof.max_value
-            worst_loc = {"points": ps.points.tolist(), "t": prof.argmax}
-        if prof.max_value > 1.0 + A4_TOL:
-            witness = Witness(tuple(ps.points.tolist()), prof.argmax, prof.max_value)
-            return AuditReport(
-                Condition.A4,
-                Verdict.FAIL,
-                witness,
-                AuditStats(i + 1, prof.max_value, worst_loc),
-                message=(
-                    f"Lebesgue value {prof.max_value:.6g} > 1 at t={prof.argmax:.6g} "
-                    f"on an n={ps.n} point set"
-                ),
-            )
-    if skipped == trials:
-        return AuditReport(
-            Condition.A4,
-            Verdict.INCONCLUSIVE,
-            None,
-            AuditStats(trials, None),
-            message="every sampled Gram matrix was numerically singular",
-        )
-    msg = f"{skipped} of {trials} trials skipped (singular Gram)" if skipped else None
-    return AuditReport(
-        Condition.A4,
-        Verdict.PASS,
-        None,
-        AuditStats(trials, worst, worst_loc),
-        message=msg,
-    )
+
+    def fails(ps, system, value, t):
+        if value > 1.0 + A4_TOL + _EPS / system.rcond_estimate:
+            return f"Lebesgue value {value:.6g} > 1 at t={t:.6g} on an n={ps.n} point set"
+        return None
+
+    measure = _lebesgue_measure(kernel, generator, domain, grid_size)
+    return _sampled_audit(Condition.A4, "audit-a4", kernel, generator, trials, master_seed, measure, fails)
 
 
 def audit_relaxed_a4(
@@ -385,56 +373,22 @@ def audit_relaxed_a4(
     audit is purely an estimator and always passes, reporting the worst
     value seen.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    domain = domain or getattr(generator, "domain", None) or kernel.domain
-    worst = -math.inf
-    worst_loc = None
-    worst_points: tuple = ()
-    skipped = 0
-    for i in range(trials):
-        rng = stream(master_seed, i, "audit-relaxed-a4")
-        try:
-            ps = generator(rng)
-        except (DuplicatePoints, ValueError, RuntimeError) as exc:
-            return AuditReport(
-                Condition.RELAXED_A4,
-                Verdict.INCONCLUSIVE,
-                None,
-                AuditStats(i, None),
-                message=f"point sampling failed on trial {i}: {exc}",
-            )
-        try:
-            system = build_system(kernel, ps)
-        except SingularGram:
-            skipped += 1
-            continue
-        grid = profile_grid(domain, grid_size, ps)
-        prof = lebesgue_constant(system, grid)
-        if prof.max_value > worst:
-            worst = prof.max_value
-            worst_loc = {"points": ps.points.tolist(), "t": prof.argmax}
-            worst_points = tuple(ps.points.tolist())
-    if skipped == trials:
-        return AuditReport(
-            Condition.RELAXED_A4,
-            Verdict.INCONCLUSIVE,
-            None,
-            AuditStats(trials, None),
-            message="every sampled Gram matrix was numerically singular",
-        )
-    stats = AuditStats(trials, worst, worst_loc)
-    if beta_cap is not None and worst > beta_cap + A4_TOL:
-        witness = Witness(worst_points, worst_loc["t"], worst)
+    measure = _lebesgue_measure(kernel, generator, domain, grid_size)
+    report = _sampled_audit(
+        Condition.RELAXED_A4, "audit-relaxed-a4", kernel, generator, trials, master_seed, measure
+    )
+    worst = report.stats.worst_value
+    if report.verdict is Verdict.PASS and beta_cap is not None and worst > beta_cap + A4_TOL:
+        loc = report.stats.argmax_location
+        witness = Witness(tuple(loc["points"]), loc["t"], worst)
         return AuditReport(
             Condition.RELAXED_A4,
             Verdict.FAIL,
             witness,
-            stats,
+            report.stats,
             message=f"grid Lebesgue constant {worst:.6g} exceeds the cap {beta_cap}",
         )
-    msg = f"{skipped} of {trials} trials skipped (singular Gram)" if skipped else None
-    return AuditReport(Condition.RELAXED_A4, Verdict.PASS, None, stats, message=msg)
+    return report
 
 
 # ---------------------------------------------------------------------------

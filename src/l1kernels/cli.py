@@ -17,6 +17,7 @@ import numpy as np
 from . import admissibility as adm
 from .errors import L1KernelsError
 from .gram import build_system
+from .interpolation import ExpansionFunction
 from .kernels import Interval, KernelSpec, Status, kernel_from_json, kernel_to_json
 from .solvers import LassoConfig, lasso_gram, ridge_gram
 from .experiment import (
@@ -67,6 +68,8 @@ def _parse_floats(text: str) -> np.ndarray:
         raise _UsageError(f"bad numeric list: {exc}")
     if not values:
         raise _UsageError("empty numeric list")
+    if not all(math.isfinite(v) for v in values):
+        raise _UsageError(f"non-finite value in numeric list: {text.strip()}")
     return np.asarray(values)
 
 
@@ -97,9 +100,14 @@ def _audit_window(kernel: KernelSpec, window: str | None) -> Interval:
     if window is not None:
         try:
             lo_s, hi_s = window.split(",")
-            return Interval(float(lo_s), float(hi_s), lo_open=False, hi_open=False)
+            interval = Interval(float(lo_s), float(hi_s), lo_open=False, hi_open=False)
         except ValueError as exc:
             raise _UsageError(f"bad --window, expected 'A,B': {exc}")
+        if not (interval.bounded and kernel.domain.contains([interval.lo, interval.hi])):
+            raise _UsageError(
+                f"--window {interval} must lie inside the {kernel.name} kernel domain {kernel.domain}"
+            )
+        return interval
     if kernel.domain.bounded:
         return kernel.domain
     return Interval(*_DEFAULT_WINDOW, lo_open=False, hi_open=False)
@@ -120,6 +128,8 @@ def _write_json(obj, path: str | None) -> None:
 
 def _cmd_audit(args) -> int:
     kernel = _parse_kernel(args.kernel)
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     window = _audit_window(kernel, args.window)
     generator = adm.RandomPointSets(domain=window)
     wanted = ["a1", "a2", "a4"] if args.condition == "all" else [args.condition]
@@ -130,7 +140,7 @@ def _cmd_audit(args) -> int:
             rep = adm.audit_a1(kernel, generator, trials=args.trials, master_seed=args.seed)
         elif cond == "a2":
             side = max(2, int(math.isqrt(max(args.grid, 4))))
-            mesh = np.linspace(window.lo, window.hi, side)
+            mesh = adm.profile_grid(window, side)  # open endpoints trimmed
             rep = adm.audit_a2(kernel, adm.pair_grid(mesh))
         else:
             rep = adm.audit_a4(
@@ -169,6 +179,8 @@ def _cmd_fit(args) -> int:
     values = _parse_floats(args.values)
     if points.size != values.size:
         raise _UsageError(f"{points.size} points but {values.size} values")
+    if not math.isfinite(args.mu):
+        raise _UsageError(f"--mu must be finite, got {args.mu}")
     system = build_system(kernel, points)
     if args.method == "rkbs":
         result = lasso_gram(system, values, LassoConfig(mu=args.mu))
@@ -177,12 +189,7 @@ def _cmd_fit(args) -> int:
     payload = result.to_json()
     payload["method"] = args.method
     payload["mu"] = args.mu
-    payload["function"] = {
-        "kernel": kernel_to_json(kernel),
-        "points": points.tolist(),
-        "coefficients": result.coefficients.values.tolist(),
-        "side": result.coefficients.side.value,
-    }
+    payload["function"] = ExpansionFunction(kernel, system.points, result.coefficients).to_json()
     if args.dump_gram:
         _write_json(system.gram.tolist(), args.dump_gram)
     _write_json(payload, args.out)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,8 +148,8 @@ class ExperimentConfig:
             raise ValueError("n_points must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if len(self.mu_grid) == 0 or any(m < 0 for m in self.mu_grid):
-            raise ValueError("mu_grid must be nonempty with nonnegative entries")
+        if len(self.mu_grid) == 0 or not all(0 <= m < math.inf for m in self.mu_grid):
+            raise ValueError("mu_grid must be nonempty with finite nonnegative entries")
         if self.quadrature_nodes < 2:
             raise ValueError("quadrature_nodes must be >= 2")
         a, b = self.interval

@@ -10,7 +10,11 @@ symmetric zoo the matrix is symmetric anyway.
 LU with partial pivoting is used instead of Cholesky on purpose: Gram
 matrices here are nonsingular by the admissibility condition (A1) but need
 not be positive definite (the Brownian bridge Gram is, the sinc Gram on
-non-integer points need not be).
+non-integer points need not be).  Every factorization in the library, the
+Gram's own and the ridge solver's shifted K[x] + mu I, goes through one
+helper that factors the matrix and rejects it when LAPACK's 1-norm rcond
+estimate falls below RCOND_FLOOR.  Kernel sections, solves and cardinal
+coefficients are methods of :class:`GramSystem`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -31,10 +36,6 @@ __all__ = [
     "CoefficientVector",
     "GramSystem",
     "build_system",
-    "kx_column",
-    "kx_row",
-    "solve",
-    "cardinal_coefficients",
 ]
 
 # Reciprocal condition estimates below this are treated as singular: at the
@@ -198,44 +199,30 @@ def build_system(kernel: KernelSpec, points) -> GramSystem:
         gram = gram.reshape(1, 1)
     gram.flags.writeable = False
 
+    factorization, rcond = _lu_factor_gated(
+        gram,
+        lambda rcond: SingularGram(
+            f"Gram matrix numerically singular: rcond {rcond:.3e} < {RCOND_FLOOR:.0e} "
+            f"(n={points.n}, min spacing {points.min_spacing:.3e})",
+            rcond=rcond,
+        ),
+    )
+    return GramSystem(kernel, points, gram, factorization, rcond)
+
+
+def _lu_factor_gated(matrix: np.ndarray, singular: Callable[[float], Exception]):
+    """Pivoted LU of a square matrix, gated on its 1-norm rcond estimate.
+
+    Returns ((lu, piv), rcond).  Raises singular(rcond), an exception built
+    by the caller, when LAPACK gecon fails or rcond < RCOND_FLOOR.
+    """
     # getrf warns (LinAlgWarning) on an exactly zero pivot rather than raising;
     # the rcond floor below is the single singularity gate either way.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(gram)
-    rcond = _rcond_from_lu(gram, lu)
-    if rcond < RCOND_FLOOR:
-        raise SingularGram(
-            f"Gram matrix numerically singular: rcond {rcond:.3e} < {RCOND_FLOOR:.0e} "
-            f"(n={points.n}, min spacing {points.min_spacing:.3e})",
-            rcond=rcond,
-        )
-    return GramSystem(kernel, points, gram, (lu, piv), rcond)
-
-
-def _rcond_from_lu(gram: np.ndarray, lu: np.ndarray) -> float:
-    """1-norm reciprocal condition estimate from an LU factor (LAPACK gecon)."""
+        lu, piv = scipy.linalg.lu_factor(matrix)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    anorm = np.linalg.norm(gram, 1)
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0:
-        raise SingularGram(f"condition estimation failed (LAPACK info={info})", rcond=0.0)
-    return float(rcond)
-
-
-# Functional aliases mirroring the method API.
-
-def kx_column(system: GramSystem, t: float) -> np.ndarray:
-    return system.kx_column(t)
-
-
-def kx_row(system: GramSystem, t: float) -> np.ndarray:
-    return system.kx_row(t)
-
-
-def solve(system: GramSystem, y) -> np.ndarray:
-    return system.solve(y)
-
-
-def cardinal_coefficients(system: GramSystem, t: float) -> np.ndarray:
-    return system.cardinal_coefficients(t)
+    rcond, info = gecon(lu, np.linalg.norm(matrix, 1), norm="1")
+    if info != 0 or not rcond >= RCOND_FLOOR:
+        raise singular(float(rcond))
+    return (lu, piv), float(rcond)

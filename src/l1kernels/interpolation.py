@@ -34,10 +34,6 @@ __all__ = [
     "ExpansionFunction",
     "expansion",
     "section",
-    "evaluate",
-    "bnorm",
-    "bsharp_norm",
-    "grid_sup_norm",
     "min_norm_interpolant_b",
     "min_norm_interpolant_bsharp",
     "bilinear_form",
@@ -132,22 +128,6 @@ def expansion(kernel: KernelSpec, points, values, side: Side) -> ExpansionFuncti
 def section(kernel: KernelSpec, x: float, side: Side) -> ExpansionFunction:
     """The single kernel section K(x, .) (LEFT) or K(., x) (RIGHT)."""
     return expansion(kernel, [float(x)], [1.0], side)
-
-
-def evaluate(f: ExpansionFunction, t):
-    return f.evaluate(t)
-
-
-def bnorm(f: ExpansionFunction) -> float:
-    return f.bnorm()
-
-
-def bsharp_norm(f: ExpansionFunction) -> float:
-    return f.bsharp_norm()
-
-
-def grid_sup_norm(f: ExpansionFunction, grid) -> float:
-    return f.grid_sup_norm(grid)
 
 
 def min_norm_interpolant_b(system: GramSystem, y) -> ExpansionFunction:

@@ -31,14 +31,14 @@ iteration:
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NegativeMu, SingularShifted
-from .gram import CoefficientVector, GramSystem, Side
+from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated
 from .interpolation import _reject_broken_l1
 
 __all__ = [
@@ -84,8 +84,10 @@ class LassoConfig:
     def __post_init__(self):
         if self.mu < 0:
             raise NegativeMu(f"regularization weight must be nonnegative, got {self.mu}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"regularization weight must be finite, got {self.mu}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not self.sparsity_threshold > 0:
@@ -349,16 +351,13 @@ class RidgeSolver:
         if cached is not None:
             return cached
         shifted = self.system.gram + mu * np.eye(self.system.n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(shifted)
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-        rcond, info = gecon(lu, np.linalg.norm(shifted, 1), norm="1")
-        if info != 0 or rcond < 1e-14:
-            raise SingularShifted(
-                f"K[x] + mu I numerically singular at mu={mu:g} (rcond {float(rcond):.3e})"
-            )
-        self._factorizations[mu] = (shifted, (lu, piv))
+        factorization, _ = _lu_factor_gated(
+            shifted,
+            lambda rcond: SingularShifted(
+                f"K[x] + mu I numerically singular at mu={mu:g} (rcond {rcond:.3e})"
+            ),
+        )
+        self._factorizations[mu] = (shifted, factorization)
         return self._factorizations[mu]
 
     def solve(self, y, mu: float, sparsity_threshold: float = 1e-8) -> FitResult:

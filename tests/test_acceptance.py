@@ -192,6 +192,7 @@ def test_criterion_6_sup_norm_formula_matches_grid():
     report(6, f"sup-norm formula equals 10001-node grid sup (worst gap {worst:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_7_benchmark_brackets_reference_table():
     start = time.perf_counter()
     noises = {

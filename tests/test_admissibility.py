@@ -19,6 +19,7 @@ from l1kernels import (
     audit_relaxed_a4,
     brownian_bridge,
     build_system,
+    closed_form_cardinal,
     exponential,
     extension_norm,
     gaussian,
@@ -28,6 +29,7 @@ from l1kernels import (
     profile_grid,
     sinc,
 )
+from l1kernels.admissibility import A4_TOL
 
 EXP_WINDOW = Interval(-3.0, 3.0, lo_open=False, hi_open=False)
 
@@ -173,6 +175,34 @@ def test_audit_a4_passes_for_admissible_kernels():
         report = audit_a4(kernel, gen, grid_size=501, trials=20, master_seed=0)
         assert report.verdict is Verdict.PASS, kernel.name
         assert report.stats.worst_value <= 1.0 + 1e-9
+
+
+def test_audit_a4_brownian_roundoff_is_not_a_violation():
+    # Two Brownian-bridge draws whose grid supremum exceeds 1 + A4_TOL by
+    # solve round-off only (rcond 2.9e-9 and 1.7e-8); the closed-form
+    # cardinal functions give L - 1 = 0 at both.
+    bb = brownian_bridge()
+    for seed, n_range, spacing in [(108000440, (31, 200), 1e-4), (309001025, (2, 30), 1e-3)]:
+        gen = RandomPointSets(bb.domain, n_range, spacing)
+        report = audit_a4(bb, gen, grid_size=2001, trials=3, master_seed=seed)
+        assert report.verdict is Verdict.PASS, seed
+        assert 1.0 + A4_TOL < report.stats.worst_value < 1.0 + 1e-8
+        loc = report.stats.argmax_location
+        closed = np.abs(closed_form_cardinal(bb, loc["points"], loc["t"])).sum()
+        assert closed == pytest.approx(1.0, abs=1e-15)
+
+
+def test_sampled_audits_inconclusive_on_out_of_domain_points():
+    bb = brownian_bridge()
+    gen = RandomPointSets(Interval(-1.0, 1.0, lo_open=False, hi_open=False), n_range=(2, 6))
+    for report in (
+        audit_a1(bb, gen, trials=5),
+        audit_a4(bb, gen, grid_size=101, trials=5, domain=bb.domain),
+        audit_relaxed_a4(bb, gen, grid_size=101, trials=5, domain=bb.domain),
+    ):
+        assert report.verdict is Verdict.INCONCLUSIVE, report.condition
+        assert report.message.startswith("system construction failed on trial 0:")
+        assert report.stats.n_trials == 0
 
 
 def test_audit_a4_fails_for_gaussian():

@@ -52,6 +52,13 @@ def test_audit_gaussian_a4_fails(tmp_path):
 def test_audit_bad_kernel_is_usage_error(capsys):
     assert run_cli("audit", "--kernel", "nonexistent") == 1
     assert "bad --kernel" in capsys.readouterr().err
+    for argv in (
+        ("--kernel", "exponential", "--trials", "0"),
+        ("--kernel", "brownian_bridge", "--window=-1,1"),
+    ):
+        assert run_cli("audit", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 def test_audit_brownian_uses_native_domain(tmp_path):
@@ -62,6 +69,8 @@ def test_audit_brownian_uses_native_domain(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["reports"][0]["verdict"] == "pass"
+    # every condition, A2's pair mesh included, stays inside the open domain
+    assert run_cli("audit", "--kernel", "brownian_bridge", "--trials", "3", "--grid", "201") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +143,14 @@ def test_fit_length_mismatch_usage_error(capsys):
         "--mu", "0.1", "--method", "rkbs",
     )
     assert code == 1
+    assert "2 points but 3 values" in capsys.readouterr().err
+    for values, mu, method in (("1,nan,0.5", "0.1", "rkbs"), ("1,2,0.5", "nan", "rkhs")):
+        code = run_cli(
+            "fit", "--kernel", "exponential", "--points", "0,0.5,1", "--values", values,
+            "--mu", mu, "--method", method,
+        )
+        assert code == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_fit_duplicate_points_numerical_error(capsys):

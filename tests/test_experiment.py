@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,8 @@ def test_experiment_config_validation():
         ExperimentConfig(mu_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(mu_grid=(-0.1, 1.0))
+    with pytest.raises(ValueError):
+        ExperimentConfig(mu_grid=(math.nan,))
     with pytest.raises(ValueError):
         ExperimentConfig(quadrature_nodes=1)
     with pytest.raises(ValueError):

@@ -13,13 +13,9 @@ from l1kernels import (
     SingularGram,
     brownian_bridge,
     build_system,
-    cardinal_coefficients,
     exponential,
     gaussian,
-    kx_column,
-    kx_row,
     sinc,
-    solve,
 )
 
 
@@ -113,19 +109,19 @@ def test_factorization_reconstructs_gram():
 
 def test_kx_column_and_row():
     system = build_system(exponential(), [0.0, 1.0])
-    col = kx_column(system, 0.0)
+    col = system.kx_column(0.0)
     assert col == pytest.approx([1.0, math.exp(-1.0)], rel=1e-15)
     # symmetric kernels: row equals column
-    assert np.array_equal(kx_row(system, 0.37), kx_column(system, 0.37))
+    assert np.array_equal(system.kx_row(0.37), system.kx_column(0.37))
     bb = build_system(brownian_bridge(), [0.5])
-    assert kx_column(bb, 0.25) == pytest.approx([0.125])
+    assert bb.kx_column(0.25) == pytest.approx([0.125])
     with pytest.raises(DomainError):
-        kx_column(bb, 1.25)
+        bb.kx_column(1.25)
 
 
 def test_solve_closed_form_2x2():
     system = build_system(exponential(), [0.0, 1.0])
-    c = solve(system, [1.0, 0.0])
+    c = system.solve([1.0, 0.0])
     denom = 1.0 - math.exp(-2.0)
     assert c == pytest.approx([1.0 / denom, -math.exp(-1.0) / denom], rel=1e-14)
 
@@ -135,13 +131,13 @@ def test_solve_gram_columns_give_basis_vectors():
     x = np.sort(rng.uniform(0.05, 0.95, 6))
     system = build_system(brownian_bridge(), x)
     for j in range(6):
-        c = solve(system, system.gram[:, j])
+        c = system.solve(system.gram[:, j])
         assert c == pytest.approx(np.eye(6)[j], abs=1e-10)
 
 
 def test_solve_single_point():
     system = build_system(exponential(), [0.7])
-    assert solve(system, [3.0]) == pytest.approx([3.0])  # K(a,a) = 1
+    assert system.solve([3.0]) == pytest.approx([3.0])  # K(a,a) = 1
 
 
 def test_solve_roundtrip_random():
@@ -164,7 +160,7 @@ def test_solve_roundtrip_random():
 def test_solve_dimension_mismatch():
     system = build_system(exponential(), [0.0, 1.0])
     with pytest.raises(DimensionMismatch):
-        solve(system, [1.0, 2.0, 3.0])
+        system.solve([1.0, 2.0, 3.0])
 
 
 def test_solve_transpose():
@@ -181,16 +177,16 @@ def test_cardinal_coefficients_at_nodes():
     x = np.sort(rng.uniform(-2, 2, 9))
     system = build_system(exponential(), x)
     for j, xj in enumerate(x):
-        c = cardinal_coefficients(system, xj)
+        c = system.cardinal_coefficients(xj)
         assert np.abs(c - np.eye(9)[j]).max() <= 1e-10
 
 
 def test_cardinal_coefficients_spot_values():
     system = build_system(exponential(), [0.0, 1.0])
-    c = cardinal_coefficients(system, 2.0)
+    c = system.cardinal_coefficients(2.0)
     assert c == pytest.approx([0.0, math.exp(-1.0)], abs=1e-14)
     bb = build_system(brownian_bridge(), [0.2, 0.6])
-    c = cardinal_coefficients(bb, 0.1)
+    c = bb.cardinal_coefficients(0.1)
     assert c == pytest.approx([0.5, 0.0], abs=1e-14)
 
 

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,11 @@ def test_lasso_validation_errors():
         LassoConfig(mu=-1.0)
     with pytest.raises(ValueError):
         LassoConfig(mu=0.1, max_iter=0)
+    with pytest.raises(ValueError):
+        LassoConfig(mu=0.1, max_iter=2.5)
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LassoConfig(mu=mu)
     with pytest.raises(DimensionMismatch):
         lasso_gram(system, [1.0, 2.0, 3.0], LassoConfig(mu=0.1))
     with pytest.raises(UnsupportedKernel):

@@ -1,8 +1,8 @@
 """The sparse-vs-dense regression benchmark, at demo scale.
 
 Noisy samples of a five-bump target are fitted two ways on the same Gram
-matrix: l1-regularized least squares (sparse coefficients, KKT-certified
-FISTA) versus ridge (dense closed form).  The regularization weight is
+matrix: l1-regularized least squares (sparse coefficients, exact homotopy
+path, KKT-certified) versus ridge (dense closed form).  The weight is
 chosen per method by an oracle that minimizes the true L2 distance to the
 target.  The l1 model matches or beats the ridge error using an order of
 magnitude fewer kernel translates.

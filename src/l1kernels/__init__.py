@@ -14,8 +14,9 @@ The library is organized around five layers:
   sup norms, minimal-norm interpolation on both sides, and the reproducing
   bilinear form.
 - :mod:`l1kernels.solvers` / :mod:`l1kernels.experiment` — KKT-certified
-  l1-regularized least squares (monotone FISTA) and closed-form ridge on the
-  Gram matrix, plus the reproducible sparse-vs-dense regression benchmark.
+  l1-regularized least squares (exact lasso homotopy path) and closed-form
+  ridge on the Gram matrix, plus the reproducible sparse-vs-dense regression
+  benchmark.
 
 The `l1kernels` console script exposes audits, fits, and the benchmark.
 """
@@ -90,10 +91,8 @@ from .solvers import (
     LassoSolver,
     RidgeSolver,
     kkt_residual,
-    largest_eigenvalue,
     lasso_gram,
     ridge_gram,
-    soft_threshold,
     zero_mu_threshold,
 )
 from .experiment import (

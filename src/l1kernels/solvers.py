@@ -2,30 +2,24 @@
 
 Both models act on the square Gram matrix K[x] of a sample set:
 
-    l1 (sparse):   argmin_c ||K[x] c - y||_2^2 + mu * ||c||_1
+    l1 (sparse):   argmin_c s ||K[x] c - y||_2^2 + mu * ||c||_1
     ridge:         h = (K[x] + mu I)^(-1) y
 
-The l1 problem has no closed form; it is solved by monotone FISTA with a
-constant step 1/L, where L bounds the Lipschitz constant of the smooth
-part (largest eigenvalue of 2 K[x]^T K[x], by power iteration).  The
-accelerated candidate is accepted only if it does not increase the
-objective, otherwise the iteration falls back to a plain proximal-gradient
-step, so the objective is non-increasing along the iterates.  Two standard
-accelerations are layered on top, neither of which can break monotonicity:
+with s = 1, or s = 1/n for the averaged loss.  The l1 solution is piecewise
+linear in mu; the solver follows this path exactly (the lasso homotopy of
+Osborne, Presnell & Turlach 2000 and Efron et al. 2004).  With correlations
+rho = 2 s K^T (y - K c), a path point at weight lam has an active set A with
+signs sigma, rho_A = lam sigma and |rho_j| <= lam elsewhere.  Then
+K_A^T K_A c_A = K_A^T y - lam sigma / (2 s), so c_A and rho are affine in
+lam until the next event: an inactive coordinate reaches |rho_j| = lam and
+joins A, an active one reaches zero and leaves A, or lam reaches mu.  The
+solves use a QR factorization of K[:, A], updated one column per event;
+K^T K, whose condition number is cond(K)^2, is never formed.
 
-- adaptive restart: the momentum is dropped whenever it points against
-  progress, restoring linear convergence on strongly convex stretches;
-- support polishing: periodically, the reduced normal equations are solved
-  on the current (optionally trimmed) support with sign iteration, and the
-  resulting candidate is accepted only if it does not increase the
-  objective.  On kernel Grams with strongly correlated columns this is
-  what identifies the sparse support in practice.
+Every solution is certified by its KKT residual, not by trusting the path:
 
-Solutions are certified by the KKT residual rather than by trusting the
-iteration:
-
-    c_j != 0:  | 2 (K^T (K c - y))_j + mu sign(c_j) | <= tol
-    c_j  = 0:  | 2 (K^T (K c - y))_j |               <= mu + tol
+    c_j != 0:  | 2 s (K^T (K c - y))_j + mu sign(c_j) | <= tol
+    c_j  = 0:  | 2 s (K^T (K c - y))_j |               <= mu + tol
 """
 
 from __future__ import annotations
@@ -36,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NegativeMu, SingularShifted
 from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated
@@ -46,24 +41,11 @@ __all__ = [
     "FitResult",
     "LassoSolver",
     "RidgeSolver",
-    "soft_threshold",
     "lasso_gram",
     "ridge_gram",
     "kkt_residual",
-    "largest_eigenvalue",
     "zero_mu_threshold",
 ]
-
-# Safety margin on the power-iteration estimate of L: Rayleigh quotients
-# approach the top eigenvalue from below, and the step 1/L must not overshoot.
-_L_MARGIN = 1.01
-
-# Support polishing cadence and trim levels (fractions of ||c||_inf); the
-# polish is attempted early once, then every _POLISH_EVERY iterations.
-_POLISH_EVERY = 250
-_POLISH_FIRST = 20
-_POLISH_TRIMS = (0.0, 1e-6, 1e-3, 1e-2)
-_SIGN_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -121,35 +103,6 @@ class FitResult:
         }
 
 
-def soft_threshold(v, tau: float) -> np.ndarray:
-    """Proximity operator of tau*||.||_1: shrink each component toward 0 by tau."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
-def largest_eigenvalue(matrix: np.ndarray, steps: int = 100, tol: float = 1e-10, seed: int = 0) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(steps):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v_new = w / norm
-        lam_new = float(v_new @ (matrix @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        v, lam = v_new, lam_new
-    return lam
-
-
 def _count_sparsity(c: np.ndarray, threshold: float) -> int:
     scale = max(1.0, float(np.abs(c).max(initial=0.0)))
     return int(np.count_nonzero(np.abs(c) > threshold * scale))
@@ -186,12 +139,32 @@ def zero_mu_threshold(system: GramSystem, y, mean_loss: bool = False) -> float:
     return float(2.0 * scale * np.abs(system.gram.T @ y).max())
 
 
-class LassoSolver:
-    """Reusable FISTA state for repeated l1 solves on one Gram system.
+def _data_vector(y, n: int) -> np.ndarray:
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size != n:
+        raise DimensionMismatch(f"expected data of length {n}, got {y.size}")
+    if not np.isfinite(y).all():
+        raise ValueError("data must be finite")
+    return y
 
-    Precomputes K^T K and the step size once; solve() may then be called
-    for many right-hand sides and regularization weights, optionally warm
-    started (useful along a mu path).
+
+def _arrival(lam: float, gap: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Weight below lam at which a quantity `gap` short of its boundary and
+    closing at `rate` per unit decrease of the weight reaches it (-inf if
+    never); a gap past the boundary by round-off arrives at once."""
+    out = np.full(gap.shape, -np.inf)
+    closing = rate > 0.0
+    out[closing] = lam - np.maximum(gap[closing], 0.0) / rate[closing]
+    return out
+
+
+class LassoSolver:
+    """Exact lasso homotopy path on one Gram system (see module docs).
+
+    A warm start that satisfies the KKT conditions at its own weight
+    lam0 >= mu, such as the fit at a larger mu, is a path point and solve()
+    continues from it; any other warm start is ignored.
+    FitResult.iterations counts path steps, and max_iter caps them.
     """
 
     def __init__(self, system: GramSystem, mean_loss: bool = False):
@@ -199,124 +172,76 @@ class LassoSolver:
         self.system = system
         self.scale = 1.0 / system.n if mean_loss else 1.0
         self.mean_loss = mean_loss
-        self.gtg = system.gram.T @ system.gram
-        self.lipschitz = _L_MARGIN * 2.0 * self.scale * largest_eigenvalue(self.gtg)
 
-    def solve(self, y, config: LassoConfig, warm_start=None, history: list | None = None) -> FitResult:
-        """Solve for one right-hand side; `history` collects the objective
-        value after every iteration (for monotonicity checks)."""
+    def solve(self, y, config: LassoConfig, warm_start=None) -> FitResult:
+        """Solve for one right-hand side, following the path down to config.mu."""
         if config.mean_loss != self.mean_loss:
             raise ValueError("config.mean_loss disagrees with the solver's loss scaling")
-        system = self.system
-        n = system.n
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.size != n:
-            raise DimensionMismatch(f"expected data of length {n}, got {y.size}")
-        mu, s = config.mu, self.scale
-
+        system, mu = self.system, config.mu
+        n, k, two_s = system.n, system.gram, 2.0 * self.scale
+        y = _data_vector(y, n)
         if mu == 0.0:
             # square nonsingular system: the unregularized minimizer interpolates
-            c = system.solve(y)
-            return self._finish(c, y, config, iterations=0)
+            return self._finish(system.solve(y), y, config, iterations=0)
 
-        g = self.gtg
-        b = system.gram.T @ y
-        yty = float(y @ y)
-        step = 1.0 / self.lipschitz
-
-        def objective(c, gc):
-            return s * (float(c @ gc) - 2.0 * float(b @ c) + yty) + mu * float(np.abs(c).sum())
-
-        c = np.zeros(n) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-        if c.shape != (n,):
-            raise DimensionMismatch(f"warm start must have length {n}")
-        gc = g @ c
-        fc = objective(c, gc)
-        z, gz = c, gc
-        t = 1.0
-        iterations = 0
-
-        for iterations in range(1, config.max_iter + 1):
-            u = soft_threshold(z - step * 2.0 * s * (gz - b), step * mu)
-            gu = g @ u
-            fu = objective(u, gu)
-            if fu <= fc:
-                c_new, gc_new, fc_new = u, gu, fu
-            else:
-                # plain proximal step from the current iterate; with step <= 1/L
-                # this cannot increase the objective
-                p = soft_threshold(c - step * 2.0 * s * (gc - b), step * mu)
-                gp = g @ p
-                c_new, gc_new, fc_new = p, gp, objective(p, gp)
-            # adaptive restart: drop the momentum when it points against progress,
-            # which restores linear convergence on strongly convex stretches
-            if float((z - u) @ (u - c)) > 0.0:
-                t = 1.0
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            m1 = t / t_next
-            m2 = (t - 1.0) / t_next
-            z = c_new + m1 * (u - c_new) + m2 * (c_new - c)
-            gz = gc_new + m1 * (gu - gc_new) + m2 * (gc_new - gc)  # G z by linearity
-            c, gc, fc, t = c_new, gc_new, fc_new, t_next
-
-            if iterations == _POLISH_FIRST or iterations % _POLISH_EVERY == 0:
-                c2, gc2, fc2 = self._polish(mu, b, yty, c, gc, fc, objective)
-                if fc2 < fc:
-                    c, gc, fc = c2, gc2, fc2
-                    z, gz, t = c, gc, 1.0
-
-            if history is not None:
-                history.append(fc)
-            kkt = _kkt_from_gradient(2.0 * s * (gc - b), mu, c)
-            if kkt <= config.tol:
+        c, lam = np.zeros(n), zero_mu_threshold(system, y, self.mean_loss)
+        if warm_start is not None:
+            # resume only from a path point: KKT holds at lam0 = ||rho||_inf >= mu
+            warm = np.asarray(warm_start, dtype=float)
+            if warm.shape != (n,):
+                raise DimensionMismatch(f"warm start must have length {n}")
+            grad = two_s * (k.T @ (k @ warm - y))
+            lam0 = float(np.abs(grad).max())
+            if lam0 >= mu and _kkt_from_gradient(grad, lam0, warm) <= config.tol:
+                c, lam = warm, lam0
+        active = np.flatnonzero(c)
+        signs = np.sign(c[active])
+        q, r = scipy.linalg.qr(k[:, active])
+        blocked = []  # the boundary the last coordinate to leave may not rejoin at
+        steps = 0
+        while True:
+            m = active.size
+            qty = q.T @ y
+            z = solve_triangular(r[:m], signs, trans="T")
+            # below lam, c_A(l) = c_a + (lam - l) x1; c_a is solved at lam
+            # directly, since the least-squares part alone can be far larger
+            c_a, x1 = solve_triangular(r[:m], np.column_stack((qty[:m] - lam / two_s * z, z / two_s))).T
+            # a value with the wrong sign has reached zero up to round-off; at
+            # mu such a coordinate leaves, as at any zero crossing
+            wrong = signs * c_a < 0.0
+            if steps == config.max_iter or (lam <= mu and not wrong.any()):
                 break
-
-        return self._finish(c, y, config, iterations=iterations)
-
-    def _polish(self, mu, b, yty, c, gc, fc, objective):
-        """Best objective-non-increasing candidate from reduced-support solves.
-
-        For a few trim levels, solve the normal equations restricted to the
-        trimmed support with the current signs, iteratively removing
-        coordinates whose sign flips.  Candidates never replace the iterate
-        unless they lower the objective, so monotonicity is preserved.
-        """
-        top = float(np.abs(c).max(initial=0.0))
-        if top == 0.0:
-            return c, gc, fc
-        g = self.gtg
-        best = (c, gc, fc)
-        mu_eff = mu / self.scale  # reduced solve of s*||Kc-y||^2 + mu*|c|_1
-        for trim in _POLISH_TRIMS:
-            support = np.nonzero(np.abs(c) > trim * top)[0]
-            reduced = self._sign_iterate(mu_eff, b, support, np.sign(c[support]))
-            if reduced is None:
+            steps += 1
+            events = np.full(2 * n + m, -np.inf)  # joins at +lam, joins at -lam, leaves
+            if lam <= mu:
+                events[2 * n:][wrong] = lam
+            else:
+                # rho(l) = p + l slope; p comes from the least-squares residual of y on K_A
+                p, slope = (k.T @ np.column_stack((two_s * (q[:, m:] @ qty[m:]), q[:, :m] @ z))).T
+                rho = p + lam * slope
+                events[:2 * n] = _arrival(lam, np.r_[lam - rho, lam + rho], np.r_[1.0 - slope, 1.0 + slope])
+                events[2 * n:] = _arrival(lam, signs * c_a, -signs * x1)
+                events[active] = events[active + n] = -np.inf
+                # a coordinate that just left may rejoin only at the opposite
+                # boundary, so round-off cannot cycle it in and out
+                events[blocked] = -np.inf
+            e = int(np.argmax(events))
+            lam = max(float(events[e]), mu)
+            if events[e] < mu:
                 continue
-            cand = np.zeros_like(c)
-            cand[reduced[0]] = reduced[1]
-            gcand = g @ cand
-            fcand = objective(cand, gcand)
-            if fcand < best[2]:
-                best = (cand, gcand, fcand)
-        return best
-
-    def _sign_iterate(self, mu_eff, b, support, signs):
-        """Solve G_SS c_S = b_S - mu_eff/2 * s, dropping sign-flipped coords."""
-        g = self.gtg
-        for _ in range(_SIGN_ROUNDS):
-            if support.size == 0:
-                return None
-            try:
-                c_s = np.linalg.solve(
-                    g[np.ix_(support, support)], b[support] - 0.5 * mu_eff * signs
-                )
-            except np.linalg.LinAlgError:
-                return None
-            flipped = np.sign(c_s) != signs
-            if not flipped.any():
-                return support, c_s
-            support, signs = support[~flipped], signs[~flipped]
-        return None
+            if e < 2 * n:
+                q, r = scipy.linalg.qr_insert(q, r, k[:, e % n], m, which="col")
+                active = np.append(active, e % n)
+                signs = np.append(signs, 1.0 if e < n else -1.0)
+                blocked = []
+            else:
+                i = e - 2 * n
+                q, r = scipy.linalg.qr_delete(q, r, i, which="col")
+                blocked = [active[i] + (0 if signs[i] > 0 else n)]
+                active, signs = np.delete(active, i), np.delete(signs, i)
+        c = np.zeros(n)
+        c[active] = c_a
+        return self._finish(c, y, config, iterations=steps)
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:
         system, s = self.system, self.scale
@@ -362,11 +287,11 @@ class RidgeSolver:
 
     def solve(self, y, mu: float, sparsity_threshold: float = 1e-8) -> FitResult:
         system = self.system
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.size != system.n:
-            raise DimensionMismatch(f"expected data of length {system.n}, got {y.size}")
+        y = _data_vector(y, system.n)
         if mu < 0:
             raise NegativeMu(f"regularization weight must be nonnegative, got {mu}")
+        if not math.isfinite(mu):
+            raise ValueError(f"regularization weight must be finite, got {mu}")
         shifted, factorization = self._factorization(mu)
         h = scipy.linalg.lu_solve(factorization, y)
         kh = system.gram @ h

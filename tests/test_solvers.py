@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1kernels import (
     DimensionMismatch,
@@ -15,17 +17,18 @@ from l1kernels import (
     Side,
     SingularShifted,
     UnsupportedKernel,
+    brownian_bridge,
     build_system,
     exponential,
     kkt_residual,
-    largest_eigenvalue,
     lasso_gram,
     ridge_gram,
     sinc,
-    soft_threshold,
     zero_mu_threshold,
 )
 from _oracles import cd_lasso, lasso_objective
+
+DEFAULT_MU_GRID = tuple(10.0 ** j for j in range(1, -8, -1))  # largest first
 
 
 def random_system(rng, n_max=8, lo=-2.0, hi=2.0, min_spacing=0.05):
@@ -34,30 +37,6 @@ def random_system(rng, n_max=8, lo=-2.0, hi=2.0, min_spacing=0.05):
     while np.diff(x).min() < min_spacing:
         x = np.sort(rng.uniform(lo, hi, n))
     return build_system(exponential(), x)
-
-
-# ---------------------------------------------------------------------------
-# soft threshold
-
-
-def test_soft_threshold_values():
-    assert np.array_equal(soft_threshold([3.0, -1.0, 0.5], 1.0), [2.0, 0.0, 0.0])
-    v = np.array([0.3, -0.7, 2.0])
-    assert np.array_equal(soft_threshold(v, 0.0), v)
-    assert np.array_equal(soft_threshold(v, 2.0), [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        soft_threshold(v, -0.1)
-
-
-# ---------------------------------------------------------------------------
-# power iteration
-
-
-def test_largest_eigenvalue_matches_eigvalsh():
-    rng = np.random.default_rng(1)
-    m = rng.standard_normal((15, 15))
-    g = m.T @ m
-    assert largest_eigenvalue(g) == pytest.approx(np.linalg.eigvalsh(g)[-1], rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +93,6 @@ def test_lasso_objective_is_recomputed_value():
     assert fit.sparsity <= system.n
 
 
-def test_lasso_objective_monotone_along_iterations():
-    rng = np.random.default_rng(6)
-    system = random_system(rng)
-    y = rng.uniform(-2, 2, system.n)
-    history = []
-    solver = LassoSolver(system)
-    solver.solve(y, LassoConfig(mu=1e-4, tol=1e-12, max_iter=3000), history=history)
-    values = np.array(history)
-    # non-increasing up to round-off in the objective evaluation
-    assert np.all(np.diff(values) <= 1e-12 * np.maximum(1.0, np.abs(values[:-1])))
-
-
 def test_lasso_mean_loss_scaling():
     rng = np.random.default_rng(7)
     system = random_system(rng)
@@ -152,20 +119,113 @@ def test_lasso_validation_errors():
             LassoConfig(mu=mu)
     with pytest.raises(DimensionMismatch):
         lasso_gram(system, [1.0, 2.0, 3.0], LassoConfig(mu=0.1))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            lasso_gram(system, [1.0, bad], LassoConfig(mu=0.1))
     with pytest.raises(UnsupportedKernel):
         lasso_gram(build_system(sinc(), [0.2, 3.7]), [1.0, 2.0], LassoConfig(mu=0.1))
+
+
+def solve_path(solver, y, mus, **config):
+    """Warm-started fits along mus, in the order given."""
+    fits, warm = [], None
+    for mu in mus:
+        fit = solver.solve(y, LassoConfig(mu=mu, **config), warm_start=warm)
+        warm = fit.coefficients.values
+        fits.append(fit)
+    return fits
 
 
 def test_lasso_warm_start_path():
     rng = np.random.default_rng(8)
     system = random_system(rng)
     y = rng.uniform(-2, 2, system.n)
-    solver = LassoSolver(system)
-    warm = None
-    for mu in (1.0, 0.1, 0.01):
-        fit = solver.solve(y, LassoConfig(mu=mu), warm_start=warm)
-        warm = fit.coefficients.values
+    for fit in solve_path(LassoSolver(system), y, (1.0, 0.1, 0.01)):
         assert fit.converged
+
+
+def test_lasso_path_matches_coordinate_descent_on_default_grid():
+    rng = np.random.default_rng(20)
+    for _ in range(8):
+        system = random_system(rng, n_max=6, min_spacing=0.2)
+        y = rng.uniform(-2, 2, system.n)
+        fits = solve_path(LassoSolver(system), y, DEFAULT_MU_GRID, tol=1e-10)
+        for mu, fit in zip(DEFAULT_MU_GRID, fits):
+            assert fit.converged
+            oracle = cd_lasso(system.gram, y, mu, tol=1e-10)
+            gap = fit.objective - lasso_objective(system.gram, y, mu, oracle)
+            assert abs(gap) <= 1e-9 * max(1.0, fit.objective)
+            assert np.abs(fit.coefficients.values - oracle).max() <= 1e-6
+
+
+@pytest.mark.parametrize("n", [9, 40, 200])
+@pytest.mark.parametrize("bridge", [False, True])
+def test_lasso_path_certified_under_symmetric_ties(n, bridge):
+    # mirror-image points carry equal correlations, so coordinates reach the
+    # boundary in tied pairs at every event; on the Brownian bridge, constant
+    # data also ties coordinates whose exact path value stays zero
+    if bridge:
+        system = build_system(brownian_bridge(), np.linspace(0.01, 0.99, n))
+        y = np.ones(n)
+    else:
+        x = np.linspace(-1.0, 1.0, n)
+        system = build_system(exponential(), x)
+        y = 1.0 + np.cos(3.0 * x)
+    for fit in solve_path(LassoSolver(system), y, DEFAULT_MU_GRID):
+        assert fit.converged, fit.kkt_residual
+        c = fit.coefficients.values
+        assert np.abs(c - c[::-1]).max() <= 1e-6 * max(1.0, np.abs(c).max())
+
+
+def test_lasso_rejected_warm_start_equals_cold_start():
+    rng = np.random.default_rng(21)
+    system = random_system(rng, n_max=12)
+    y = rng.uniform(-2, 2, system.n)
+    solver = LassoSolver(system)
+    config = LassoConfig(mu=0.05)
+    cold = solver.solve(y, config)
+    below = solver.solve(y, LassoConfig(mu=1e-4)).coefficients.values
+    for warm in (rng.standard_normal(system.n), below):
+        fit = solver.solve(y, config, warm_start=warm)
+        assert fit.converged
+        assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
+        assert fit.iterations == cold.iterations
+
+
+def test_lasso_mean_loss_path_certified():
+    rng = np.random.default_rng(22)
+    system = random_system(rng, n_max=20)
+    y = rng.uniform(-2, 2, system.n)
+    fits = solve_path(LassoSolver(system, mean_loss=True), y, DEFAULT_MU_GRID, mean_loss=True)
+    for mu, fit in zip(DEFAULT_MU_GRID, fits):
+        c = fit.coefficients.values
+        assert fit.converged
+        assert kkt_residual(system, y, mu, c, mean_loss=True) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bridge=st.booleans(),
+    n=st.integers(1, 40),
+    log_mu=st.floats(-7.0, 1.0),
+)
+def test_lasso_fit_satisfies_its_certificate(seed, bridge, n, log_mu):
+    rng = np.random.default_rng(seed)
+    lo, hi = (0.01, 0.99) if bridge else (-2.0, 2.0)
+    x = np.sort(rng.uniform(lo, hi, n))
+    while n > 1 and np.diff(x).min() < 0.2 / n:
+        x = np.sort(rng.uniform(lo, hi, n))
+    system = build_system(brownian_bridge() if bridge else exponential(), x)
+    y = rng.uniform(-2, 2, n)
+    mu = 10.0 ** log_mu
+    config = LassoConfig(mu=mu)
+    fit = lasso_gram(system, y, config)
+    c = fit.coefficients.values
+    assert fit.converged
+    assert fit.kkt_residual == kkt_residual(system, y, mu, c)
+    assert fit.kkt_residual <= config.tol
+    assert fit.objective == pytest.approx(lasso_objective(system.gram, y, mu, c), rel=1e-12)
 
 
 def test_lasso_optimal_objective_nondecreasing_in_mu():
@@ -285,6 +345,11 @@ def test_ridge_validation():
         ridge_gram(system, [1.0, 0.0], -0.1)
     with pytest.raises(DimensionMismatch):
         ridge_gram(system, [1.0], 0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            ridge_gram(system, [1.0, bad], 0.1)
+        with pytest.raises(ValueError, match="must be finite"):
+            ridge_gram(system, [1.0, 0.0], bad)
 
 
 def test_ridge_singular_shifted():

@@ -269,6 +269,13 @@ class _Workbench:
             warm = fit.coefficients.values
             lasso_fits[mu] = fit
         rkbs = self._select(lasso_fits)
+        selected = lasso_fits[rkbs.chosen_mu]
+        if not selected.converged:
+            logger.warning(
+                "selected lasso fit is not certified: kkt residual %.3e (trial %d, mu=%g)",
+                selected.kkt_residual, trial_index, rkbs.chosen_mu,
+                extra={"trial": trial_index, "mu": rkbs.chosen_mu, "kkt_residual": selected.kkt_residual},
+            )
 
         ridge_fits = {mu: self.ridge.solve(y, mu) for mu in self.mus}
         rkhs = self._select(ridge_fits)

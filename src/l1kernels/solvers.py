@@ -13,8 +13,10 @@ signs sigma, rho_A = lam sigma and |rho_j| <= lam elsewhere.  Then
 K_A^T K_A c_A = K_A^T y - lam sigma / (2 s), so c_A and rho are affine in
 lam until the next event: an inactive coordinate reaches |rho_j| = lam and
 joins A, an active one reaches zero and leaves A, or lam reaches mu.  The
-solves use a QR factorization of K[:, A], updated one column per event;
-K^T K, whose condition number is cond(K)^2, is never formed.
+solves use a thin QR factorization of K[:, A] (Q is n x |A|, R square),
+updated one column per event, and the least-squares residual of y is
+reorthogonalized against Q once; K^T K, whose condition number is
+cond(K)^2, is never formed.
 
 Every solution is certified by its KKT residual, not by trusting the path:
 
@@ -64,10 +66,7 @@ class LassoConfig:
     mean_loss: bool = False
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise NegativeMu(f"regularization weight must be nonnegative, got {self.mu}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"regularization weight must be finite, got {self.mu}")
+        _check_weight(self.mu)
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.tol > 0:
@@ -120,12 +119,9 @@ def _kkt_from_gradient(grad: np.ndarray, mu: float, c: np.ndarray) -> float:
 
 def kkt_residual(system: GramSystem, y, mu: float, c, mean_loss: bool = False) -> float:
     """Maximum violation of the subgradient optimality conditions at c."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
-    if y.size != system.n or c.size != system.n:
-        raise DimensionMismatch(f"expected vectors of length {system.n}")
-    if mu < 0:
-        raise NegativeMu(f"regularization weight must be nonnegative, got {mu}")
+    y = _data_vector(y, system.n)
+    c = _data_vector(c, system.n, "coefficients")
+    _check_weight(mu)
     a = system.gram
     scale = 1.0 / system.n if mean_loss else 1.0
     grad = 2.0 * scale * (a.T @ (a @ c - y))
@@ -134,32 +130,51 @@ def kkt_residual(system: GramSystem, y, mu: float, c, mean_loss: bool = False) -
 
 def zero_mu_threshold(system: GramSystem, y, mean_loss: bool = False) -> float:
     """Smallest mu for which c = 0 is optimal: 2 ||K^T y||_inf (scaled)."""
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _data_vector(y, system.n)
     scale = 1.0 / system.n if mean_loss else 1.0
     return float(2.0 * scale * np.abs(system.gram.T @ y).max())
 
 
-def _data_vector(y, n: int) -> np.ndarray:
+def _data_vector(y, n: int, name: str = "data") -> np.ndarray:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != n:
-        raise DimensionMismatch(f"expected data of length {n}, got {y.size}")
+        raise DimensionMismatch(f"expected {name} of length {n}, got {y.size}")
     if not np.isfinite(y).all():
-        raise ValueError("data must be finite")
+        raise ValueError(f"{name} must be finite")
     return y
 
 
-def _arrival(lam: float, gap: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Weight below lam at which a quantity `gap` short of its boundary and
-    closing at `rate` per unit decrease of the weight reaches it (-inf if
-    never); a gap past the boundary by round-off arrives at once."""
-    out = np.full(gap.shape, -np.inf)
+def _check_weight(mu: float) -> None:
+    if mu < 0:
+        raise NegativeMu(f"regularization weight must be nonnegative, got {mu}")
+    if not math.isfinite(mu):
+        raise ValueError(f"regularization weight must be finite, got {mu}")
+
+
+def _arrival(lam: float, gap: np.ndarray, rate: np.ndarray, out: np.ndarray) -> None:
+    """Write to out the weight below lam at which a quantity `gap` short of
+    its boundary and closing at `rate` per unit decrease of the weight
+    reaches it (-inf if never); a gap past the boundary by round-off arrives
+    at once."""
+    out.fill(-np.inf)
     closing = rate > 0.0
     out[closing] = lam - np.maximum(gap[closing], 0.0) / rate[closing]
-    return out
+
+
+# the boundaries +lam and -lam, one row of join events each
+_BOUNDS = np.array([[1.0], [-1.0]])
 
 
 class LassoSolver:
     """Exact lasso homotopy path on one Gram system (see module docs).
+
+    The path keeps a thin QR factorization K[:, A] = Q R, with Q of shape
+    (n, |A|) and R square, and updates it by one column per event, so a
+    step costs O(n |A|) plus one K^T product over two vectors.  The
+    least-squares residual y - Q Q^T y is projected off span(Q) a second
+    time (Daniel, Gragg, Kaufman & Stewart 1976): an updated thin Q is
+    orthogonal only up to round-off, and what one projection leaves of
+    span(Q) in the residual is enough to derail exactly tied paths.
 
     A warm start that satisfies the KKT conditions at its own weight
     lam0 >= mu, such as the fit at a larger mu, is a path point and solve()
@@ -196,32 +211,45 @@ class LassoSolver:
                 c, lam = warm, lam0
         active = np.flatnonzero(c)
         signs = np.sign(c[active])
-        q, r = scipy.linalg.qr(k[:, active])
+        q, r = scipy.linalg.qr(k[:, active], mode="economic")
         blocked = []  # the boundary the last coordinate to leave may not rejoin at
+        # per-step buffers: triangular right-hand sides, the two vectors K^T
+        # multiplies, and the events (joins at +lam, joins at -lam, leaves)
+        rhs, w, buf = np.empty((n, 2)), np.empty((2, n)), np.empty(3 * n)
         steps = 0
         while True:
             m = active.size
             qty = q.T @ y
-            z = solve_triangular(r[:m], signs, trans="T")
+            # every column of K enters the factor through a checked qr or
+            # qr_insert, so the solves and deletes skip scipy's finite scans
+            z = solve_triangular(r, signs, trans="T", check_finite=False)
             # below lam, c_A(l) = c_a + (lam - l) x1; c_a is solved at lam
             # directly, since the least-squares part alone can be far larger
-            c_a, x1 = solve_triangular(r[:m], np.column_stack((qty[:m] - lam / two_s * z, z / two_s))).T
+            rhs[:m, 0] = qty - lam / two_s * z
+            rhs[:m, 1] = z / two_s
+            c_a, x1 = solve_triangular(r, rhs[:m], check_finite=False).T
             # a value with the wrong sign has reached zero up to round-off; at
             # mu such a coordinate leaves, as at any zero crossing
             wrong = signs * c_a < 0.0
             if steps == config.max_iter or (lam <= mu and not wrong.any()):
                 break
             steps += 1
-            events = np.full(2 * n + m, -np.inf)  # joins at +lam, joins at -lam, leaves
+            events = buf[:2 * n + m]
+            joins, leaves = events[:2 * n].reshape(2, n), events[2 * n:]
             if lam <= mu:
-                events[2 * n:][wrong] = lam
+                events.fill(-np.inf)
+                leaves[wrong] = lam
             else:
                 # rho(l) = p + l slope; p comes from the least-squares residual of y on K_A
-                p, slope = (k.T @ np.column_stack((two_s * (q[:, m:] @ qty[m:]), q[:, :m] @ z))).T
-                rho = p + lam * slope
-                events[:2 * n] = _arrival(lam, np.r_[lam - rho, lam + rho], np.r_[1.0 - slope, 1.0 + slope])
-                events[2 * n:] = _arrival(lam, signs * c_a, -signs * x1)
-                events[active] = events[active + n] = -np.inf
+                res = w[0]
+                np.subtract(y, q @ qty, out=res)
+                res -= q @ (q.T @ res)
+                res *= two_s
+                np.dot(q, z, out=w[1])
+                p, slope = w @ k
+                _arrival(lam, lam - _BOUNDS * (p + lam * slope), 1.0 - _BOUNDS * slope, joins)
+                _arrival(lam, signs * c_a, -signs * x1, leaves)
+                joins[:, active] = -np.inf
                 # a coordinate that just left may rejoin only at the opposite
                 # boundary, so round-off cannot cycle it in and out
                 events[blocked] = -np.inf
@@ -230,13 +258,20 @@ class LassoSolver:
             if events[e] < mu:
                 continue
             if e < 2 * n:
-                q, r = scipy.linalg.qr_insert(q, r, k[:, e % n], m, which="col")
-                active = np.append(active, e % n)
+                j = e % n
+                if m == 0:
+                    # qr_insert leaves an empty factor of one row (n = 1) empty
+                    q, r = scipy.linalg.qr(k[:, [j]], mode="economic")
+                else:
+                    q, r = scipy.linalg.qr_insert(q, r, k[:, j], m, which="col")
+                active = np.append(active, j)
                 signs = np.append(signs, 1.0 if e < n else -1.0)
                 blocked = []
             else:
                 i = e - 2 * n
-                q, r = scipy.linalg.qr_delete(q, r, i, which="col")
+                q, r = scipy.linalg.qr_delete(q, r, i, which="col", check_finite=False)
+                # a delete from a square factor leaves Q square; keep it thin
+                q, r = q[:, :m - 1], r[:m - 1]
                 blocked = [active[i] + (0 if signs[i] > 0 else n)]
                 active, signs = np.delete(active, i), np.delete(signs, i)
         c = np.zeros(n)
@@ -288,10 +323,7 @@ class RidgeSolver:
     def solve(self, y, mu: float, sparsity_threshold: float = 1e-8) -> FitResult:
         system = self.system
         y = _data_vector(y, system.n)
-        if mu < 0:
-            raise NegativeMu(f"regularization weight must be nonnegative, got {mu}")
-        if not math.isfinite(mu):
-            raise ValueError(f"regularization weight must be finite, got {mu}")
+        _check_weight(mu)
         shifted, factorization = self._factorization(mu)
         h = scipy.linalg.lu_solve(factorization, y)
         kh = system.gram @ h

@@ -1,4 +1,6 @@
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from l1kernels import (
     ExperimentConfig,
     LassoConfig,
+    LassoSolver,
     NoiseKind,
     NoiseModel,
     Side,
@@ -166,6 +169,27 @@ def test_run_trial_near_interpolation_with_clean_data():
     assert l2_error(f, (-1.0, 1.0), 2001) <= 1e-3
     record = run_trial(cfg, 0)
     assert record.rkbs.l2_error <= 1e-6  # squared scale
+
+
+def test_run_trial_warns_on_uncertified_selected_fit(monkeypatch, caplog):
+    cfg = small_config()
+    with caplog.at_level(logging.WARNING, logger="l1kernels.experiment"):
+        record = run_trial(cfg, 0)
+    assert not caplog.records
+
+    solve = LassoSolver.solve
+
+    def uncertified(self, y, config, warm_start=None):
+        return dataclasses.replace(solve(self, y, config, warm_start), converged=False)
+
+    monkeypatch.setattr(LassoSolver, "solve", uncertified)
+    with caplog.at_level(logging.WARNING, logger="l1kernels.experiment"):
+        assert run_trial(cfg, 0) == record
+    (warning,) = caplog.records
+    assert warning.levelno == logging.WARNING
+    assert warning.trial == 0
+    assert warning.mu == record.rkbs.chosen_mu
+    assert math.isfinite(warning.kkt_residual)
 
 
 def test_run_experiment_single_trial_equals_record():

@@ -122,6 +122,16 @@ def test_lasso_validation_errors():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be finite"):
             lasso_gram(system, [1.0, bad], LassoConfig(mu=0.1))
+        with pytest.raises(ValueError, match="must be finite"):
+            zero_mu_threshold(system, [1.0, bad])
+        with pytest.raises(ValueError, match="must be finite"):
+            kkt_residual(system, [1.0, bad], 0.1, [0.0, 0.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            kkt_residual(system, [1.0, 0.0], 0.1, [0.0, bad])
+        with pytest.raises(ValueError, match="must be finite"):
+            kkt_residual(system, [1.0, 0.0], bad, [0.0, 0.0])
+    with pytest.raises(DimensionMismatch):
+        zero_mu_threshold(system, [1.0, 2.0, 3.0])
     with pytest.raises(UnsupportedKernel):
         lasso_gram(build_system(sinc(), [0.2, 3.7]), [1.0, 2.0], LassoConfig(mu=0.1))
 
@@ -203,6 +213,15 @@ def test_lasso_mean_loss_path_certified():
         assert kkt_residual(system, y, mu, c, mean_loss=True) <= 1e-8
 
 
+def well_spaced(rng, bridge, n):
+    """A kernel and n sorted points on its domain, spaced at least 0.2 / n."""
+    lo, hi = (0.01, 0.99) if bridge else (-2.0, 2.0)
+    x = np.sort(rng.uniform(lo, hi, n))
+    while n > 1 and np.diff(x).min() < 0.2 / n:
+        x = np.sort(rng.uniform(lo, hi, n))
+    return brownian_bridge() if bridge else exponential(), x
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -212,11 +231,7 @@ def test_lasso_mean_loss_path_certified():
 )
 def test_lasso_fit_satisfies_its_certificate(seed, bridge, n, log_mu):
     rng = np.random.default_rng(seed)
-    lo, hi = (0.01, 0.99) if bridge else (-2.0, 2.0)
-    x = np.sort(rng.uniform(lo, hi, n))
-    while n > 1 and np.diff(x).min() < 0.2 / n:
-        x = np.sort(rng.uniform(lo, hi, n))
-    system = build_system(brownian_bridge() if bridge else exponential(), x)
+    system = build_system(*well_spaced(rng, bridge, n))
     y = rng.uniform(-2, 2, n)
     mu = 10.0 ** log_mu
     config = LassoConfig(mu=mu)
@@ -226,6 +241,33 @@ def test_lasso_fit_satisfies_its_certificate(seed, bridge, n, log_mu):
     assert fit.kkt_residual == kkt_residual(system, y, mu, c)
     assert fit.kkt_residual <= config.tol
     assert fit.objective == pytest.approx(lasso_objective(system.gram, y, mu, c), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bridge=st.booleans(),
+    n=st.integers(1, 40),
+    log_mu=st.floats(-7.0, 1.0),
+)
+def test_permuting_the_points_permutes_the_fits(seed, bridge, n, log_mu):
+    # K[x] is nonsingular, so both solutions are unique and a permuted point
+    # set must give the permuted coefficients up to round-off; 1e-9 relative
+    # to max(1, ||c||_inf) is four orders of magnitude above the largest gap
+    # (7e-14) over 300 such draws
+    rng = np.random.default_rng(seed)
+    kernel, x = well_spaced(rng, bridge, n)
+    perm = rng.permutation(n)
+    system, permuted = build_system(kernel, x), build_system(kernel, PointSet(x[perm]))
+    y = rng.uniform(-2, 2, n)
+    mu = 10.0 ** log_mu
+    for fit, fit_permuted in (
+        (lasso_gram(system, y, LassoConfig(mu=mu)), lasso_gram(permuted, y[perm], LassoConfig(mu=mu))),
+        (ridge_gram(system, y, mu), ridge_gram(permuted, y[perm], mu)),
+    ):
+        c = fit.coefficients.values
+        gap = np.abs(c[perm] - fit_permuted.coefficients.values).max()
+        assert gap <= 1e-9 * max(1.0, np.abs(c).max())
 
 
 def test_lasso_optimal_objective_nondecreasing_in_mu():
@@ -242,6 +284,42 @@ def test_lasso_optimal_objective_nondecreasing_in_mu():
         objectives.append(fit.objective)
     diffs = np.diff(objectives)
     assert np.all(diffs >= -1e-10)
+
+
+@pytest.mark.parametrize("y", [2.0, -2.0])
+def test_lasso_single_point_closed_form(y):
+    # K = [[k]]: c = sign(y) max(k |y| - mu / 2, 0) / k^2, zero from the
+    # threshold 2 k |y| up
+    system = build_system(brownian_bridge(), [0.5])
+    k = system.gram[0, 0]
+    mus = [f * zero_mu_threshold(system, [y]) for f in (2.0, 0.5, 0.1)]
+    solver = LassoSolver(system)
+    cold = [solver.solve([y], LassoConfig(mu=mu)) for mu in mus]
+    for fits in (cold, solve_path(solver, [y], mus), solve_path(solver, [y], mus[::-1])[::-1]):
+        for mu, fit in zip(mus, fits):
+            assert fit.converged
+            expected = math.copysign(max(k * abs(y) - mu / 2.0, 0.0), y) / k**2
+            assert fit.coefficients.values[0] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_lasso_path_fills_the_active_set_then_loses_a_coordinate():
+    # the middle coefficient joins first, the outer two fill the active set,
+    # the middle one crosses zero and leaves a square factor, then rejoins
+    # with the opposite sign as mu approaches the interpolant [1, -0.01, 1]
+    system = build_system(exponential(), [-1.0, 0.0, 1.0])
+    y = system.gram @ np.array([1.0, -0.01, 1.0])
+    mus = (2.0, 0.5, 1e-4)
+    solver = LassoSolver(system)
+    warm = solve_path(solver, y, mus, tol=1e-10)
+    assert [np.sign(fit.coefficients.values).tolist() for fit in warm] == [
+        [1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0],
+    ]
+    cold = [solver.solve(y, LassoConfig(mu=mu, tol=1e-10)) for mu in mus]
+    for mu, fits in zip(mus, zip(warm, cold)):
+        oracle = cd_lasso(system.gram, y, mu, tol=1e-10)
+        for fit in fits:
+            assert fit.converged
+            assert np.abs(fit.coefficients.values - oracle).max() <= 1e-6
 
 
 def test_lasso_unconverged_returns_best_iterate():

@@ -14,9 +14,12 @@ K_A^T K_A c_A = K_A^T y - lam sigma / (2 s), so c_A and rho are affine in
 lam until the next event: an inactive coordinate reaches |rho_j| = lam and
 joins A, an active one reaches zero and leaves A, or lam reaches mu.  The
 solves use a thin QR factorization of K[:, A] (Q is n x |A|, R square),
-updated one column per event, and the least-squares residual of y is
-reorthogonalized against Q once; K^T K, whose condition number is
-cond(K)^2, is never formed.
+held in the leading columns of two n x n buffers and updated one column per
+event: a join appends its column by Gram-Schmidt with one
+reorthogonalization, a leave removes one with scipy's qr_delete, and the two
+triangular solves per step call LAPACK's dtrtrs on R in place.  The
+least-squares residual of y is reorthogonalized against Q once; K^T K, whose
+condition number is cond(K)^2, is never formed.
 
 Every solution is certified by its KKT residual, not by trusting the path:
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, NegativeMu, SingularShifted
 from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated
@@ -161,6 +164,40 @@ def _arrival(lam: float, gap: np.ndarray, rate: np.ndarray, out: np.ndarray) -> 
     out[closing] = lam - np.maximum(gap[closing], 0.0) / rate[closing]
 
 
+def _append_column(qb: np.ndarray, rb: np.ndarray, m: int, v: np.ndarray) -> None:
+    """Extend the thin QR in qb[:, :m], rb[:m, :m] by the column v in place,
+    by classical Gram-Schmidt with one reorthogonalization (CGS2, Daniel,
+    Gragg, Kaufman & Stewart 1976).  One projection leaves the new column
+    orthogonal to span(Q) only to about eps ||v|| / ||u||, which grows with
+    cond(K_A) and derails exactly tied paths; the second restores working
+    precision."""
+    q = qb[:, :m]
+    h = q.T @ v
+    u = v - q @ h
+    h2 = q.T @ u
+    u -= q @ h2
+    h += h2
+    norm = math.sqrt(u @ u)
+    if not (norm > 0.0 and math.isfinite(norm)):
+        raise np.linalg.LinAlgError(f"Gram column {m} of the active set has norm {norm} off span(Q)")
+    rb[:m, m] = h
+    rb[m, m] = norm
+    np.divide(u, norm, out=qb[:, m])
+
+
+def _solve_r(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve R x = b (trans=1: R^T x = b), R the upper triangle of the
+    leading m x m block of r, with m >= 1.  r is a Fortran-contiguous
+    (lda, m) view such as rb[:, :m], which LAPACK reads in place; the
+    non-contiguous rb[:m, :m] would be copied on every call."""
+    x, info = dtrtrs(r, b, trans=trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
+
+
 # the boundaries +lam and -lam, one row of join events each
 _BOUNDS = np.array([[1.0], [-1.0]])
 
@@ -170,11 +207,17 @@ class LassoSolver:
 
     The path keeps a thin QR factorization K[:, A] = Q R, with Q of shape
     (n, |A|) and R square, and updates it by one column per event, so a
-    step costs O(n |A|) plus one K^T product over two vectors.  The
+    step costs O(n |A|) plus one K^T product over two vectors.  Q and R
+    live in the leading |A| columns of two Fortran-ordered n x n buffers
+    allocated once per solve, so joins and solves copy neither: a join
+    appends its column by Gram-Schmidt with one reorthogonalization (CGS2),
+    a leave calls scipy's qr_delete and copies the result back, and both
+    triangular solves call LAPACK's dtrtrs on the (n, |A|) view of R.  The
     least-squares residual y - Q Q^T y is projected off span(Q) a second
     time (Daniel, Gragg, Kaufman & Stewart 1976): an updated thin Q is
     orthogonal only up to round-off, and what one projection leaves of
     span(Q) in the residual is enough to derail exactly tied paths.
+    The Gram matrix must be finite, since the updates scan nothing.
 
     A warm start that satisfies the KKT conditions at its own weight
     lam0 >= mu, such as the fit at a larger mu, is a path point and solve()
@@ -184,6 +227,8 @@ class LassoSolver:
 
     def __init__(self, system: GramSystem, mean_loss: bool = False):
         _reject_broken_l1(system.kernel, "l1-regularized fitting")
+        if not np.isfinite(system.gram).all():
+            raise ValueError("Gram matrix must be finite")
         self.system = system
         self.scale = 1.0 / system.n if mean_loss else 1.0
         self.mean_loss = mean_loss
@@ -209,28 +254,35 @@ class LassoSolver:
             lam0 = float(np.abs(grad).max())
             if lam0 >= mu and _kkt_from_gradient(grad, lam0, warm) <= config.tol:
                 c, lam = warm, lam0
-        active = np.flatnonzero(c)
-        signs = np.sign(c[active])
-        q, r = scipy.linalg.qr(k[:, active], mode="economic")
+        # the active set A in order and its signs fill the first m slots; the
+        # thin QR K[:, A] = Q R fills the first m columns of qb and rb, so Q
+        # and the LAPACK view of R are Fortran-contiguous slices, never copies
+        active, signs = np.empty(n, dtype=np.intp), np.empty(n)
+        qb, rb = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+        support = np.flatnonzero(c)
+        m = support.size
+        active[:m], signs[:m] = support, np.sign(c[support])
+        qb[:, :m], rb[:m, :m] = scipy.linalg.qr(k[:, support], mode="economic", check_finite=False)
         blocked = []  # the boundary the last coordinate to leave may not rejoin at
         # per-step buffers: triangular right-hand sides, the two vectors K^T
         # multiplies, and the events (joins at +lam, joins at -lam, leaves)
         rhs, w, buf = np.empty((n, 2)), np.empty((2, n)), np.empty(3 * n)
         steps = 0
         while True:
-            m = active.size
+            q, r, sigma = qb[:, :m], rb[:, :m], signs[:m]
             qty = q.T @ y
-            # every column of K enters the factor through a checked qr or
-            # qr_insert, so the solves and deletes skip scipy's finite scans
-            z = solve_triangular(r, signs, trans="T", check_finite=False)
-            # below lam, c_A(l) = c_a + (lam - l) x1; c_a is solved at lam
-            # directly, since the least-squares part alone can be far larger
-            rhs[:m, 0] = qty - lam / two_s * z
-            rhs[:m, 1] = z / two_s
-            c_a, x1 = solve_triangular(r, rhs[:m], check_finite=False).T
+            if m:
+                z = _solve_r(r, sigma, trans=1)
+                # below lam, c_A(l) = c_a + (lam - l) x1; c_a is solved at lam
+                # directly, since the least-squares part alone can be far larger
+                rhs[:m, 0] = qty - lam / two_s * z
+                rhs[:m, 1] = z / two_s
+                c_a, x1 = _solve_r(r, rhs[:m]).T
+            else:
+                z = c_a = x1 = qty
             # a value with the wrong sign has reached zero up to round-off; at
             # mu such a coordinate leaves, as at any zero crossing
-            wrong = signs * c_a < 0.0
+            wrong = sigma * c_a < 0.0
             if steps == config.max_iter or (lam <= mu and not wrong.any()):
                 break
             steps += 1
@@ -248,8 +300,8 @@ class LassoSolver:
                 np.dot(q, z, out=w[1])
                 p, slope = w @ k
                 _arrival(lam, lam - _BOUNDS * (p + lam * slope), 1.0 - _BOUNDS * slope, joins)
-                _arrival(lam, signs * c_a, -signs * x1, leaves)
-                joins[:, active] = -np.inf
+                _arrival(lam, sigma * c_a, -sigma * x1, leaves)
+                joins[:, active[:m]] = -np.inf
                 # a coordinate that just left may rejoin only at the opposite
                 # boundary, so round-off cannot cycle it in and out
                 events[blocked] = -np.inf
@@ -259,23 +311,20 @@ class LassoSolver:
                 continue
             if e < 2 * n:
                 j = e % n
-                if m == 0:
-                    # qr_insert leaves an empty factor of one row (n = 1) empty
-                    q, r = scipy.linalg.qr(k[:, [j]], mode="economic")
-                else:
-                    q, r = scipy.linalg.qr_insert(q, r, k[:, j], m, which="col")
-                active = np.append(active, j)
-                signs = np.append(signs, 1.0 if e < n else -1.0)
+                _append_column(qb, rb, m, k[:, j])
+                active[m], signs[m] = j, 1.0 if e < n else -1.0
+                m += 1
                 blocked = []
             else:
                 i = e - 2 * n
-                q, r = scipy.linalg.qr_delete(q, r, i, which="col", check_finite=False)
+                q1, r1 = scipy.linalg.qr_delete(q, rb[:m, :m], i, which="col", check_finite=False)
                 # a delete from a square factor leaves Q square; keep it thin
-                q, r = q[:, :m - 1], r[:m - 1]
+                qb[:, :m - 1], rb[:m - 1, :m - 1] = q1[:, :m - 1], r1[:m - 1]
                 blocked = [active[i] + (0 if signs[i] > 0 else n)]
-                active, signs = np.delete(active, i), np.delete(signs, i)
+                active[i:m - 1], signs[i:m - 1] = active[i + 1:m], signs[i + 1:m]
+                m -= 1
         c = np.zeros(n)
-        c[active] = c_a
+        c[active[:m]] = c_a
         return self._finish(c, y, config, iterations=steps)
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:

@@ -192,6 +192,25 @@ def test_run_trial_warns_on_uncertified_selected_fit(monkeypatch, caplog):
     assert math.isfinite(warning.kkt_residual)
 
 
+def test_run_trial_path_steps_are_pinned(monkeypatch):
+    # the lasso path is exact, so its event sequence, and with it the number
+    # of path steps, is fixed by the data; a change to the path's arithmetic
+    # that moves an event shows here first
+    solve, steps = LassoSolver.solve, []
+
+    def counted(self, y, config, warm_start=None):
+        fit = solve(self, y, config, warm_start)
+        steps.append(fit.iterations)
+        return fit
+
+    monkeypatch.setattr(LassoSolver, "solve", counted)
+    cfg = ExperimentConfig(n_points=200, master_seed=12345)
+    for k in range(3):
+        run_trial(cfg, k)
+    assert len(steps) == 27
+    assert sum(steps) == 1677
+
+
 def test_run_experiment_single_trial_equals_record():
     cfg = small_config(trials=1)
     summary = run_experiment(cfg)

@@ -24,8 +24,10 @@ from l1kernels import (
     lasso_gram,
     ridge_gram,
     sinc,
+    target_function,
     zero_mu_threshold,
 )
+from l1kernels.solvers import _append_column, _solve_r
 from _oracles import cd_lasso, lasso_objective
 
 DEFAULT_MU_GRID = tuple(10.0 ** j for j in range(1, -8, -1))  # largest first
@@ -187,6 +189,24 @@ def test_lasso_path_certified_under_symmetric_ties(n, bridge):
         assert np.abs(c - c[::-1]).max() <= 1e-6 * max(1.0, np.abs(c).max())
 
 
+@pytest.mark.parametrize("bridge", [False, True])
+def test_lasso_warm_path_agrees_with_cold_fits_at_n_200(bridge):
+    # on noisy data the path drops a coordinate 200-250 times, some from an
+    # active set of 100-180 columns; a cold fit at small mu makes all these
+    # updates on one factor, while the warm path factors afresh at each mu
+    n = 200
+    x = np.linspace(0.01, 0.99, n) if bridge else np.linspace(-1.0, 1.0, n)
+    system = build_system(brownian_bridge() if bridge else exponential(), x)
+    y = target_function(x) + 0.1 * np.random.default_rng(3).standard_normal(n)
+    solver = LassoSolver(system)
+    for mu, warm in zip(DEFAULT_MU_GRID, solve_path(solver, y, DEFAULT_MU_GRID)):
+        cold = solver.solve(y, LassoConfig(mu=mu))
+        assert warm.converged and cold.converged
+        cw, cc = warm.coefficients.values, cold.coefficients.values
+        assert np.array_equal(np.flatnonzero(cw), np.flatnonzero(cc))
+        assert np.abs(cw - cc).max() <= 1e-8 * np.abs(cc).max()
+
+
 def test_lasso_rejected_warm_start_equals_cold_start():
     rng = np.random.default_rng(21)
     system = random_system(rng, n_max=12)
@@ -320,6 +340,35 @@ def test_lasso_path_fills_the_active_set_then_loses_a_coordinate():
         for fit in fits:
             assert fit.converged
             assert np.abs(fit.coefficients.values - oracle).max() <= 1e-6
+
+
+def test_lasso_rejects_non_finite_gram():
+    # build_system rejects such a matrix through its rcond gate; a hand-built
+    # GramSystem must not reach the path, whose factor updates scan nothing
+    base = build_system(exponential(), [0.0, 1.0])
+    for bad in (math.nan, math.inf):
+        gram = base.gram.copy()
+        gram[0, 1] = bad
+        doctored = GramSystem(base.kernel, PointSet([0.0, 1.0]), gram, base.factorization, 1.0)
+        with pytest.raises(ValueError, match="Gram matrix must be finite"):
+            LassoSolver(doctored)
+        with pytest.raises(ValueError, match="Gram matrix must be finite"):
+            lasso_gram(doctored, [1.0, 1.0], LassoConfig(mu=0.1))
+
+
+def test_lasso_factor_updates_raise_on_degenerate_input():
+    qb, rb = np.zeros((3, 3), order="F"), np.zeros((3, 3), order="F")
+    with pytest.raises(np.linalg.LinAlgError):
+        _append_column(qb, rb, 0, np.zeros(3))
+    _append_column(qb, rb, 0, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        _append_column(qb, rb, 1, np.array([2.0, 0.0, 0.0]))
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        _append_column(qb, rb, 1, np.array([1.0, math.inf, 0.0]))
+    singular = np.asfortranarray([[1.0, 1.0], [0.0, 0.0]])
+    for trans in (0, 1):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _solve_r(singular, np.ones(2), trans=trans)
 
 
 def test_lasso_unconverged_returns_best_iterate():

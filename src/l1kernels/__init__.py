@@ -97,6 +97,7 @@ from .solvers import (
 )
 from .experiment import (
     ExperimentConfig,
+    LassoPathStats,
     MethodAggregate,
     MethodOutcome,
     NoiseKind,

@@ -9,7 +9,9 @@ fits both regression models of :mod:`l1kernels.solvers` over a grid of
 regularization weights.  The weight is chosen per method by an oracle: the
 one minimizing the L2([a,b]) distance to the *true* target (no
 cross-validation).  Reported per noise model and method: mean L2 error,
-mean sparsity, and max sparsity over the trials.
+mean sparsity, and max sparsity over the trials.  The JSON summary also
+carries the certificates of each trial's lasso path (path steps, largest
+KKT residual, unconverged fits) and their totals; the CSV does not.
 
 Everything is a pure function of the configuration, including the master
 seed: per-trial noise comes from counter-based streams keyed by
@@ -37,6 +39,7 @@ __all__ = [
     "NoiseModel",
     "ExperimentConfig",
     "MethodOutcome",
+    "LassoPathStats",
     "TrialRecord",
     "MethodAggregate",
     "TrialSummary",
@@ -176,16 +179,48 @@ class MethodOutcome:
 
 
 @dataclass(frozen=True)
+class LassoPathStats:
+    """Certificates of a set of lasso fits: one trial's warm-started path
+    over the mu grid, or every trial of a run.
+
+    steps sums the path steps, max_kkt_residual is the largest KKT residual
+    and unconverged counts the fits that fail their certificate.
+    """
+
+    steps: int
+    max_kkt_residual: float
+    unconverged: int
+
+    @classmethod
+    def total(cls, stats) -> "LassoPathStats":
+        stats = list(stats)
+        return cls(
+            steps=sum(s.steps for s in stats),
+            max_kkt_residual=max(s.max_kkt_residual for s in stats),
+            unconverged=sum(s.unconverged for s in stats),
+        )
+
+    def as_dict(self) -> dict:
+        return {
+            "steps": self.steps,
+            "max_kkt_residual": self.max_kkt_residual,
+            "unconverged": self.unconverged,
+        }
+
+
+@dataclass(frozen=True)
 class TrialRecord:
     trial_index: int
     rkbs: MethodOutcome
     rkhs: MethodOutcome
+    lasso_path: LassoPathStats
 
     def as_dict(self) -> dict:
         return {
             "trial_index": self.trial_index,
             "rkbs": self.rkbs.as_dict(),
             "rkhs": self.rkhs.as_dict(),
+            "lasso_path": self.lasso_path.as_dict(),
         }
 
 
@@ -285,7 +320,15 @@ class _Workbench:
                 "threshold (trial %d, mu=%g)",
                 rkhs.sparsity, cfg.n_points, trial_index, rkhs.chosen_mu,
             )
-        return TrialRecord(trial_index=trial_index, rkbs=rkbs, rkhs=rkhs)
+        return TrialRecord(
+            trial_index=trial_index,
+            rkbs=rkbs,
+            rkhs=rkhs,
+            lasso_path=LassoPathStats.total(
+                LassoPathStats(fit.iterations, fit.kkt_residual, int(not fit.converged))
+                for fit in lasso_fits.values()
+            ),
+        )
 
     def _select(self, fits: dict[float, FitResult]) -> MethodOutcome:
         errors = [self.error_of(fits[mu].coefficients.values) for mu in self.mus]
@@ -354,6 +397,7 @@ def summary_to_json(summary: TrialSummary) -> dict:
             "rkhs": summary.rkhs.as_dict(),
             "rkbs": summary.rkbs.as_dict(),
         },
+        "lasso_path": LassoPathStats.total(r.lasso_path for r in summary.records).as_dict(),
         "trials": [r.as_dict() for r in summary.records],
     }
 

@@ -14,12 +14,17 @@ K_A^T K_A c_A = K_A^T y - lam sigma / (2 s), so c_A and rho are affine in
 lam until the next event: an inactive coordinate reaches |rho_j| = lam and
 joins A, an active one reaches zero and leaves A, or lam reaches mu.  The
 solves use a thin QR factorization of K[:, A] (Q is n x |A|, R square),
-held in the leading columns of two n x n buffers and updated one column per
-event: a join appends its column by Gram-Schmidt with one
-reorthogonalization, a leave removes one with scipy's qr_delete, and the two
-triangular solves per step call LAPACK's dtrtrs on R in place.  The
-least-squares residual of y is reorthogonalized against Q once; K^T K, whose
-condition number is cond(K)^2, is never formed.
+held in the leading columns of two n x n buffers and updated in place one
+column per event: a join appends its column by Gram-Schmidt with one
+reorthogonalization, a leave rotates it out with scipy's qr_delete on the
+buffers themselves, and the two triangular solves per step call LAPACK's
+dtrtrs on R.  The least-squares residual of y is reorthogonalized against Q
+once; K^T K, whose condition number is cond(K)^2, is never formed.
+
+A solver remembers where its last solve stopped on the path.  A warm start
+that is that solve's result, on the same data, at a weight mu no larger
+than the last one, resumes the path from there with the same factor; any
+other warm start starts cold from c = 0.
 
 Every solution is certified by its KKT residual, not by trusting the path:
 
@@ -154,16 +159,6 @@ def _check_weight(mu: float) -> None:
         raise ValueError(f"regularization weight must be finite, got {mu}")
 
 
-def _arrival(lam: float, gap: np.ndarray, rate: np.ndarray, out: np.ndarray) -> None:
-    """Write to out the weight below lam at which a quantity `gap` short of
-    its boundary and closing at `rate` per unit decrease of the weight
-    reaches it (-inf if never); a gap past the boundary by round-off arrives
-    at once."""
-    out.fill(-np.inf)
-    closing = rate > 0.0
-    out[closing] = lam - np.maximum(gap[closing], 0.0) / rate[closing]
-
-
 def _append_column(qb: np.ndarray, rb: np.ndarray, m: int, v: np.ndarray) -> None:
     """Extend the thin QR in qb[:, :m], rb[:m, :m] by the column v in place,
     by classical Gram-Schmidt with one reorthogonalization (CGS2, Daniel,
@@ -201,6 +196,27 @@ def _solve_r(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 # the boundaries +lam and -lam, one row of join events each
 _BOUNDS = np.array([[1.0], [-1.0]])
 
+# recent scipy wraps qr_delete in a decorator that maps it over stacked
+# matrices; on one small factor its argument checks cost as much as the
+# rotations, so call the routine underneath when there is one
+_qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
+
+
+@dataclass
+class _PathStop:
+    """Where a solve reached its mu: own copies of its data and result, the
+    state of the path there, and the buffers that hold it."""
+
+    y: np.ndarray
+    c: np.ndarray
+    lam: float
+    m: int
+    active: np.ndarray
+    signs: np.ndarray
+    qb: np.ndarray
+    rb: np.ndarray
+    blocked: int | None
+
 
 class LassoSolver:
     """Exact lasso homotopy path on one Gram system (see module docs).
@@ -208,21 +224,26 @@ class LassoSolver:
     The path keeps a thin QR factorization K[:, A] = Q R, with Q of shape
     (n, |A|) and R square, and updates it by one column per event, so a
     step costs O(n |A|) plus one K^T product over two vectors.  Q and R
-    live in the leading |A| columns of two Fortran-ordered n x n buffers
-    allocated once per solve, so joins and solves copy neither: a join
-    appends its column by Gram-Schmidt with one reorthogonalization (CGS2),
-    a leave calls scipy's qr_delete and copies the result back, and both
-    triangular solves call LAPACK's dtrtrs on the (n, |A|) view of R.  The
-    least-squares residual y - Q Q^T y is projected off span(Q) a second
-    time (Daniel, Gragg, Kaufman & Stewart 1976): an updated thin Q is
-    orthogonal only up to round-off, and what one projection leaves of
-    span(Q) in the residual is enough to derail exactly tied paths.
-    The Gram matrix must be finite, since the updates scan nothing.
+    live in the leading |A| columns of two Fortran-ordered n x n buffers,
+    and no update copies them: a join appends its column by Gram-Schmidt
+    with one reorthogonalization (CGS2), a leave rotates the buffers in
+    place with scipy's qr_delete, and both triangular solves call LAPACK's
+    dtrtrs on the (n, |A|) view of R.  The least-squares residual
+    y - Q Q^T y is projected off span(Q) a second time (Daniel, Gragg,
+    Kaufman & Stewart 1976): an updated thin Q is orthogonal only up to
+    round-off, and what one projection leaves of span(Q) in the residual is
+    enough to derail exactly tied paths.  The Gram matrix must be finite,
+    since the updates scan nothing.
 
-    A warm start that satisfies the KKT conditions at its own weight
-    lam0 >= mu, such as the fit at a larger mu, is a path point and solve()
-    continues from it; any other warm start is ignored.
-    FitResult.iterations counts path steps, and max_iter caps them.
+    The solver keeps the path point where its last solve reached mu (not
+    one cut short by max_iter).  solve() resumes from it, with its factor
+    and no further check, when warm_start equals that solve's coefficients,
+    y equals its data and config.mu is no larger than its mu; each stop is
+    resumed at most once.  Any other warm start starts cold from c = 0, and
+    either way the result is the exact path point at mu, certified by
+    _finish.  FitResult.iterations counts the steps of this solve, and
+    max_iter caps them.  The stop makes a solver stateful: one LassoSolver
+    must not be shared between threads that solve at the same time.
     """
 
     def __init__(self, system: GramSystem, mean_loss: bool = False):
@@ -232,6 +253,7 @@ class LassoSolver:
         self.system = system
         self.scale = 1.0 / system.n if mean_loss else 1.0
         self.mean_loss = mean_loss
+        self._stop: _PathStop | None = None
 
     def solve(self, y, config: LassoConfig, warm_start=None) -> FitResult:
         """Solve for one right-hand side, following the path down to config.mu."""
@@ -240,33 +262,30 @@ class LassoSolver:
         system, mu = self.system, config.mu
         n, k, two_s = system.n, system.gram, 2.0 * self.scale
         y = _data_vector(y, n)
+        if warm_start is not None:
+            warm_start = _data_vector(warm_start, n, "warm start")
+        stop, self._stop = self._stop, None
         if mu == 0.0:
             # square nonsingular system: the unregularized minimizer interpolates
             return self._finish(system.solve(y), y, config, iterations=0)
 
-        c, lam = np.zeros(n), zero_mu_threshold(system, y, self.mean_loss)
-        if warm_start is not None:
-            # resume only from a path point: KKT holds at lam0 = ||rho||_inf >= mu
-            warm = np.asarray(warm_start, dtype=float)
-            if warm.shape != (n,):
-                raise DimensionMismatch(f"warm start must have length {n}")
-            grad = two_s * (k.T @ (k @ warm - y))
-            lam0 = float(np.abs(grad).max())
-            if lam0 >= mu and _kkt_from_gradient(grad, lam0, warm) <= config.tol:
-                c, lam = warm, lam0
         # the active set A in order and its signs fill the first m slots; the
         # thin QR K[:, A] = Q R fills the first m columns of qb and rb, so Q
         # and the LAPACK view of R are Fortran-contiguous slices, never copies
-        active, signs = np.empty(n, dtype=np.intp), np.empty(n)
-        qb, rb = np.empty((n, n), order="F"), np.empty((n, n), order="F")
-        support = np.flatnonzero(c)
-        m = support.size
-        active[:m], signs[:m] = support, np.sign(c[support])
-        qb[:, :m], rb[:m, :m] = scipy.linalg.qr(k[:, support], mode="economic", check_finite=False)
-        blocked = []  # the boundary the last coordinate to leave may not rejoin at
+        if (warm_start is not None and stop is not None and mu <= stop.lam
+                and np.array_equal(warm_start, stop.c) and np.array_equal(y, stop.y)):
+            lam, m, active, signs, qb, rb = stop.lam, stop.m, stop.active, stop.signs, stop.qb, stop.rb
+            blocked = stop.blocked
+        else:
+            lam, m = zero_mu_threshold(system, y, self.mean_loss), 0
+            active, signs = np.empty(n, dtype=np.intp), np.empty(n)
+            qb, rb = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+            blocked = None  # the join event of the last coordinate to leave, barred
         # per-step buffers: triangular right-hand sides, the two vectors K^T
-        # multiplies, and the events (joins at +lam, joins at -lam, leaves)
-        rhs, w, buf = np.empty((n, 2)), np.empty((2, n)), np.empty(3 * n)
+        # multiplies, and per event (joins at +lam, joins at -lam, leaves) its
+        # arrival weight and the rate at which it closes
+        rhs, w = np.empty((n, 2)), np.empty((2, n))
+        event_buf, rate_buf = np.empty(3 * n), np.empty(3 * n)
         steps = 0
         while True:
             q, r, sigma = qb[:, :m], rb[:, :m], signs[:m]
@@ -280,13 +299,16 @@ class LassoSolver:
                 c_a, x1 = _solve_r(r, rhs[:m]).T
             else:
                 z = c_a = x1 = qty
-            # a value with the wrong sign has reached zero up to round-off; at
-            # mu such a coordinate leaves, as at any zero crossing
-            wrong = sigma * c_a < 0.0
-            if steps == config.max_iter or (lam <= mu and not wrong.any()):
+            done = False
+            if lam <= mu:
+                # a value with the wrong sign has reached zero up to round-off;
+                # at mu such a coordinate leaves, as at any zero crossing
+                wrong = sigma * c_a < 0.0
+                done = not wrong.any()
+            if done or steps == config.max_iter:
                 break
             steps += 1
-            events = buf[:2 * n + m]
+            events, rates = event_buf[:2 * n + m], rate_buf[:2 * n + m]
             joins, leaves = events[:2 * n].reshape(2, n), events[2 * n:]
             if lam <= mu:
                 events.fill(-np.inf)
@@ -299,13 +321,28 @@ class LassoSolver:
                 res *= two_s
                 np.dot(q, z, out=w[1])
                 p, slope = w @ k
-                _arrival(lam, lam - _BOUNDS * (p + lam * slope), 1.0 - _BOUNDS * slope, joins)
-                _arrival(lam, sigma * c_a, -sigma * x1, leaves)
-                joins[:, active[:m]] = -np.inf
+                # rho_j(l) = b l, b = +1 or -1, at l = b p_j / (1 - b slope_j)
+                join_rates = rates[:2 * n].reshape(2, n)
+                np.multiply(_BOUNDS, p, out=joins)
+                np.subtract(1.0, _BOUNDS * slope, out=join_rates)
+                join_rates[:, active[:m]] = 0.0
+                # c_i(l) = 0 at l = lam + c_a_i / x1_i, kept as a quotient of
+                # -sigma c_a and -sigma x1 until lam is added
+                np.multiply(-sigma, c_a, out=leaves)
+                np.multiply(-sigma, x1, out=rates[2 * n:])
                 # a coordinate that just left may rejoin only at the opposite
                 # boundary, so round-off cannot cycle it in and out
-                events[blocked] = -np.inf
-            e = int(np.argmax(events))
+                if blocked is not None:
+                    rates[blocked] = 0.0
+                # an event moving away from its boundary never arrives; one
+                # past it by round-off arrives at once
+                closed = rates <= 0.0
+                rates[closed] = 1.0
+                events /= rates
+                leaves += lam
+                np.minimum(events, lam, out=events)
+                events[closed] = -np.inf
+            e = int(events.argmax())
             lam = max(float(events[e]), mu)
             if events[e] < mu:
                 continue
@@ -314,17 +351,18 @@ class LassoSolver:
                 _append_column(qb, rb, m, k[:, j])
                 active[m], signs[m] = j, 1.0 if e < n else -1.0
                 m += 1
-                blocked = []
+                blocked = None
             else:
                 i = e - 2 * n
-                q1, r1 = scipy.linalg.qr_delete(q, rb[:m, :m], i, which="col", check_finite=False)
-                # a delete from a square factor leaves Q square; keep it thin
-                qb[:, :m - 1], rb[:m - 1, :m - 1] = q1[:, :m - 1], r1[:m - 1]
-                blocked = [active[i] + (0 if signs[i] > 0 else n)]
+                # rotates the column out of Q and R within the buffers
+                _qr_delete(q, rb[:m, :m], i, which="col", overwrite_qr=True, check_finite=False)
+                blocked = active[i] + (0 if signs[i] > 0 else n)
                 active[i:m - 1], signs[i:m - 1] = active[i + 1:m], signs[i + 1:m]
                 m -= 1
         c = np.zeros(n)
         c[active[:m]] = c_a
+        if done:
+            self._stop = _PathStop(y.copy(), c.copy(), lam, m, active, signs, qb, rb, blocked)
         return self._finish(c, y, config, iterations=steps)
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:
@@ -343,9 +381,9 @@ class LassoSolver:
         )
 
 
-def lasso_gram(system: GramSystem, y, config: LassoConfig, warm_start=None) -> FitResult:
+def lasso_gram(system: GramSystem, y, config: LassoConfig) -> FitResult:
     """Solve the l1-regularized Gram least-squares problem (see module docs)."""
-    return LassoSolver(system, mean_loss=config.mean_loss).solve(y, config, warm_start)
+    return LassoSolver(system, mean_loss=config.mean_loss).solve(y, config)
 
 
 class RidgeSolver:

@@ -1,5 +1,6 @@
 
 import dataclasses
+import json
 import logging
 import math
 
@@ -183,8 +184,9 @@ def test_run_trial_warns_on_uncertified_selected_fit(monkeypatch, caplog):
         return dataclasses.replace(solve(self, y, config, warm_start), converged=False)
 
     monkeypatch.setattr(LassoSolver, "solve", uncertified)
+    every_fit_uncertified = dataclasses.replace(record.lasso_path, unconverged=len(cfg.mu_grid))
     with caplog.at_level(logging.WARNING, logger="l1kernels.experiment"):
-        assert run_trial(cfg, 0) == record
+        assert run_trial(cfg, 0) == dataclasses.replace(record, lasso_path=every_fit_uncertified)
     (warning,) = caplog.records
     assert warning.levelno == logging.WARNING
     assert warning.trial == 0
@@ -250,6 +252,34 @@ def test_summary_json_shape():
     assert len(obj["trials"]) == 1
     assert obj["config"]["metadata"]["error_scale"] == "squared L2([a,b]) distance"
     assert obj["trials"][0]["rkbs"].keys() == {"l2_error", "sparsity", "chosen_mu"}
+
+
+def test_summary_json_reports_lasso_path_certificates(monkeypatch):
+    solve, fits = LassoSolver.solve, []
+
+    def recorded(self, y, config, warm_start=None):
+        fit = solve(self, y, config, warm_start)
+        fits.append(fit)
+        return fit
+
+    monkeypatch.setattr(LassoSolver, "solve", recorded)
+    cfg = small_config()
+    obj = json.loads(json.dumps(summary_to_json(run_experiment(cfg))))
+
+    def stats(fits):
+        return {
+            "steps": sum(f.iterations for f in fits),
+            "max_kkt_residual": max(f.kkt_residual for f in fits),
+            "unconverged": sum(not f.converged for f in fits),
+        }
+
+    per_mu = len(cfg.mu_grid)
+    assert len(fits) == cfg.trials * per_mu
+    for k, trial in enumerate(obj["trials"]):
+        assert trial["lasso_path"] == stats(fits[k * per_mu:(k + 1) * per_mu])
+    assert obj["lasso_path"] == stats(fits)
+    assert obj["lasso_path"]["steps"] > 0
+    assert obj["lasso_path"]["unconverged"] == 0
 
 
 def test_experiment_config_validation():

@@ -28,7 +28,7 @@ from l1kernels import (
     zero_mu_threshold,
 )
 from l1kernels.solvers import _append_column, _solve_r
-from _oracles import cd_lasso, lasso_objective
+from _oracles import cd_lasso, cd_lasso_batch, lasso_objective
 
 DEFAULT_MU_GRID = tuple(10.0 ** j for j in range(1, -8, -1))  # largest first
 
@@ -70,17 +70,37 @@ def test_lasso_mu_zero_interpolates():
 def test_lasso_agrees_with_coordinate_descent_oracle():
     rng = np.random.default_rng(4)
     worst_comp = 0.0
+    problems, fits = [], []
     for _ in range(40):
         system = random_system(rng)
         y = rng.uniform(-2, 2, system.n)
         mu = 10.0 ** rng.uniform(-3, 0.3)
         fit = lasso_gram(system, y, LassoConfig(mu=mu, tol=1e-10))
         assert fit.converged
-        oracle = cd_lasso(system.gram, y, mu, tol=1e-10)
+        problems.append((system.gram, y, mu))
+        fits.append(fit)
+    for (gram, y, mu), fit, oracle in zip(problems, fits, cd_lasso_batch(problems, tol=1e-10)):
         worst_comp = max(worst_comp, np.abs(fit.coefficients.values - oracle).max())
-        gap = abs(fit.objective - lasso_objective(system.gram, y, mu, oracle))
+        gap = abs(fit.objective - lasso_objective(gram, y, mu, oracle))
         assert gap <= 1e-6
     assert worst_comp <= 1e-6
+
+
+def test_batched_coordinate_descent_matches_the_scalar_oracle():
+    # the same updates and stopping test on problems of 2-8 columns, padded
+    # to 8; only the summation order of the dot products differs, and the
+    # largest gap over criterion 5's 200 problems was 9.4e-14
+    rng = np.random.default_rng(24)
+    problems = []
+    for _ in range(8):
+        system = random_system(rng)
+        problems.append((system.gram, rng.uniform(-2, 2, system.n), 10.0 ** rng.uniform(-3, 0.3)))
+    for (a, y, mu), batched in zip(problems, cd_lasso_batch(problems, tol=1e-10)):
+        scalar = cd_lasso(a, y, mu, tol=1e-10)
+        assert batched.shape == scalar.shape
+        assert np.abs(batched - scalar).max() <= 1e-10
+        objective = lasso_objective(a, y, mu, scalar)
+        assert lasso_objective(a, y, mu, batched) == pytest.approx(objective, rel=1e-12)
 
 
 def test_lasso_objective_is_recomputed_value():
@@ -134,6 +154,12 @@ def test_lasso_validation_errors():
             kkt_residual(system, [1.0, 0.0], bad, [0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         zero_mu_threshold(system, [1.0, 2.0, 3.0])
+    for mu in (0.0, 0.1):
+        with pytest.raises(DimensionMismatch):
+            LassoSolver(system).solve([1.0, 2.0], LassoConfig(mu=mu), warm_start=[1.0, 2.0, 3.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="warm start must be finite"):
+                LassoSolver(system).solve([1.0, 2.0], LassoConfig(mu=mu), warm_start=[1.0, bad])
     with pytest.raises(UnsupportedKernel):
         lasso_gram(build_system(sinc(), [0.2, 3.7]), [1.0, 2.0], LassoConfig(mu=0.1))
 
@@ -193,7 +219,8 @@ def test_lasso_path_certified_under_symmetric_ties(n, bridge):
 def test_lasso_warm_path_agrees_with_cold_fits_at_n_200(bridge):
     # on noisy data the path drops a coordinate 200-250 times, some from an
     # active set of 100-180 columns; a cold fit at small mu makes all these
-    # updates on one factor, while the warm path factors afresh at each mu
+    # updates on one factor from c = 0, while the warm path resumes at each
+    # mu from the factor the solve before it left
     n = 200
     x = np.linspace(0.01, 0.99, n) if bridge else np.linspace(-1.0, 1.0, n)
     system = build_system(brownian_bridge() if bridge else exponential(), x)
@@ -220,6 +247,81 @@ def test_lasso_rejected_warm_start_equals_cold_start():
         assert fit.converged
         assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
         assert fit.iterations == cold.iterations
+
+
+def test_lasso_resumes_only_its_last_stop_on_the_same_data():
+    # every warm start other than the last solve's own result on the same
+    # data, at a mu no larger than its own, must give a fresh solver's cold
+    # fit bit for bit
+    rng = np.random.default_rng(23)
+    system = build_system(*well_spaced(rng, False, 30))
+    y1, y2 = rng.uniform(-2, 2, (2, system.n))
+    high, low = LassoConfig(mu=0.5), LassoConfig(mu=1e-3)
+
+    def assert_cold(fit, y, config):
+        cold = LassoSolver(system).solve(y, config)
+        assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
+        assert fit.iterations == cold.iterations
+
+    solver = LassoSolver(system)
+    # a result that is no longer the last one
+    first = solver.solve(y1, high).coefficients.values
+    solver.solve(y2, high)
+    assert_cold(solver.solve(y1, low, warm_start=first), y1, low)
+    # the last result, with other data
+    last = solver.solve(y1, high).coefficients.values
+    assert_cold(solver.solve(y2, low, warm_start=last), y2, low)
+    # the last result, at a larger mu
+    last = solver.solve(y1, low).coefficients.values
+    assert_cold(solver.solve(y1, high, warm_start=last), y1, high)
+    # the last result with one entry moved by one ulp
+    last = solver.solve(y1, high).coefficients.values.copy()
+    j = np.flatnonzero(last)[0]
+    last[j] = np.nextafter(last[j], np.inf)
+    assert_cold(solver.solve(y1, low, warm_start=last), y1, low)
+    # a solve cut short by max_iter leaves no stop: not the one it resumed
+    # from, whose factor it has moved on, and not one of its own
+    capped_config = LassoConfig(mu=1e-3, max_iter=3)
+    last = solver.solve(y1, high).coefficients.values
+    capped = solver.solve(y1, capped_config, warm_start=last)
+    assert capped.iterations == 3 and not capped.converged
+    assert_cold(solver.solve(y1, low, warm_start=last), y1, low)
+    capped = solver.solve(y1, capped_config).coefficients.values
+    assert_cold(solver.solve(y1, low, warm_start=capped), y1, low)
+
+    # the last result on the same data at a smaller mu does resume
+    last = solver.solve(y1, high).coefficients.values
+    resumed = solver.solve(y1, low, warm_start=last)
+    assert resumed.converged
+    assert resumed.iterations < LassoSolver(system).solve(y1, low).iterations
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bridge=st.booleans(),
+    n=st.integers(1, 40),
+    calls=st.lists(
+        st.tuples(st.integers(0, 1), st.floats(-7.0, 1.0), st.integers(-1, 7)), min_size=1, max_size=8
+    ),
+)
+def test_lasso_solve_sequences_on_one_solver_match_cold_fits(seed, bridge, n, calls):
+    # each call: which of two data vectors, log10 mu, and the warm start:
+    # none (-1), the last result (0) or an earlier one
+    rng = np.random.default_rng(seed)
+    system = build_system(*well_spaced(rng, bridge, n))
+    ys = rng.uniform(-2, 2, (2, n))
+    solver, results = LassoSolver(system), []
+    for data, log_mu, pick in calls:
+        warm = results[-1 - pick % len(results)] if results and pick >= 0 else None
+        config = LassoConfig(mu=10.0 ** log_mu)
+        fit = solver.solve(ys[data], config, warm_start=warm)
+        cold = LassoSolver(system).solve(ys[data], config)
+        c, cc = fit.coefficients.values, cold.coefficients.values
+        assert fit.converged
+        assert np.array_equal(np.flatnonzero(c), np.flatnonzero(cc))
+        assert np.abs(c - cc).max() <= 1e-8 * np.abs(cc).max()
+        results.append(c)
 
 
 def test_lasso_mean_loss_path_certified():

@@ -180,8 +180,8 @@ class MethodOutcome:
 
 @dataclass(frozen=True)
 class LassoPathStats:
-    """Certificates of a set of lasso fits: one trial's warm-started path
-    over the mu grid, or every trial of a run.
+    """Certificates of a set of lasso fits: one trial's path over the mu
+    grid, or every trial of a run.
 
     steps sums the path steps, max_kkt_residual is the largest KKT residual
     and unconverged counts the fits that fail their certificate.
@@ -296,13 +296,8 @@ class _Workbench:
         rng = stream(cfg.master_seed, trial_index, "noise")
         y = self.target_x + generate_noise(cfg.noise, cfg.n_points, rng)
 
-        # l1 path, largest mu first, warm starts along the way
-        lasso_fits: dict[float, FitResult] = {}
-        warm = None
-        for mu in sorted(self.mus, reverse=True):
-            fit = self.lasso.solve(y, LassoConfig(mu=mu), warm_start=warm)
-            warm = fit.coefficients.values
-            lasso_fits[mu] = fit
+        # l1 path, largest mu first: each solve on y resumes where the last stopped
+        lasso_fits = {mu: self.lasso.solve(y, LassoConfig(mu=mu)) for mu in sorted(self.mus, reverse=True)}
         rkbs = self._select(lasso_fits)
         selected = lasso_fits[rkbs.chosen_mu]
         if not selected.converged:
@@ -319,6 +314,7 @@ class _Workbench:
                 "ridge solution unexpectedly sparse: %d of %d coefficients above "
                 "threshold (trial %d, mu=%g)",
                 rkhs.sparsity, cfg.n_points, trial_index, rkhs.chosen_mu,
+                extra={"trial": trial_index, "mu": rkhs.chosen_mu, "sparsity": rkhs.sparsity},
             )
         return TrialRecord(
             trial_index=trial_index,

@@ -132,25 +132,21 @@ class GramSystem:
         return np.atleast_1d(self.kernel.eval(self.points.points, t))
 
     def solve(self, y) -> np.ndarray:
-        """Solve K[x] c = y through the stored factorization."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise DimensionMismatch(f"expected right-hand side of length {self.n}, got shape {y.shape}")
-        return scipy.linalg.lu_solve(self.factorization, y)
+        """Solve K[x] c = y through the stored factorization; y is (n,) or
+        (n, m), solved column by column."""
+        return scipy.linalg.lu_solve(self.factorization, self._rhs(y))
 
     def solve_transpose(self, y) -> np.ndarray:
         """Solve K[x]^T c = y through the stored factorization."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise DimensionMismatch(f"expected right-hand side of length {self.n}, got shape {y.shape}")
-        return scipy.linalg.lu_solve(self.factorization, y, trans=1)
+        return scipy.linalg.lu_solve(self.factorization, self._rhs(y), trans=1)
 
-    def solve_matrix(self, ys: np.ndarray) -> np.ndarray:
-        """Column-wise solve: K[x] C = Y for an (n, m) right-hand side."""
-        ys = np.asarray(ys, dtype=float)
-        if ys.ndim != 2 or ys.shape[0] != self.n:
-            raise DimensionMismatch(f"expected an ({self.n}, m) right-hand side, got shape {ys.shape}")
-        return scipy.linalg.lu_solve(self.factorization, ys)
+    def _rhs(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if y.ndim not in (1, 2) or y.shape[0] != self.n:
+            raise DimensionMismatch(
+                f"expected an ({self.n},) or ({self.n}, m) right-hand side, got shape {y.shape}"
+            )
+        return y
 
     def cardinal_coefficients(self, t: float) -> np.ndarray:
         """K[x]^(-1) K_x(t): interpolation weights of the kernel basis at t."""
@@ -165,7 +161,7 @@ class GramSystem:
         if not self.kernel.domain.contains(ts):
             raise DomainError(f"grid leaves the kernel domain {self.kernel.domain}")
         kx = self.kernel.eval(ts[None, :], self.points.points[:, None])
-        return self.solve_matrix(kx)
+        return self.solve(kx)
 
     def __repr__(self) -> str:
         return (

@@ -21,10 +21,10 @@ buffers themselves, and the two triangular solves per step call LAPACK's
 dtrtrs on R.  The least-squares residual of y is reorthogonalized against Q
 once; K^T K, whose condition number is cond(K)^2, is never formed.
 
-A solver remembers where its last solve stopped on the path.  A warm start
-that is that solve's result, on the same data, at a weight mu no larger
-than the last one, resumes the path from there with the same factor; any
-other warm start starts cold from c = 0.
+A solver remembers where its last solve stopped on the path.  A solve on
+the same data and loss scale, at a weight mu no larger than the last one,
+resumes the path from there with the same factor; any other solve starts
+cold from c = 0.
 
 Every solution is certified by its KKT residual, not by trusting the path:
 
@@ -45,6 +45,10 @@ from scipy.linalg.lapack import dtrtrs
 from .errors import DimensionMismatch, NegativeMu, SingularShifted
 from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated
 from .interpolation import _reject_broken_l1
+
+# a coefficient counts towards a fit's sparsity when |c_j| exceeds this
+# times max(1, ||c||_inf)
+SPARSITY_THRESHOLD = 1e-8
 
 __all__ = [
     "LassoConfig",
@@ -70,7 +74,6 @@ class LassoConfig:
     mu: float
     max_iter: int = 50_000
     tol: float = 1e-8
-    sparsity_threshold: float = 1e-8
     mean_loss: bool = False
 
     def __post_init__(self):
@@ -79,8 +82,6 @@ class LassoConfig:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not self.sparsity_threshold > 0:
-            raise ValueError("sparsity_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ class FitResult:
     """Coefficients plus the certificates that qualify them.
 
     objective is recomputed from the final coefficients (not carried from
-    solver internals); sparsity counts |c_j| above the configured threshold
-    after scaling by max(1, ||c||_inf).
+    solver internals); sparsity counts |c_j| above SPARSITY_THRESHOLD after
+    scaling by max(1, ||c||_inf).
     """
 
     coefficients: CoefficientVector
@@ -110,9 +111,9 @@ class FitResult:
         }
 
 
-def _count_sparsity(c: np.ndarray, threshold: float) -> int:
+def _count_sparsity(c: np.ndarray) -> int:
     scale = max(1.0, float(np.abs(c).max(initial=0.0)))
-    return int(np.count_nonzero(np.abs(c) > threshold * scale))
+    return int(np.count_nonzero(np.abs(c) > SPARSITY_THRESHOLD * scale))
 
 
 def _kkt_from_gradient(grad: np.ndarray, mu: float, c: np.ndarray) -> float:
@@ -131,16 +132,19 @@ def kkt_residual(system: GramSystem, y, mu: float, c, mean_loss: bool = False) -
     c = _data_vector(c, system.n, "coefficients")
     _check_weight(mu)
     a = system.gram
-    scale = 1.0 / system.n if mean_loss else 1.0
-    grad = 2.0 * scale * (a.T @ (a @ c - y))
+    grad = 2.0 * _loss_scale(system, mean_loss) * (a.T @ (a @ c - y))
     return _kkt_from_gradient(grad, mu, c)
 
 
 def zero_mu_threshold(system: GramSystem, y, mean_loss: bool = False) -> float:
     """Smallest mu for which c = 0 is optimal: 2 ||K^T y||_inf (scaled)."""
     y = _data_vector(y, system.n)
-    scale = 1.0 / system.n if mean_loss else 1.0
-    return float(2.0 * scale * np.abs(system.gram.T @ y).max())
+    return float(2.0 * _loss_scale(system, mean_loss) * np.abs(system.gram.T @ y).max())
+
+
+def _loss_scale(system: GramSystem, mean_loss: bool) -> float:
+    """s in the data term s ||K c - y||^2."""
+    return 1.0 / system.n if mean_loss else 1.0
 
 
 def _data_vector(y, n: int, name: str = "data") -> np.ndarray:
@@ -204,11 +208,11 @@ _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_dele
 
 @dataclass
 class _PathStop:
-    """Where a solve reached its mu: own copies of its data and result, the
-    state of the path there, and the buffers that hold it."""
+    """Where a solve reached its mu: its own copy of the data, the loss
+    scale, the state of the path there, and the buffers that hold it."""
 
     y: np.ndarray
-    c: np.ndarray
+    scale: float
     lam: float
     m: int
     active: np.ndarray
@@ -221,49 +225,40 @@ class _PathStop:
 class LassoSolver:
     """Exact lasso homotopy path on one Gram system (see module docs).
 
-    The path keeps a thin QR factorization K[:, A] = Q R, with Q of shape
-    (n, |A|) and R square, and updates it by one column per event, so a
-    step costs O(n |A|) plus one K^T product over two vectors.  Q and R
-    live in the leading |A| columns of two Fortran-ordered n x n buffers,
-    and no update copies them: a join appends its column by Gram-Schmidt
-    with one reorthogonalization (CGS2), a leave rotates the buffers in
-    place with scipy's qr_delete, and both triangular solves call LAPACK's
-    dtrtrs on the (n, |A|) view of R.  The least-squares residual
-    y - Q Q^T y is projected off span(Q) a second time (Daniel, Gragg,
-    Kaufman & Stewart 1976): an updated thin Q is orthogonal only up to
-    round-off, and what one projection leaves of span(Q) in the residual is
-    enough to derail exactly tied paths.  The Gram matrix must be finite,
-    since the updates scan nothing.
+    The thin QR of K[:, A] changes by one column per event and no update
+    copies its buffers, so a step costs O(n |A|) plus one K^T product over
+    two vectors.  The least-squares residual y - Q Q^T y is projected off
+    span(Q) a second time (Daniel, Gragg, Kaufman & Stewart 1976): an
+    updated thin Q is orthogonal only up to round-off, and what one
+    projection leaves of span(Q) in the residual is enough to derail
+    exactly tied paths.  The Gram matrix must be finite, since the updates
+    scan nothing.
 
     The solver keeps the path point where its last solve reached mu (not
     one cut short by max_iter).  solve() resumes from it, with its factor
-    and no further check, when warm_start equals that solve's coefficients,
-    y equals its data and config.mu is no larger than its mu; each stop is
-    resumed at most once.  Any other warm start starts cold from c = 0, and
-    either way the result is the exact path point at mu, certified by
-    _finish.  FitResult.iterations counts the steps of this solve, and
-    max_iter caps them.  The stop makes a solver stateful: one LassoSolver
-    must not be shared between threads that solve at the same time.
+    and no further check, when y equals that solve's data by value, the
+    loss scale is the same and config.mu is no larger than its mu, so
+    solves of one y at decreasing mu follow one path; each stop is resumed
+    at most once.  Any other solve starts cold from c = 0, and either way
+    the result is the exact path point at mu, certified by _finish.
+    FitResult.iterations counts the steps of this solve, and max_iter caps
+    them.  The stop makes a solver stateful: one LassoSolver must not be
+    shared between threads that solve at the same time.
     """
 
-    def __init__(self, system: GramSystem, mean_loss: bool = False):
+    def __init__(self, system: GramSystem):
         _reject_broken_l1(system.kernel, "l1-regularized fitting")
         if not np.isfinite(system.gram).all():
             raise ValueError("Gram matrix must be finite")
         self.system = system
-        self.scale = 1.0 / system.n if mean_loss else 1.0
-        self.mean_loss = mean_loss
         self._stop: _PathStop | None = None
 
-    def solve(self, y, config: LassoConfig, warm_start=None) -> FitResult:
+    def solve(self, y, config: LassoConfig) -> FitResult:
         """Solve for one right-hand side, following the path down to config.mu."""
-        if config.mean_loss != self.mean_loss:
-            raise ValueError("config.mean_loss disagrees with the solver's loss scaling")
         system, mu = self.system, config.mu
-        n, k, two_s = system.n, system.gram, 2.0 * self.scale
+        scale = _loss_scale(system, config.mean_loss)
+        n, k, two_s = system.n, system.gram, 2.0 * scale
         y = _data_vector(y, n)
-        if warm_start is not None:
-            warm_start = _data_vector(warm_start, n, "warm start")
         stop, self._stop = self._stop, None
         if mu == 0.0:
             # square nonsingular system: the unregularized minimizer interpolates
@@ -272,12 +267,11 @@ class LassoSolver:
         # the active set A in order and its signs fill the first m slots; the
         # thin QR K[:, A] = Q R fills the first m columns of qb and rb, so Q
         # and the LAPACK view of R are Fortran-contiguous slices, never copies
-        if (warm_start is not None and stop is not None and mu <= stop.lam
-                and np.array_equal(warm_start, stop.c) and np.array_equal(y, stop.y)):
+        if stop is not None and mu <= stop.lam and scale == stop.scale and np.array_equal(y, stop.y):
             lam, m, active, signs, qb, rb = stop.lam, stop.m, stop.active, stop.signs, stop.qb, stop.rb
             blocked = stop.blocked
         else:
-            lam, m = zero_mu_threshold(system, y, self.mean_loss), 0
+            lam, m = zero_mu_threshold(system, y, config.mean_loss), 0
             active, signs = np.empty(n, dtype=np.intp), np.empty(n)
             qb, rb = np.empty((n, n), order="F"), np.empty((n, n), order="F")
             blocked = None  # the join event of the last coordinate to leave, barred
@@ -362,11 +356,12 @@ class LassoSolver:
         c = np.zeros(n)
         c[active[:m]] = c_a
         if done:
-            self._stop = _PathStop(y.copy(), c.copy(), lam, m, active, signs, qb, rb, blocked)
+            self._stop = _PathStop(y.copy(), scale, lam, m, active, signs, qb, rb, blocked)
         return self._finish(c, y, config, iterations=steps)
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:
-        system, s = self.system, self.scale
+        system = self.system
+        s = _loss_scale(system, config.mean_loss)
         r = system.gram @ c - y
         objective = s * float(r @ r) + config.mu * float(np.abs(c).sum())
         grad = 2.0 * s * (system.gram.T @ r)
@@ -376,14 +371,14 @@ class LassoSolver:
             objective=objective,
             kkt_residual=kkt,
             iterations=iterations,
-            sparsity=_count_sparsity(c, config.sparsity_threshold),
+            sparsity=_count_sparsity(c),
             converged=kkt <= config.tol,
         )
 
 
 def lasso_gram(system: GramSystem, y, config: LassoConfig) -> FitResult:
     """Solve the l1-regularized Gram least-squares problem (see module docs)."""
-    return LassoSolver(system, mean_loss=config.mean_loss).solve(y, config)
+    return LassoSolver(system).solve(y, config)
 
 
 class RidgeSolver:
@@ -407,7 +402,7 @@ class RidgeSolver:
         self._factorizations[mu] = (shifted, factorization)
         return self._factorizations[mu]
 
-    def solve(self, y, mu: float, sparsity_threshold: float = 1e-8) -> FitResult:
+    def solve(self, y, mu: float) -> FitResult:
         system = self.system
         y = _data_vector(y, system.n)
         _check_weight(mu)
@@ -421,21 +416,16 @@ class RidgeSolver:
             objective=objective,
             kkt_residual=residual,
             iterations=0,
-            sparsity=_count_sparsity(h, sparsity_threshold),
+            sparsity=_count_sparsity(h),
             converged=True,
         )
 
 
-def ridge_gram(
-    system: GramSystem,
-    y,
-    mu: float,
-    sparsity_threshold: float = 1e-8,
-) -> FitResult:
+def ridge_gram(system: GramSystem, y, mu: float) -> FitResult:
     """Closed-form ridge solve h = (K[x] + mu I)^(-1) y via a fresh LU.
 
     The reported objective is the kernel ridge value
     ||K h - y||^2 + mu h^T K h, and kkt_residual holds the linear-system
     residual ||(K + mu I) h - y||_inf certifying the closed form.
     """
-    return RidgeSolver(system).solve(y, mu, sparsity_threshold)
+    return RidgeSolver(system).solve(y, mu)

@@ -100,6 +100,29 @@ def test_permuting_the_points_permutes_the_cardinal_functions(seed, bridge, n):
     assert np.abs(profile.values - permuted_profile.values).max() <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bridge=st.booleans(),
+    n=st.integers(1, 40),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+def test_closed_form_and_numeric_cardinal_functions_agree(seed, bridge, n, fractions):
+    # t ranges past the points' hull on both sides, into the tails where one
+    # node carries the closed form; at the nodes L(x_j) = 1
+    rng = np.random.default_rng(seed)
+    lo, hi = (0.01, 0.99) if bridge else (-2.0, 2.0)
+    t_lo, t_hi = (0.001, 0.999) if bridge else (-3.0, 3.0)
+    kernel = brownian_bridge() if bridge else exponential()
+    x = draw_points(rng, n, lo, hi, 0.2 / n)
+    system = build_system(kernel, x)
+    for t in t_lo + (t_hi - t_lo) * np.array(fractions):
+        gap = np.abs(closed_form_cardinal(kernel, x, t) - system.cardinal_coefficients(t)).max()
+        assert gap <= 1e-9
+    for xj in x:
+        assert lebesgue_function(system, xj) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_lebesgue_constant_empty_grid():
     system = build_system(exponential(), [0.0, 1.0])
     with pytest.raises(ValueError):

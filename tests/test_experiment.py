@@ -13,6 +13,7 @@ from l1kernels import (
     LassoSolver,
     NoiseKind,
     NoiseModel,
+    RidgeSolver,
     Side,
     build_system,
     expansion,
@@ -180,8 +181,8 @@ def test_run_trial_warns_on_uncertified_selected_fit(monkeypatch, caplog):
 
     solve = LassoSolver.solve
 
-    def uncertified(self, y, config, warm_start=None):
-        return dataclasses.replace(solve(self, y, config, warm_start), converged=False)
+    def uncertified(self, y, config):
+        return dataclasses.replace(solve(self, y, config), converged=False)
 
     monkeypatch.setattr(LassoSolver, "solve", uncertified)
     every_fit_uncertified = dataclasses.replace(record.lasso_path, unconverged=len(cfg.mu_grid))
@@ -194,23 +195,47 @@ def test_run_trial_warns_on_uncertified_selected_fit(monkeypatch, caplog):
     assert math.isfinite(warning.kkt_residual)
 
 
+def test_run_trial_warns_on_sparse_ridge_fit(monkeypatch, caplog):
+    cfg = small_config()
+    solve = RidgeSolver.solve
+
+    def sparse(self, y, mu):
+        return dataclasses.replace(solve(self, y, mu), sparsity=3)
+
+    monkeypatch.setattr(RidgeSolver, "solve", sparse)
+    with caplog.at_level(logging.WARNING, logger="l1kernels.experiment"):
+        record = run_trial(cfg, 1)
+    (warning,) = caplog.records
+    assert warning.levelno == logging.WARNING
+    assert "ridge solution unexpectedly sparse" in warning.getMessage()
+    assert warning.trial == 1
+    assert warning.mu == record.rkhs.chosen_mu
+    assert warning.sparsity == record.rkhs.sparsity == 3
+
+
+def record_lasso_fits(monkeypatch) -> list:
+    """Every FitResult that LassoSolver.solve returns from now on, in order."""
+    solve, fits = LassoSolver.solve, []
+
+    def recorded(self, y, config):
+        fit = solve(self, y, config)
+        fits.append(fit)
+        return fit
+
+    monkeypatch.setattr(LassoSolver, "solve", recorded)
+    return fits
+
+
 def test_run_trial_path_steps_are_pinned(monkeypatch):
     # the lasso path is exact, so its event sequence, and with it the number
     # of path steps, is fixed by the data; a change to the path's arithmetic
     # that moves an event shows here first
-    solve, steps = LassoSolver.solve, []
-
-    def counted(self, y, config, warm_start=None):
-        fit = solve(self, y, config, warm_start)
-        steps.append(fit.iterations)
-        return fit
-
-    monkeypatch.setattr(LassoSolver, "solve", counted)
+    fits = record_lasso_fits(monkeypatch)
     cfg = ExperimentConfig(n_points=200, master_seed=12345)
     for k in range(3):
         run_trial(cfg, k)
-    assert len(steps) == 27
-    assert sum(steps) == 1677
+    assert len(fits) == 27
+    assert sum(fit.iterations for fit in fits) == 1677
 
 
 def test_run_experiment_single_trial_equals_record():
@@ -255,14 +280,7 @@ def test_summary_json_shape():
 
 
 def test_summary_json_reports_lasso_path_certificates(monkeypatch):
-    solve, fits = LassoSolver.solve, []
-
-    def recorded(self, y, config, warm_start=None):
-        fit = solve(self, y, config, warm_start)
-        fits.append(fit)
-        return fit
-
-    monkeypatch.setattr(LassoSolver, "solve", recorded)
+    fits = record_lasso_fits(monkeypatch)
     cfg = small_config()
     obj = json.loads(json.dumps(summary_to_json(run_experiment(cfg))))
 

@@ -159,8 +159,26 @@ def test_solve_roundtrip_random():
 
 def test_solve_dimension_mismatch():
     system = build_system(exponential(), [0.0, 1.0])
-    with pytest.raises(DimensionMismatch):
-        system.solve([1.0, 2.0, 3.0])
+    for solve in (system.solve, system.solve_transpose):
+        for bad in (1.0, [1.0, 2.0, 3.0], np.ones((3, 2)), np.ones((2, 2, 1))):
+            with pytest.raises(DimensionMismatch):
+                solve(bad)
+
+
+def test_solve_vector_or_matrix_right_hand_side():
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(-1, 1, 6))
+    system = build_system(exponential(), x)
+    ys = rng.standard_normal((6, 4))
+    for solve, gram in ((system.solve, system.gram), (system.solve_transpose, system.gram.T)):
+        cs = solve(ys)
+        assert cs.shape == (6, 4)
+        assert np.abs(gram @ cs - ys).max() < 1e-10
+        for j in range(4):
+            c = solve(ys[:, j])
+            assert c.shape == (6,)
+            # blocked vs single-vector getrs round differently in the last ulp
+            assert c == pytest.approx(cs[:, j], abs=1e-12)
 
 
 def test_solve_transpose():

@@ -154,24 +154,14 @@ def test_lasso_validation_errors():
             kkt_residual(system, [1.0, 0.0], bad, [0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         zero_mu_threshold(system, [1.0, 2.0, 3.0])
-    for mu in (0.0, 0.1):
-        with pytest.raises(DimensionMismatch):
-            LassoSolver(system).solve([1.0, 2.0], LassoConfig(mu=mu), warm_start=[1.0, 2.0, 3.0])
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="warm start must be finite"):
-                LassoSolver(system).solve([1.0, 2.0], LassoConfig(mu=mu), warm_start=[1.0, bad])
     with pytest.raises(UnsupportedKernel):
         lasso_gram(build_system(sinc(), [0.2, 3.7]), [1.0, 2.0], LassoConfig(mu=0.1))
 
 
 def solve_path(solver, y, mus, **config):
-    """Warm-started fits along mus, in the order given."""
-    fits, warm = [], None
-    for mu in mus:
-        fit = solver.solve(y, LassoConfig(mu=mu, **config), warm_start=warm)
-        warm = fit.coefficients.values
-        fits.append(fit)
-    return fits
+    """Fits of one solver along mus, in the order given: each one resumes
+    the fit before it where mu decreases."""
+    return [solver.solve(y, LassoConfig(mu=mu, **config)) for mu in mus]
 
 
 def test_lasso_warm_start_path():
@@ -225,34 +215,18 @@ def test_lasso_warm_path_agrees_with_cold_fits_at_n_200(bridge):
     x = np.linspace(0.01, 0.99, n) if bridge else np.linspace(-1.0, 1.0, n)
     system = build_system(brownian_bridge() if bridge else exponential(), x)
     y = target_function(x) + 0.1 * np.random.default_rng(3).standard_normal(n)
-    solver = LassoSolver(system)
-    for mu, warm in zip(DEFAULT_MU_GRID, solve_path(solver, y, DEFAULT_MU_GRID)):
-        cold = solver.solve(y, LassoConfig(mu=mu))
+    for mu, warm in zip(DEFAULT_MU_GRID, solve_path(LassoSolver(system), y, DEFAULT_MU_GRID)):
+        cold = LassoSolver(system).solve(y, LassoConfig(mu=mu))
         assert warm.converged and cold.converged
         cw, cc = warm.coefficients.values, cold.coefficients.values
         assert np.array_equal(np.flatnonzero(cw), np.flatnonzero(cc))
         assert np.abs(cw - cc).max() <= 1e-8 * np.abs(cc).max()
 
 
-def test_lasso_rejected_warm_start_equals_cold_start():
-    rng = np.random.default_rng(21)
-    system = random_system(rng, n_max=12)
-    y = rng.uniform(-2, 2, system.n)
-    solver = LassoSolver(system)
-    config = LassoConfig(mu=0.05)
-    cold = solver.solve(y, config)
-    below = solver.solve(y, LassoConfig(mu=1e-4)).coefficients.values
-    for warm in (rng.standard_normal(system.n), below):
-        fit = solver.solve(y, config, warm_start=warm)
-        assert fit.converged
-        assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
-        assert fit.iterations == cold.iterations
-
-
 def test_lasso_resumes_only_its_last_stop_on_the_same_data():
-    # every warm start other than the last solve's own result on the same
-    # data, at a mu no larger than its own, must give a fresh solver's cold
-    # fit bit for bit
+    # every solve other than one on the last solve's data and loss scale,
+    # at a mu no larger than its own, must give a fresh solver's cold fit
+    # bit for bit
     rng = np.random.default_rng(23)
     system = build_system(*well_spaced(rng, False, 30))
     y1, y2 = rng.uniform(-2, 2, (2, system.n))
@@ -264,34 +238,36 @@ def test_lasso_resumes_only_its_last_stop_on_the_same_data():
         assert fit.iterations == cold.iterations
 
     solver = LassoSolver(system)
-    # a result that is no longer the last one
-    first = solver.solve(y1, high).coefficients.values
+    # data that is no longer the last solve's
+    solver.solve(y1, high)
     solver.solve(y2, high)
-    assert_cold(solver.solve(y1, low, warm_start=first), y1, low)
-    # the last result, with other data
-    last = solver.solve(y1, high).coefficients.values
-    assert_cold(solver.solve(y2, low, warm_start=last), y2, low)
-    # the last result, at a larger mu
-    last = solver.solve(y1, low).coefficients.values
-    assert_cold(solver.solve(y1, high, warm_start=last), y1, high)
-    # the last result with one entry moved by one ulp
-    last = solver.solve(y1, high).coefficients.values.copy()
-    j = np.flatnonzero(last)[0]
-    last[j] = np.nextafter(last[j], np.inf)
-    assert_cold(solver.solve(y1, low, warm_start=last), y1, low)
+    assert_cold(solver.solve(y1, low), y1, low)
+    # other data than the last solve's
+    solver.solve(y1, high)
+    assert_cold(solver.solve(y2, low), y2, low)
+    # a larger mu
+    solver.solve(y1, low)
+    assert_cold(solver.solve(y1, high), y1, high)
+    # another loss scale: the same mu weighs another path
+    solver.solve(y1, high)
+    mean_low = LassoConfig(mu=1e-3, mean_loss=True)
+    assert_cold(solver.solve(y1, mean_low), y1, mean_low)
+    solver.solve(y1, LassoConfig(mu=0.5, mean_loss=True))
+    assert_cold(solver.solve(y1, low), y1, low)
     # a solve cut short by max_iter leaves no stop: not the one it resumed
     # from, whose factor it has moved on, and not one of its own
     capped_config = LassoConfig(mu=1e-3, max_iter=3)
-    last = solver.solve(y1, high).coefficients.values
-    capped = solver.solve(y1, capped_config, warm_start=last)
+    solver.solve(y1, high)
+    capped = solver.solve(y1, capped_config)
     assert capped.iterations == 3 and not capped.converged
-    assert_cold(solver.solve(y1, low, warm_start=last), y1, low)
-    capped = solver.solve(y1, capped_config).coefficients.values
-    assert_cold(solver.solve(y1, low, warm_start=capped), y1, low)
+    assert_cold(solver.solve(y1, low), y1, low)
+    solver.solve(y2, high)
+    assert not solver.solve(y1, capped_config).converged
+    assert_cold(solver.solve(y1, low), y1, low)
 
-    # the last result on the same data at a smaller mu does resume
-    last = solver.solve(y1, high).coefficients.values
-    resumed = solver.solve(y1, low, warm_start=last)
+    # the same data at a smaller mu does resume
+    solver.solve(y1, high)
+    resumed = solver.solve(y1, low)
     assert resumed.converged
     assert resumed.iterations < LassoSolver(system).solve(y1, low).iterations
 
@@ -301,34 +277,29 @@ def test_lasso_resumes_only_its_last_stop_on_the_same_data():
     seed=st.integers(0, 2**32 - 1),
     bridge=st.booleans(),
     n=st.integers(1, 40),
-    calls=st.lists(
-        st.tuples(st.integers(0, 1), st.floats(-7.0, 1.0), st.integers(-1, 7)), min_size=1, max_size=8
-    ),
+    calls=st.lists(st.tuples(st.integers(0, 1), st.floats(-7.0, 1.0)), min_size=1, max_size=8),
 )
 def test_lasso_solve_sequences_on_one_solver_match_cold_fits(seed, bridge, n, calls):
-    # each call: which of two data vectors, log10 mu, and the warm start:
-    # none (-1), the last result (0) or an earlier one
+    # each call: which of two data vectors, and log10 mu
     rng = np.random.default_rng(seed)
     system = build_system(*well_spaced(rng, bridge, n))
     ys = rng.uniform(-2, 2, (2, n))
-    solver, results = LassoSolver(system), []
-    for data, log_mu, pick in calls:
-        warm = results[-1 - pick % len(results)] if results and pick >= 0 else None
+    solver = LassoSolver(system)
+    for data, log_mu in calls:
         config = LassoConfig(mu=10.0 ** log_mu)
-        fit = solver.solve(ys[data], config, warm_start=warm)
+        fit = solver.solve(ys[data], config)
         cold = LassoSolver(system).solve(ys[data], config)
         c, cc = fit.coefficients.values, cold.coefficients.values
         assert fit.converged
         assert np.array_equal(np.flatnonzero(c), np.flatnonzero(cc))
         assert np.abs(c - cc).max() <= 1e-8 * np.abs(cc).max()
-        results.append(c)
 
 
 def test_lasso_mean_loss_path_certified():
     rng = np.random.default_rng(22)
     system = random_system(rng, n_max=20)
     y = rng.uniform(-2, 2, system.n)
-    fits = solve_path(LassoSolver(system, mean_loss=True), y, DEFAULT_MU_GRID, mean_loss=True)
+    fits = solve_path(LassoSolver(system), y, DEFAULT_MU_GRID, mean_loss=True)
     for mu, fit in zip(DEFAULT_MU_GRID, fits):
         c = fit.coefficients.values
         assert fit.converged
@@ -416,7 +387,7 @@ def test_lasso_single_point_closed_form(y):
     k = system.gram[0, 0]
     mus = [f * zero_mu_threshold(system, [y]) for f in (2.0, 0.5, 0.1)]
     solver = LassoSolver(system)
-    cold = [solver.solve([y], LassoConfig(mu=mu)) for mu in mus]
+    cold = [LassoSolver(system).solve([y], LassoConfig(mu=mu)) for mu in mus]
     for fits in (cold, solve_path(solver, [y], mus), solve_path(solver, [y], mus[::-1])[::-1]):
         for mu, fit in zip(mus, fits):
             assert fit.converged
@@ -436,7 +407,7 @@ def test_lasso_path_fills_the_active_set_then_loses_a_coordinate():
     assert [np.sign(fit.coefficients.values).tolist() for fit in warm] == [
         [1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0],
     ]
-    cold = [solver.solve(y, LassoConfig(mu=mu, tol=1e-10)) for mu in mus]
+    cold = [LassoSolver(system).solve(y, LassoConfig(mu=mu, tol=1e-10)) for mu in mus]
     for mu, fits in zip(mus, zip(warm, cold)):
         oracle = cd_lasso(system.gram, y, mu, tol=1e-10)
         for fit in fits:

@@ -130,6 +130,10 @@ def _cmd_audit(args) -> int:
     kernel = _parse_kernel(args.kernel)
     if args.trials < 1:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.grid < 2:
+        raise _UsageError(f"--grid must be >= 2, got {args.grid}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     window = _audit_window(kernel, args.window)
     generator = adm.RandomPointSets(domain=window)
     wanted = ["a1", "a2", "a4"] if args.condition == "all" else [args.condition]
@@ -197,24 +201,30 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    kinds = {
-        "gaussian": NoiseModel.gaussian(),
-        "uniform": NoiseModel.uniform(),
-        "pepper": NoiseModel.pepper_sauce(corrupt_fraction=args.pepper_fraction),
-    }
-    labels = list(kinds) if args.noise == "all" else [args.noise]
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     mu_grid = _parse_mu_grid(args.mu_grid) if args.mu_grid else ExperimentConfig().mu_grid
+    try:
+        kinds = {
+            "gaussian": NoiseModel.gaussian(),
+            "uniform": NoiseModel.uniform(),
+            "pepper": NoiseModel.pepper_sauce(corrupt_fraction=args.pepper_fraction),
+        }
+        labels = list(kinds) if args.noise == "all" else [args.noise]
+        configs = [
+            ExperimentConfig(
+                n_points=args.n,
+                noise=kinds[label],
+                trials=args.trials,
+                mu_grid=mu_grid,
+                master_seed=args.seed,
+            )
+            for label in labels
+        ]
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
-    labeled = []
-    for label in labels:
-        config = ExperimentConfig(
-            n_points=args.n,
-            noise=kinds[label],
-            trials=args.trials,
-            mu_grid=mu_grid,
-            master_seed=args.seed,
-        )
-        labeled.append((label, run_experiment(config)))
+    labeled = [(label, run_experiment(config)) for label, config in zip(labels, configs)]
 
     for line in csv_rows(labeled):
         print(line)

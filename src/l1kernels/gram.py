@@ -55,13 +55,9 @@ class Side(enum.Enum):
 
 
 class PointSet:
-    """Ordered, pairwise-distinct real sample points.
+    """Ordered, pairwise-distinct real sample points, kept in user order."""
 
-    Points are kept in user order; a sorted permutation is retained for the
-    closed-form cardinal formulas that need ascending nodes.
-    """
-
-    __slots__ = ("points", "sorted_indices", "min_spacing")
+    __slots__ = ("points", "min_spacing")
 
     def __init__(self, points):
         pts = np.array(points, dtype=float, copy=True).reshape(-1)
@@ -69,14 +65,11 @@ class PointSet:
             raise ValueError("a point set needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        order = np.argsort(pts, kind="stable")
-        spacing = np.diff(pts[order])
+        spacing = np.diff(np.sort(pts))
         if pts.size > 1 and not np.all(spacing > 0.0):
             raise DuplicatePoints("point set contains coincident points")
         pts.flags.writeable = False
-        order.flags.writeable = False
         self.points = pts
-        self.sorted_indices = order
         self.min_spacing = float(spacing.min()) if pts.size > 1 else np.inf
 
     @property

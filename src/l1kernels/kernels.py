@@ -71,9 +71,6 @@ class AdmissibilityFlags:
     a3: Status = Status.UNKNOWN
     a4: Status = Status.UNKNOWN
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k).value for k in ("a1", "a2", "a3", "a4")}
-
 
 _ALL_PROVEN = AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.PROVEN, Status.PROVEN)
 

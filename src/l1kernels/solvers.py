@@ -2,40 +2,41 @@
 
 Both models act on the square Gram matrix K[x] of a sample set:
 
-    l1 (sparse):   argmin_c s ||K[x] c - y||_2^2 + mu * ||c||_1
+    l1 (sparse):   argmin_c ||K[x] c - y||_2^2 + mu * ||c||_1
     ridge:         h = (K[x] + mu I)^(-1) y
 
-with s = 1, or s = 1/n for the averaged loss.  The l1 solution is piecewise
-linear in mu; the solver follows this path exactly (the lasso homotopy of
-Osborne, Presnell & Turlach 2000 and Efron et al. 2004).  With correlations
-rho = 2 s K^T (y - K c), a path point at weight lam has an active set A with
-signs sigma, rho_A = lam sigma and |rho_j| <= lam elsewhere.  Then
-K_A^T K_A c_A = K_A^T y - lam sigma / (2 s), so c_A and rho are affine in
-lam until the next event: an inactive coordinate reaches |rho_j| = lam and
-joins A, an active one reaches zero and leaves A, or lam reaches mu.  The
-solves use a thin QR factorization of K[:, A] (Q is n x |A|, R square),
-held in the leading columns of two n x n buffers and updated in place one
-column per event: a join appends its column by Gram-Schmidt with one
-reorthogonalization, a leave rotates it out with scipy's qr_delete on the
-buffers themselves, and the two triangular solves per step call LAPACK's
-dtrtrs on R.  The least-squares residual of y is reorthogonalized against Q
-once; K^T K, whose condition number is cond(K)^2, is never formed.
+The averaged loss (1/n)||K[x] c - y||^2 at weight mu is the l1 problem at
+weight n mu, so mu is the model's one setting.  The l1 solution is
+piecewise linear in mu; the solver follows this path exactly (the lasso
+homotopy of Osborne, Presnell & Turlach 2000 and Efron et al. 2004).  With
+correlations rho = 2 K^T (y - K c), a path point at weight lam has an
+active set A with signs sigma, rho_A = lam sigma and |rho_j| <= lam
+elsewhere.  Then K_A^T K_A c_A = K_A^T y - lam sigma / 2, so c_A and rho
+are affine in lam until the next event: an inactive coordinate reaches
+|rho_j| = lam and joins A, an active one reaches zero and leaves A, or lam
+reaches mu.  The solves use a thin QR factorization of K[:, A] (Q is
+n x |A|, R square), held in the leading columns of two n x n buffers and
+updated in place one column per event: a join appends its column by
+Gram-Schmidt with one reorthogonalization, a leave rotates it out with
+scipy's qr_delete on the buffers themselves, and the two triangular solves
+per step call LAPACK's dtrtrs on R.  The least-squares residual of y is
+reorthogonalized against Q once; K^T K, whose condition number is
+cond(K)^2, is never formed.
 
 A solver remembers where its last solve stopped on the path.  A solve on
-the same data and loss scale, at a weight mu no larger than the last one,
-resumes the path from there with the same factor; any other solve starts
-cold from c = 0.
+the same data, at a weight mu no larger than the last one, resumes the
+path from there with the same factor; any other solve starts cold from
+c = 0.
 
 Every solution is certified by its KKT residual, not by trusting the path:
 
-    c_j != 0:  | 2 s (K^T (K c - y))_j + mu sign(c_j) | <= tol
-    c_j  = 0:  | 2 s (K^T (K c - y))_j |               <= mu + tol
+    c_j != 0:  | 2 (K^T (K c - y))_j + mu sign(c_j) | <= KKT_TOL
+    c_j  = 0:  | 2 (K^T (K c - y))_j |               <= mu + KKT_TOL
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,14 @@ from .interpolation import _reject_broken_l1
 # a coefficient counts towards a fit's sparsity when |c_j| exceeds this
 # times max(1, ||c||_inf)
 SPARSITY_THRESHOLD = 1e-8
+
+# a lasso fit is certified (FitResult.converged) when its KKT residual is at
+# most this
+KKT_TOL = 1e-8
+
+# path steps one lasso solve may take before it stops uncertified, a guard
+# against a path that cycles
+MAX_PATH_STEPS = 50_000
 
 __all__ = [
     "LassoConfig",
@@ -64,24 +73,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Settings for the l1-regularized Gram solve.
-
-    mean_loss switches the data term to (1/n)||K[x]c - y||^2, the averaged
-    form of the learning model; the default is the unaveraged form used by
-    the sparsity benchmark.
-    """
+    """The weight mu of the l1 norm in the l1-regularized Gram solve."""
 
     mu: float
-    max_iter: int = 50_000
-    tol: float = 1e-8
-    mean_loss: bool = False
 
     def __post_init__(self):
         _check_weight(self.mu)
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,25 +123,20 @@ def _kkt_from_gradient(grad: np.ndarray, mu: float, c: np.ndarray) -> float:
     return float(viol.max())
 
 
-def kkt_residual(system: GramSystem, y, mu: float, c, mean_loss: bool = False) -> float:
+def kkt_residual(system: GramSystem, y, mu: float, c) -> float:
     """Maximum violation of the subgradient optimality conditions at c."""
     y = _data_vector(y, system.n)
     c = _data_vector(c, system.n, "coefficients")
     _check_weight(mu)
     a = system.gram
-    grad = 2.0 * _loss_scale(system, mean_loss) * (a.T @ (a @ c - y))
+    grad = 2.0 * (a.T @ (a @ c - y))
     return _kkt_from_gradient(grad, mu, c)
 
 
-def zero_mu_threshold(system: GramSystem, y, mean_loss: bool = False) -> float:
-    """Smallest mu for which c = 0 is optimal: 2 ||K^T y||_inf (scaled)."""
+def zero_mu_threshold(system: GramSystem, y) -> float:
+    """Smallest mu for which c = 0 is optimal: 2 ||K^T y||_inf."""
     y = _data_vector(y, system.n)
-    return float(2.0 * _loss_scale(system, mean_loss) * np.abs(system.gram.T @ y).max())
-
-
-def _loss_scale(system: GramSystem, mean_loss: bool) -> float:
-    """s in the data term s ||K c - y||^2."""
-    return 1.0 / system.n if mean_loss else 1.0
+    return float(2.0 * np.abs(system.gram.T @ y).max())
 
 
 def _data_vector(y, n: int, name: str = "data") -> np.ndarray:
@@ -208,11 +200,10 @@ _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_dele
 
 @dataclass
 class _PathStop:
-    """Where a solve reached its mu: its own copy of the data, the loss
-    scale, the state of the path there, and the buffers that hold it."""
+    """Where a solve reached its mu: its own copy of the data, the state of
+    the path there, and the buffers that hold it."""
 
     y: np.ndarray
-    scale: float
     lam: float
     m: int
     active: np.ndarray
@@ -235,15 +226,15 @@ class LassoSolver:
     scan nothing.
 
     The solver keeps the path point where its last solve reached mu (not
-    one cut short by max_iter).  solve() resumes from it, with its factor
-    and no further check, when y equals that solve's data by value, the
-    loss scale is the same and config.mu is no larger than its mu, so
-    solves of one y at decreasing mu follow one path; each stop is resumed
-    at most once.  Any other solve starts cold from c = 0, and either way
-    the result is the exact path point at mu, certified by _finish.
-    FitResult.iterations counts the steps of this solve, and max_iter caps
-    them.  The stop makes a solver stateful: one LassoSolver must not be
-    shared between threads that solve at the same time.
+    one cut short by MAX_PATH_STEPS).  solve() resumes from it, with its
+    factor and no further check, when y equals that solve's data by value
+    and config.mu is no larger than its mu, so solves of one y at
+    decreasing mu follow one path; each stop is resumed at most once.  Any
+    other solve starts cold from c = 0, and either way the result is the
+    exact path point at mu, certified by _finish.  FitResult.iterations
+    counts the steps of this solve, and MAX_PATH_STEPS caps them.  The stop
+    makes a solver stateful: one LassoSolver must not be shared between
+    threads that solve at the same time.
     """
 
     def __init__(self, system: GramSystem):
@@ -256,8 +247,7 @@ class LassoSolver:
     def solve(self, y, config: LassoConfig) -> FitResult:
         """Solve for one right-hand side, following the path down to config.mu."""
         system, mu = self.system, config.mu
-        scale = _loss_scale(system, config.mean_loss)
-        n, k, two_s = system.n, system.gram, 2.0 * scale
+        n, k = system.n, system.gram
         y = _data_vector(y, n)
         stop, self._stop = self._stop, None
         if mu == 0.0:
@@ -267,11 +257,11 @@ class LassoSolver:
         # the active set A in order and its signs fill the first m slots; the
         # thin QR K[:, A] = Q R fills the first m columns of qb and rb, so Q
         # and the LAPACK view of R are Fortran-contiguous slices, never copies
-        if stop is not None and mu <= stop.lam and scale == stop.scale and np.array_equal(y, stop.y):
+        if stop is not None and mu <= stop.lam and np.array_equal(y, stop.y):
             lam, m, active, signs, qb, rb = stop.lam, stop.m, stop.active, stop.signs, stop.qb, stop.rb
             blocked = stop.blocked
         else:
-            lam, m = zero_mu_threshold(system, y, config.mean_loss), 0
+            lam, m = zero_mu_threshold(system, y), 0
             active, signs = np.empty(n, dtype=np.intp), np.empty(n)
             qb, rb = np.empty((n, n), order="F"), np.empty((n, n), order="F")
             blocked = None  # the join event of the last coordinate to leave, barred
@@ -288,8 +278,8 @@ class LassoSolver:
                 z = _solve_r(r, sigma, trans=1)
                 # below lam, c_A(l) = c_a + (lam - l) x1; c_a is solved at lam
                 # directly, since the least-squares part alone can be far larger
-                rhs[:m, 0] = qty - lam / two_s * z
-                rhs[:m, 1] = z / two_s
+                rhs[:m, 0] = qty - lam / 2.0 * z
+                rhs[:m, 1] = z / 2.0
                 c_a, x1 = _solve_r(r, rhs[:m]).T
             else:
                 z = c_a = x1 = qty
@@ -299,7 +289,7 @@ class LassoSolver:
                 # at mu such a coordinate leaves, as at any zero crossing
                 wrong = sigma * c_a < 0.0
                 done = not wrong.any()
-            if done or steps == config.max_iter:
+            if done or steps == MAX_PATH_STEPS:
                 break
             steps += 1
             events, rates = event_buf[:2 * n + m], rate_buf[:2 * n + m]
@@ -312,7 +302,7 @@ class LassoSolver:
                 res = w[0]
                 np.subtract(y, q @ qty, out=res)
                 res -= q @ (q.T @ res)
-                res *= two_s
+                res *= 2.0
                 np.dot(q, z, out=w[1])
                 p, slope = w @ k
                 # rho_j(l) = b l, b = +1 or -1, at l = b p_j / (1 - b slope_j)
@@ -356,15 +346,14 @@ class LassoSolver:
         c = np.zeros(n)
         c[active[:m]] = c_a
         if done:
-            self._stop = _PathStop(y.copy(), scale, lam, m, active, signs, qb, rb, blocked)
+            self._stop = _PathStop(y.copy(), lam, m, active, signs, qb, rb, blocked)
         return self._finish(c, y, config, iterations=steps)
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:
         system = self.system
-        s = _loss_scale(system, config.mean_loss)
         r = system.gram @ c - y
-        objective = s * float(r @ r) + config.mu * float(np.abs(c).sum())
-        grad = 2.0 * s * (system.gram.T @ r)
+        objective = float(r @ r) + config.mu * float(np.abs(c).sum())
+        grad = 2.0 * (system.gram.T @ r)
         kkt = _kkt_from_gradient(grad, config.mu, c)
         return FitResult(
             coefficients=CoefficientVector(c, Side.LEFT),
@@ -372,7 +361,7 @@ class LassoSolver:
             kkt_residual=kkt,
             iterations=iterations,
             sparsity=_count_sparsity(c),
-            converged=kkt <= config.tol,
+            converged=kkt <= KKT_TOL,
         )
 
 

@@ -224,5 +224,24 @@ def test_bad_mu_grid_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("experiment", "--trials", "0"),
+        ("experiment", "--n", "1"),
+        ("experiment", "--mu-grid", "nan"),
+        ("experiment", "--mu-grid=-1"),
+        ("experiment", "--pepper-fraction", "2"),
+        ("experiment", "--seed", "-1"),
+        ("audit", "--kernel", "exponential", "--grid", "-3"),
+        ("audit", "--kernel", "exponential", "--seed", "-1"),
+    ],
+)
+def test_invalid_settings_are_usage_errors(argv, capsys):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
 def test_missing_subcommand_is_usage_error():
     assert run_cli() == 1

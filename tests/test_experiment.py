@@ -19,6 +19,7 @@ from l1kernels import (
     expansion,
     exponential,
     generate_noise,
+    kernel_to_json,
     l2_error,
     lasso_gram,
     run_experiment,
@@ -26,7 +27,7 @@ from l1kernels import (
     summary_to_json,
     target_function,
 )
-from l1kernels.experiment import csv_rows, CSV_HEADER
+from l1kernels.experiment import INTERVAL, KERNEL, config_to_json, csv_rows, CSV_HEADER
 from l1kernels.streams import stream
 from _oracles import trapezoid_l2
 
@@ -148,8 +149,8 @@ def test_ridge_dense_at_every_mu_on_noisy_data():
     from l1kernels import RidgeSolver
 
     cfg = ExperimentConfig(n_points=40, trials=1, master_seed=99)
-    x = np.linspace(*cfg.interval, cfg.n_points)
-    solver = RidgeSolver(build_system(cfg.kernel, x))
+    x = np.linspace(*INTERVAL, cfg.n_points)
+    solver = RidgeSolver(build_system(KERNEL, x))
     y = target_function(x) + generate_noise(cfg.noise, cfg.n_points, stream(99, 0, "noise"))
     for mu in cfg.mu_grid:
         assert solver.solve(y, mu).sparsity == cfg.n_points
@@ -165,9 +166,9 @@ def test_run_trial_near_interpolation_with_clean_data():
         master_seed=5,
     )
     x = np.linspace(-1, 1, cfg.n_points)
-    system = build_system(cfg.kernel, x)
+    system = build_system(KERNEL, x)
     fit = lasso_gram(system, target_function(x), LassoConfig(mu=1e-7))
-    f = expansion(cfg.kernel, x, fit.coefficients.values, Side.LEFT)
+    f = expansion(KERNEL, x, fit.coefficients.values, Side.LEFT)
     assert l2_error(f, (-1.0, 1.0), 2001) <= 1e-3
     record = run_trial(cfg, 0)
     assert record.rkbs.l2_error <= 1e-6  # squared scale
@@ -311,10 +312,13 @@ def test_experiment_config_validation():
         ExperimentConfig(mu_grid=(-0.1, 1.0))
     with pytest.raises(ValueError):
         ExperimentConfig(mu_grid=(math.nan,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(quadrature_nodes=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(interval=(1.0, -1.0))
+
+
+def test_config_to_json_pins_the_benchmark_design():
+    obj = config_to_json(ExperimentConfig())
+    assert obj["interval"] == [-1.0, 1.0]
+    assert obj["kernel"] == kernel_to_json(exponential())
+    assert obj["quadrature_nodes"] == 2001
 
 
 def test_noise_kinds_have_expected_labels():

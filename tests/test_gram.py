@@ -23,7 +23,6 @@ def test_point_set_validation():
     ps = PointSet([0.3, 0.1, 0.2])
     assert ps.n == 3
     assert np.array_equal(ps.points, [0.3, 0.1, 0.2])  # user order kept
-    assert np.array_equal(ps.points[ps.sorted_indices], [0.1, 0.2, 0.3])
     assert ps.min_spacing == pytest.approx(0.1)
     with pytest.raises(DuplicatePoints):
         PointSet([0.1, 0.2, 0.1])

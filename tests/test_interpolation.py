@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1kernels import (
     FormulaUnavailable,
@@ -9,6 +11,7 @@ from l1kernels import (
     Side,
     UnsupportedKernel,
     bilinear_form,
+    brownian_bridge,
     build_system,
     exponential,
     expansion,
@@ -156,37 +159,46 @@ def test_bilinear_form_single_sections():
     assert bilinear_form(f, g) == pytest.approx(math.exp(-0.7), rel=1e-15)
 
 
-def test_bilinear_form_reproduces_point_evaluations():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        f = expansion(
-            exponential(), np.sort(rng.uniform(-1, 1, n)), rng.standard_normal(n), Side.LEFT
-        )
-        t = rng.uniform(-1.5, 1.5)
-        assert bilinear_form(f, section(exponential(), t, Side.RIGHT)) == pytest.approx(
-            f.evaluate(t), rel=1e-10, abs=1e-12
-        )
-        m = int(rng.integers(1, 6))
-        g = expansion(
-            exponential(), np.sort(rng.uniform(-1, 1, m)), rng.standard_normal(m), Side.RIGHT
-        )
-        assert bilinear_form(section(exponential(), t, Side.LEFT), g) == pytest.approx(
-            g.evaluate(t), rel=1e-10, abs=1e-12
-        )
+# draws for draw_expansions
+EXPANSION_DRAWS = dict(
+    seed=st.integers(0, 2**32 - 1), bridge=st.booleans(), n=st.integers(1, 5), m=st.integers(1, 5)
+)
 
 
-def test_bilinear_form_hoelder_bound():
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        f = expansion(
-            exponential(), np.sort(rng.uniform(-1, 1, n)), rng.standard_normal(n), Side.LEFT
-        )
-        g = expansion(
-            exponential(), np.sort(rng.uniform(-1, 1, m)), rng.standard_normal(m), Side.RIGHT
-        )
-        assert abs(bilinear_form(f, g)) <= f.bnorm() * g.bsharp_norm() * (1 + 1e-12)
+def draw_expansions(seed, bridge, n, m):
+    """LEFT and RIGHT expansions of n and m terms with standard normal
+    coefficients, on one of the two kernels with a proven unit Lebesgue
+    bound: the exponential over [-1, 1] or the Brownian bridge over
+    [0.01, 0.99]."""
+    rng = np.random.default_rng(seed)
+    kernel = brownian_bridge() if bridge else exponential()
+    lo, hi = (0.01, 0.99) if bridge else (-1.0, 1.0)
+    f = expansion(kernel, np.sort(rng.uniform(lo, hi, n)), rng.standard_normal(n), Side.LEFT)
+    g = expansion(kernel, np.sort(rng.uniform(lo, hi, m)), rng.standard_normal(m), Side.RIGHT)
+    return kernel, f, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction=st.floats(0.0, 1.0), **EXPANSION_DRAWS)
+def test_bilinear_form_reproduces_point_evaluations(seed, bridge, n, m, fraction):
+    # <f, K(., t)> = f(t) and <K(t, .), g> = g(t), with t ranging past the
+    # points' hull
+    kernel, f, g = draw_expansions(seed, bridge, n, m)
+    t_lo, t_hi = (0.001, 0.999) if bridge else (-1.5, 1.5)
+    t = t_lo + (t_hi - t_lo) * fraction
+    assert bilinear_form(f, section(kernel, t, Side.RIGHT)) == pytest.approx(
+        f.evaluate(t), rel=1e-10, abs=1e-12
+    )
+    assert bilinear_form(section(kernel, t, Side.LEFT), g) == pytest.approx(
+        g.evaluate(t), rel=1e-10, abs=1e-12
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**EXPANSION_DRAWS)
+def test_bilinear_form_hoelder_bound(seed, bridge, n, m):
+    _, f, g = draw_expansions(seed, bridge, n, m)
+    assert abs(bilinear_form(f, g)) <= f.bnorm() * g.bsharp_norm() * (1 + 1e-12)
 
 
 def test_bilinear_form_errors():

@@ -27,6 +27,7 @@ from l1kernels import (
     target_function,
     zero_mu_threshold,
 )
+from l1kernels import solvers
 from l1kernels.solvers import _append_column, _solve_r
 from _oracles import cd_lasso, cd_lasso_batch, lasso_objective
 
@@ -75,8 +76,8 @@ def test_lasso_agrees_with_coordinate_descent_oracle():
         system = random_system(rng)
         y = rng.uniform(-2, 2, system.n)
         mu = 10.0 ** rng.uniform(-3, 0.3)
-        fit = lasso_gram(system, y, LassoConfig(mu=mu, tol=1e-10))
-        assert fit.converged
+        fit = lasso_gram(system, y, LassoConfig(mu=mu))
+        assert fit.kkt_residual <= 1e-10
         problems.append((system.gram, y, mu))
         fits.append(fit)
     for (gram, y, mu), fit, oracle in zip(problems, fits, cd_lasso_batch(problems, tol=1e-10)):
@@ -115,27 +116,10 @@ def test_lasso_objective_is_recomputed_value():
     assert fit.sparsity <= system.n
 
 
-def test_lasso_mean_loss_scaling():
-    rng = np.random.default_rng(7)
-    system = random_system(rng)
-    y = rng.uniform(-2, 2, system.n)
-    cfg = LassoConfig(mu=0.01, mean_loss=True)
-    fit = lasso_gram(system, y, cfg)
-    r = system.gram @ fit.coefficients.values - y
-    expected = float(r @ r) / system.n + 0.01 * np.abs(fit.coefficients.values).sum()
-    assert fit.objective == pytest.approx(expected, rel=1e-12)
-    assert fit.converged
-    assert kkt_residual(system, y, 0.01, fit.coefficients.values, mean_loss=True) <= 1e-8
-
-
 def test_lasso_validation_errors():
     system = build_system(exponential(), [0.0, 1.0])
     with pytest.raises(NegativeMu):
         LassoConfig(mu=-1.0)
-    with pytest.raises(ValueError):
-        LassoConfig(mu=0.1, max_iter=0)
-    with pytest.raises(ValueError):
-        LassoConfig(mu=0.1, max_iter=2.5)
     for mu in (math.nan, math.inf):
         with pytest.raises(ValueError):
             LassoConfig(mu=mu)
@@ -158,10 +142,10 @@ def test_lasso_validation_errors():
         lasso_gram(build_system(sinc(), [0.2, 3.7]), [1.0, 2.0], LassoConfig(mu=0.1))
 
 
-def solve_path(solver, y, mus, **config):
+def solve_path(solver, y, mus):
     """Fits of one solver along mus, in the order given: each one resumes
     the fit before it where mu decreases."""
-    return [solver.solve(y, LassoConfig(mu=mu, **config)) for mu in mus]
+    return [solver.solve(y, LassoConfig(mu=mu)) for mu in mus]
 
 
 def test_lasso_warm_start_path():
@@ -177,9 +161,9 @@ def test_lasso_path_matches_coordinate_descent_on_default_grid():
     for _ in range(8):
         system = random_system(rng, n_max=6, min_spacing=0.2)
         y = rng.uniform(-2, 2, system.n)
-        fits = solve_path(LassoSolver(system), y, DEFAULT_MU_GRID, tol=1e-10)
+        fits = solve_path(LassoSolver(system), y, DEFAULT_MU_GRID)
         for mu, fit in zip(DEFAULT_MU_GRID, fits):
-            assert fit.converged
+            assert fit.kkt_residual <= 1e-10
             oracle = cd_lasso(system.gram, y, mu, tol=1e-10)
             gap = fit.objective - lasso_objective(system.gram, y, mu, oracle)
             assert abs(gap) <= 1e-9 * max(1.0, fit.objective)
@@ -223,10 +207,9 @@ def test_lasso_warm_path_agrees_with_cold_fits_at_n_200(bridge):
         assert np.abs(cw - cc).max() <= 1e-8 * np.abs(cc).max()
 
 
-def test_lasso_resumes_only_its_last_stop_on_the_same_data():
-    # every solve other than one on the last solve's data and loss scale,
-    # at a mu no larger than its own, must give a fresh solver's cold fit
-    # bit for bit
+def test_lasso_resumes_only_its_last_stop_on_the_same_data(monkeypatch):
+    # every solve other than one on the last solve's data, at a mu no larger
+    # than its own, must give a fresh solver's cold fit bit for bit
     rng = np.random.default_rng(23)
     system = build_system(*well_spaced(rng, False, 30))
     y1, y2 = rng.uniform(-2, 2, (2, system.n))
@@ -236,6 +219,11 @@ def test_lasso_resumes_only_its_last_stop_on_the_same_data():
         cold = LassoSolver(system).solve(y, config)
         assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
         assert fit.iterations == cold.iterations
+
+    def capped(y):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "MAX_PATH_STEPS", 3)
+            return solver.solve(y, low)
 
     solver = LassoSolver(system)
     # data that is no longer the last solve's
@@ -248,21 +236,14 @@ def test_lasso_resumes_only_its_last_stop_on_the_same_data():
     # a larger mu
     solver.solve(y1, low)
     assert_cold(solver.solve(y1, high), y1, high)
-    # another loss scale: the same mu weighs another path
+    # a solve cut short by MAX_PATH_STEPS leaves no stop: not the one it
+    # resumed from, whose factor it has moved on, and not one of its own
     solver.solve(y1, high)
-    mean_low = LassoConfig(mu=1e-3, mean_loss=True)
-    assert_cold(solver.solve(y1, mean_low), y1, mean_low)
-    solver.solve(y1, LassoConfig(mu=0.5, mean_loss=True))
-    assert_cold(solver.solve(y1, low), y1, low)
-    # a solve cut short by max_iter leaves no stop: not the one it resumed
-    # from, whose factor it has moved on, and not one of its own
-    capped_config = LassoConfig(mu=1e-3, max_iter=3)
-    solver.solve(y1, high)
-    capped = solver.solve(y1, capped_config)
-    assert capped.iterations == 3 and not capped.converged
+    cut = capped(y1)
+    assert cut.iterations == 3 and not cut.converged
     assert_cold(solver.solve(y1, low), y1, low)
     solver.solve(y2, high)
-    assert not solver.solve(y1, capped_config).converged
+    assert not capped(y1).converged
     assert_cold(solver.solve(y1, low), y1, low)
 
     # the same data at a smaller mu does resume
@@ -295,17 +276,6 @@ def test_lasso_solve_sequences_on_one_solver_match_cold_fits(seed, bridge, n, ca
         assert np.abs(c - cc).max() <= 1e-8 * np.abs(cc).max()
 
 
-def test_lasso_mean_loss_path_certified():
-    rng = np.random.default_rng(22)
-    system = random_system(rng, n_max=20)
-    y = rng.uniform(-2, 2, system.n)
-    fits = solve_path(LassoSolver(system), y, DEFAULT_MU_GRID, mean_loss=True)
-    for mu, fit in zip(DEFAULT_MU_GRID, fits):
-        c = fit.coefficients.values
-        assert fit.converged
-        assert kkt_residual(system, y, mu, c, mean_loss=True) <= 1e-8
-
-
 def well_spaced(rng, bridge, n):
     """A kernel and n sorted points on its domain, spaced at least 0.2 / n."""
     lo, hi = (0.01, 0.99) if bridge else (-2.0, 2.0)
@@ -327,12 +297,11 @@ def test_lasso_fit_satisfies_its_certificate(seed, bridge, n, log_mu):
     system = build_system(*well_spaced(rng, bridge, n))
     y = rng.uniform(-2, 2, n)
     mu = 10.0 ** log_mu
-    config = LassoConfig(mu=mu)
-    fit = lasso_gram(system, y, config)
+    fit = lasso_gram(system, y, LassoConfig(mu=mu))
     c = fit.coefficients.values
     assert fit.converged
     assert fit.kkt_residual == kkt_residual(system, y, mu, c)
-    assert fit.kkt_residual <= config.tol
+    assert fit.kkt_residual <= solvers.KKT_TOL
     assert fit.objective == pytest.approx(lasso_objective(system.gram, y, mu, c), rel=1e-12)
 
 
@@ -403,15 +372,15 @@ def test_lasso_path_fills_the_active_set_then_loses_a_coordinate():
     y = system.gram @ np.array([1.0, -0.01, 1.0])
     mus = (2.0, 0.5, 1e-4)
     solver = LassoSolver(system)
-    warm = solve_path(solver, y, mus, tol=1e-10)
+    warm = solve_path(solver, y, mus)
     assert [np.sign(fit.coefficients.values).tolist() for fit in warm] == [
         [1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0],
     ]
-    cold = [LassoSolver(system).solve(y, LassoConfig(mu=mu, tol=1e-10)) for mu in mus]
+    cold = [LassoSolver(system).solve(y, LassoConfig(mu=mu)) for mu in mus]
     for mu, fits in zip(mus, zip(warm, cold)):
         oracle = cd_lasso(system.gram, y, mu, tol=1e-10)
         for fit in fits:
-            assert fit.converged
+            assert fit.kkt_residual <= 1e-10
             assert np.abs(fit.coefficients.values - oracle).max() <= 1e-6
 
 
@@ -444,11 +413,12 @@ def test_lasso_factor_updates_raise_on_degenerate_input():
             _solve_r(singular, np.ones(2), trans=trans)
 
 
-def test_lasso_unconverged_returns_best_iterate():
+def test_lasso_unconverged_returns_best_iterate(monkeypatch):
     rng = np.random.default_rng(9)
     system = random_system(rng)
     y = rng.uniform(-2, 2, system.n)
-    fit = lasso_gram(system, y, LassoConfig(mu=1e-4, max_iter=3, tol=1e-14))
+    monkeypatch.setattr(solvers, "MAX_PATH_STEPS", 3)
+    fit = lasso_gram(system, y, LassoConfig(mu=1e-4))
     assert not fit.converged
     assert fit.iterations == 3
     assert np.isfinite(fit.objective)

@@ -26,7 +26,7 @@ so the solve round-off of an ill-conditioned Gram is not read as a violation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,22 +91,12 @@ class Witness:
     t: float | None
     value: float
 
-    def as_dict(self) -> dict:
-        return {"points": list(self.points), "t": self.t, "value": self.value}
-
 
 @dataclass(frozen=True)
 class AuditStats:
     n_trials: int
     worst_value: float | None
     argmax_location: object = None
-
-    def as_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "worst_value": self.worst_value,
-            "argmax_location": self.argmax_location,
-        }
 
 
 @dataclass(frozen=True)
@@ -121,8 +111,8 @@ class AuditReport:
         obj = {
             "condition": self.condition.value,
             "verdict": self.verdict.value,
-            "witness": self.witness.as_dict() if self.witness else None,
-            "stats": self.stats.as_dict(),
+            "witness": asdict(self.witness) if self.witness else None,
+            "stats": asdict(self.stats),
         }
         if self.message:
             obj["message"] = self.message
@@ -251,6 +241,8 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     lower_is_worse = condition is Condition.A1
     worst = worst_loc = None
     skipped = 0
@@ -400,8 +392,8 @@ def extension_norm(system: GramSystem, y, t_new: float, b: float) -> float:
 
     Computed by the block elimination of the bordered Gram matrix: with
 
-        p = K(t_new, t_new) - K^x(t_new) K[x]^(-1) K_x(t_new)
-        q = K^x(t_new) K[x]^(-1) y - b
+        p = K(t_new, t_new) - K_x(t_new)^T K[x]^(-1) K_x(t_new)
+        q = K_x(t_new)^T K[x]^(-1) y - b
 
     the extended coefficient vector is
 
@@ -410,23 +402,20 @@ def extension_norm(system: GramSystem, y, t_new: float, b: float) -> float:
     Raises DegenerateSchur when |p| < 1e-14 (extended Gram numerically
     singular) and DuplicatePoints when t_new coincides with a sample point.
     """
-    x = system.points.points
     t_new = float(t_new)
-    if np.any(x == t_new):
+    if np.any(system.points.points == t_new):
         raise DuplicatePoints(f"extension point {t_new} coincides with a sample point")
-    if not system.kernel.domain.contains(t_new):
-        raise DomainError(f"extension point {t_new} outside domain {system.kernel.domain}")
     y = np.asarray(y, dtype=float).reshape(-1)
 
-    d = system.cardinal_coefficients(t_new)
-    row = system.kx_row(t_new)
-    p = float(system.kernel.eval(t_new, t_new)) - float(row @ d)
+    col = system.kx_column(t_new)
+    d = system.solve(col)
+    p = float(system.kernel.eval(t_new, t_new)) - float(col @ d)
     if abs(p) < SCHUR_FLOOR:
         raise DegenerateSchur(
             f"Schur complement {p:.3e} below {SCHUR_FLOOR:.0e}; "
             "the extended Gram matrix is numerically singular"
         )
     base = system.solve(y)
-    q = float(row @ base) - float(b)
+    q = float(col @ base) - float(b)
     tail = -q / p
     return float(np.abs(base + (q / p) * d).sum() + abs(tail))

@@ -183,8 +183,8 @@ def _cmd_fit(args) -> int:
     values = _parse_floats(args.values)
     if points.size != values.size:
         raise _UsageError(f"{points.size} points but {values.size} values")
-    if not math.isfinite(args.mu):
-        raise _UsageError(f"--mu must be finite, got {args.mu}")
+    if not (0 <= args.mu < math.inf):
+        raise _UsageError(f"--mu must be finite and >= 0, got {args.mu}")
     system = build_system(kernel, points)
     if args.method == "rkbs":
         result = lasso_gram(system, values, LassoConfig(mu=args.mu))

@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ValueError("n_points must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if len(self.mu_grid) == 0 or not all(0 <= m < math.inf for m in self.mu_grid):
             raise ValueError("mu_grid must be nonempty with finite nonnegative entries")
 

@@ -1,11 +1,9 @@
 """Gram systems: the dense linear algebra under every higher-level operation.
 
 A :class:`GramSystem` bundles a kernel, a validated point set, the Gram
-matrix K[x] with entry (j, k) = K(x_k, x_j), its pivoted LU factorization,
-and a reciprocal condition estimate.  The entry convention follows the
-defining formula rather than assuming symmetry, so a non-symmetric kernel
-added later cannot silently transpose the interpolation formulas; for the
-symmetric zoo the matrix is symmetric anyway.
+matrix K[x], its pivoted LU factorization, and a reciprocal condition
+estimate.  Every zoo kernel satisfies K(s, t) == K(t, s) exactly in floating
+point, so K[x] is symmetric and one orientation serves both sides.
 
 LU with partial pivoting is used instead of Cholesky on purpose: Gram
 matrices here are nonsingular by the admissibility condition (A1) but need
@@ -27,7 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, DomainError, DuplicatePoints, SingularGram
+from .errors import DimensionMismatch, DuplicatePoints, SingularGram
 from .kernels import KernelSpec
 
 __all__ = [
@@ -48,6 +46,8 @@ class Side(enum.Enum):
 
     LEFT:  sum_j c_j K(x_j, .)   — the l1-norm space.
     RIGHT: sum_j c_j K(., x_j)   — the sup-norm companion space.
+
+    The zoo is symmetric, so the side chooses the norm, never the values.
     """
 
     LEFT = "left"
@@ -120,26 +120,15 @@ class GramSystem:
         """K_x(t) = (K(t, x_j))_j."""
         return np.atleast_1d(self.kernel.eval(t, self.points.points))
 
-    def kx_row(self, t: float) -> np.ndarray:
-        """K^x(t) = (K(x_j, t))_j."""
-        return np.atleast_1d(self.kernel.eval(self.points.points, t))
-
     def solve(self, y) -> np.ndarray:
         """Solve K[x] c = y through the stored factorization; y is (n,) or
         (n, m), solved column by column."""
-        return scipy.linalg.lu_solve(self.factorization, self._rhs(y))
-
-    def solve_transpose(self, y) -> np.ndarray:
-        """Solve K[x]^T c = y through the stored factorization."""
-        return scipy.linalg.lu_solve(self.factorization, self._rhs(y), trans=1)
-
-    def _rhs(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.ndim not in (1, 2) or y.shape[0] != self.n:
             raise DimensionMismatch(
                 f"expected an ({self.n},) or ({self.n}, m) right-hand side, got shape {y.shape}"
             )
-        return y
+        return scipy.linalg.lu_solve(self.factorization, y)
 
     def cardinal_coefficients(self, t: float) -> np.ndarray:
         """K[x]^(-1) K_x(t): interpolation weights of the kernel basis at t."""
@@ -151,8 +140,6 @@ class GramSystem:
         Returns an (n, m) array whose i-th column is cardinal_coefficients(ts[i]).
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        if not self.kernel.domain.contains(ts):
-            raise DomainError(f"grid leaves the kernel domain {self.kernel.domain}")
         kx = self.kernel.eval(ts[None, :], self.points.points[:, None])
         return self.solve(kx)
 
@@ -180,9 +167,6 @@ def build_system(kernel: KernelSpec, points) -> GramSystem:
     if not isinstance(points, PointSet):
         points = PointSet(points)
     x = points.points
-    if not kernel.domain.contains(x):
-        raise DomainError(f"points leave the {kernel.name} kernel domain {kernel.domain}")
-    # entry (j, k) = K(x_k, x_j): rows follow the second argument
     gram = np.asarray(kernel.eval(x[None, :], x[:, None]), dtype=float)
     if gram.shape == ():
         gram = gram.reshape(1, 1)

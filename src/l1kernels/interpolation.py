@@ -7,6 +7,9 @@ An expansion carries a side tag:
     LEFT   f = sum_j c_j K(x_j, .)   with norm ||c||_1
     RIGHT  g = sum_j c_j K(., x_j)   with sup norm
 
+Every zoo kernel is exactly symmetric, so both sides evaluate alike and
+the tag chooses only the norm.
+
 For kernels whose unit Lebesgue bound (A4) is proven, the sup norm of a
 RIGHT expansion collapses to the finite formula || c^T K[x] ||_inf, i.e.
 the largest |g| over the expansion's own nodes; for other kernels only a
@@ -72,14 +75,8 @@ class ExpansionFunction:
         x = self.points.points
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim == 0:
-            if self.side is Side.LEFT:
-                return float(c @ np.atleast_1d(self.kernel.eval(x, t_arr)))
-            return float(c @ np.atleast_1d(self.kernel.eval(t_arr, x)))
-        if self.side is Side.LEFT:
-            m = self.kernel.eval(x[:, None], t_arr[None, :])
-        else:
-            m = self.kernel.eval(t_arr[None, :], x[:, None])
-        return c @ m
+            return float(c @ np.atleast_1d(self.kernel.eval(x, t_arr)))
+        return c @ self.kernel.eval(x[:, None], t_arr[None, :])
 
     def bnorm(self) -> float:
         """||c||_1, the norm of the l1 expansion space (LEFT side only)."""
@@ -97,10 +94,7 @@ class ExpansionFunction:
                 f"{self.kernel.flags.a4.value} for the {self.kernel.name} kernel; "
                 "use grid_sup_norm for a lower bound"
             )
-        x = self.points.points
-        gram = self.kernel.eval(x[None, :], x[:, None])  # entry (j,k) = K(x_k, x_j)
-        row = self.coefficients.values @ np.atleast_2d(gram)
-        return float(np.abs(row).max())
+        return self.grid_sup_norm(self.points.points)
 
     def grid_sup_norm(self, grid) -> float:
         """max |f| over a grid: a lower bound of the true sup norm."""
@@ -154,7 +148,7 @@ def min_norm_interpolant_bsharp(system: GramSystem, y) -> ExpansionFunction:
             f"sup-norm minimal interpolation needs the unit Lebesgue bound, which is "
             f"{system.kernel.flags.a4.value} for the {system.kernel.name} kernel"
         )
-    c = system.solve_transpose(np.asarray(y, dtype=float))
+    c = system.solve(y)
     return ExpansionFunction(system.kernel, system.points, CoefficientVector(c, Side.RIGHT))
 
 
@@ -167,7 +161,4 @@ def bilinear_form(f: ExpansionFunction, g: ExpansionFunction) -> float:
             f"cannot pair expansions over different kernels "
             f"({f.kernel.name} vs {g.kernel.name})"
         )
-    s = f.points.points
-    t = g.points.points
-    cross = np.atleast_2d(f.kernel.eval(s[:, None], t[None, :]))  # (j,k) = K(s_j, t_k)
-    return float(f.coefficients.values @ cross @ g.coefficients.values)
+    return float(f.evaluate(g.points.points) @ g.coefficients.values)

@@ -191,6 +191,16 @@ def test_audit_a1_fails_on_singular_grams():
     assert report.witness.value < 1e-14
 
 
+@pytest.mark.parametrize("audit", [audit_a1, audit_a4, audit_relaxed_a4])
+@pytest.mark.parametrize("bad", [dict(trials=0), dict(trials=3, master_seed=-1)])
+def test_sampled_audits_reject_bad_settings_up_front(audit, bad):
+    def never_called(rng):
+        raise AssertionError("a point set was drawn before the settings were checked")
+
+    with pytest.raises(ValueError):
+        audit(exponential(), never_called, **bad)
+
+
 def test_audit_a2_within_declared_bounds():
     mesh = np.linspace(-3, 3, 101)
     for kernel in (exponential(), gaussian(1.0)):
@@ -298,7 +308,7 @@ def test_extension_norm_q_zero_case():
     y = rng.standard_normal(5)
     t_new = 1.7
     # choose b so the extension coefficient vanishes
-    b = float(system.kx_row(t_new) @ system.solve(y))
+    b = float(system.kx_column(t_new) @ system.solve(y))
     base = float(np.abs(system.solve(y)).sum())
     assert extension_norm(system, y, t_new, b) == pytest.approx(base, rel=1e-12)
 
@@ -308,8 +318,8 @@ def test_extension_norm_unit_case():
     t_new = 0.8
     kx = system.kx_column(t_new)
     d = system.solve(kx)
-    p = system.kernel.eval(t_new, t_new) - float(system.kx_row(t_new) @ d)
-    b = float(system.kx_row(t_new) @ d) + p
+    p = system.kernel.eval(t_new, t_new) - float(kx @ d)
+    b = float(kx @ d) + p
     assert extension_norm(system, kx, t_new, b) == pytest.approx(1.0, rel=1e-12)
 
 

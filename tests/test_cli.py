@@ -235,6 +235,10 @@ def test_bad_mu_grid_is_usage_error(capsys):
         ("experiment", "--seed", "-1"),
         ("audit", "--kernel", "exponential", "--grid", "-3"),
         ("audit", "--kernel", "exponential", "--seed", "-1"),
+        ("fit", "--kernel", "exponential", "--points", "0,1", "--values", "1,2", "--mu", "-1",
+         "--method", "rkbs"),
+        ("fit", "--kernel", "exponential", "--points", "0,1", "--values", "1,2", "--mu", "-1",
+         "--method", "rkhs"),
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):

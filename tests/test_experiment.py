@@ -307,6 +307,8 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
+        ExperimentConfig(master_seed=-1)
+    with pytest.raises(ValueError):
         ExperimentConfig(mu_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(mu_grid=(-0.1, 1.0))

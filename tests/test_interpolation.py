@@ -153,6 +153,21 @@ def test_min_norm_interpolant_bsharp_requires_a4():
         min_norm_interpolant_bsharp(system, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bridge", [False, True])
+def test_b_and_bsharp_interpolants_share_coefficients(bridge):
+    # K[x] is symmetric, so both interpolants solve the same system
+    rng = np.random.default_rng(31)
+    kernel = brownian_bridge() if bridge else exponential()
+    lo, hi = (0.01, 0.99) if bridge else (-1.0, 1.0)
+    for n in (2, 7, 20):
+        system = build_system(kernel, np.sort(rng.uniform(lo, hi, n)))
+        y = rng.standard_normal(n)
+        assert np.array_equal(
+            min_norm_interpolant_bsharp(system, y).coefficients.values,
+            min_norm_interpolant_b(system, y).coefficients.values,
+        )
+
+
 def test_bilinear_form_single_sections():
     f = section(exponential(), 0.2, Side.LEFT)
     g = section(exponential(), 0.9, Side.RIGHT)

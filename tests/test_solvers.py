@@ -305,6 +305,16 @@ def test_lasso_fit_satisfies_its_certificate(seed, bridge, n, log_mu):
     assert fit.objective == pytest.approx(lasso_objective(system.gram, y, mu, c), rel=1e-12)
 
 
+def test_fit_above_the_certificate_bound_is_unconverged():
+    # two nodes 1e-10 apart leave rcond near 3e-11, and the path's round-off
+    # a KKT residual (3.1e-6 measured) far above KKT_TOL yet well below 1e-4:
+    # a looser certificate bound would count this fit as certified
+    system = build_system(exponential(), [0.0, 1e-10, 0.5, 1.0])
+    fit = lasso_gram(system, [1.0, -1.0, 0.3, 0.2], LassoConfig(mu=0.0))
+    assert solvers.KKT_TOL < fit.kkt_residual <= 1e-4
+    assert fit.converged is False
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

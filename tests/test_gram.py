@@ -71,6 +71,13 @@ def test_sinc_gram_on_integers_is_identity():
     assert np.allclose(system.gram, np.eye(3), atol=1e-15)
 
 
+def test_gram_symmetric_for_zoo():
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.uniform(-2, 2, 8))
+    system = build_system(exponential(), x)
+    assert np.array_equal(system.gram, system.gram.T)
+
+
 def test_build_errors():
     with pytest.raises(DuplicatePoints):
         build_system(exponential(), [0.0, 0.0])

@@ -13,12 +13,12 @@ The central quantity is the Lebesgue function
 whose supremum over the domain is the Lebesgue constant of kernel
 interpolation on x.  Condition (A4) asks for L(t) <= 1 everywhere; the
 relaxed condition only asks for a finite bound beta_n, estimated here as a
-grid supremum (always a lower bound of the true constant).
+grid supremum (always a lower bound of the true constant) and never FAILed.
 
 The sampled audits (A1, A4, relaxed A4) share one trial loop: per-trial
 Philox streams, Gram construction, skipped singular Grams and worst-value
 tracking are the same for all three, which differ only in what they measure
-per trial and when they FAIL.  A failed point draw or Gram construction
+per trial and whether they FAIL.  A failed point draw or Gram construction
 makes any of them INCONCLUSIVE.  A4 FAILs only above 1 + A4_TOL + eps/rcond,
 so the solve round-off of an ill-conditioned Gram is not read as a violation.
 """
@@ -68,6 +68,9 @@ _EPS = float(np.finfo(float).eps)
 
 # |Schur complement| below this means the extended Gram is numerically singular.
 SCHUR_FLOOR = 1e-14
+
+# draws RandomPointSets makes for one point set before it gives up
+MAX_POINT_DRAWS = 10_000
 
 
 class Condition(enum.Enum):
@@ -168,11 +171,10 @@ def profile_grid(domain: Interval, num: int = 2001, points=None) -> np.ndarray:
     return ts
 
 
-def pair_grid(s_values, t_values=None) -> np.ndarray:
-    """All (s, t) pairs from one or two 1-D grids, as an (m, 2) array."""
-    s_values = np.asarray(s_values, dtype=float).reshape(-1)
-    t_values = s_values if t_values is None else np.asarray(t_values, dtype=float).reshape(-1)
-    ss, tt = np.meshgrid(s_values, t_values, indexing="ij")
+def pair_grid(values) -> np.ndarray:
+    """All (s, t) pairs of a 1-D grid, as an (m, 2) array."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    ss, tt = np.meshgrid(values, values, indexing="ij")
     return np.column_stack([ss.ravel(), tt.ravel()])
 
 
@@ -187,13 +189,12 @@ class RandomPointSets:
     Draws are rejected and resampled until the minimum spacing reaches
     min_spacing_factor * (domain length), which keeps the Gram matrices
     well-conditioned so audits probe the mathematics rather than the
-    floating point.
+    floating point; it gives up after MAX_POINT_DRAWS draws.
     """
 
     domain: Interval
     n_range: tuple[int, int] = (2, 30)
     min_spacing_factor: float = 1e-3
-    max_rejections: int = 10_000
 
     def __post_init__(self):
         if not self.domain.bounded:
@@ -201,11 +202,13 @@ class RandomPointSets:
         lo, hi = self.n_range
         if not (1 <= lo <= hi):
             raise ValueError(f"bad n_range {self.n_range}")
+        if not 0.0 <= self.min_spacing_factor < np.inf:
+            raise ValueError(f"min_spacing_factor must be finite and >= 0, got {self.min_spacing_factor}")
 
     def __call__(self, rng: np.random.Generator) -> PointSet:
         n = int(rng.integers(self.n_range[0], self.n_range[1] + 1))
         threshold = self.min_spacing_factor * self.domain.length
-        for _ in range(self.max_rejections):
+        for _ in range(MAX_POINT_DRAWS):
             pts = rng.uniform(self.domain.lo, self.domain.hi, size=n)
             pts.sort()
             if not self.domain.contains(pts):
@@ -214,7 +217,7 @@ class RandomPointSets:
                 return PointSet(pts)
         raise RuntimeError(
             f"could not draw {n} points with spacing >= {threshold:.3e} "
-            f"after {self.max_rejections} attempts"
+            f"after {MAX_POINT_DRAWS} attempts"
         )
 
 
@@ -281,6 +284,8 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
 
 def _lebesgue_measure(kernel: KernelSpec, generator, domain: Interval | None, grid_size: int):
     """Trial measure of the Lebesgue audits: grid supremum of L and its location."""
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     domain = domain or getattr(generator, "domain", None) or kernel.domain
 
     def measure(ps: PointSet, system: GramSystem):
@@ -308,7 +313,7 @@ def audit_a2(kernel: KernelSpec, grid) -> AuditReport:
     pairs = np.asarray(grid, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise ValueError("grid must be a nonempty (m, 2) array of (s, t) pairs")
-    values = np.abs(np.atleast_1d(kernel.eval(pairs[:, 0], pairs[:, 1])))
+    values = np.abs(kernel.eval(pairs[:, 0], pairs[:, 1]))
     i = int(np.argmax(values))
     worst = float(values[i])
     s, t = float(pairs[i, 0]), float(pairs[i, 1])
@@ -357,30 +362,16 @@ def audit_relaxed_a4(
     trials: int = 50,
     master_seed: int = 0,
     domain: Interval | None = None,
-    beta_cap: float | None = None,
 ) -> AuditReport:
     """Estimate the relaxed constant beta_n as the worst grid supremum of L.
 
-    With beta_cap given, FAIL when the estimate exceeds it; otherwise the
-    audit is purely an estimator and always passes, reporting the worst
-    value seen.
+    The audit is an estimator, never a test: it PASSes with the worst value
+    seen and its location, or is INCONCLUSIVE.
     """
     measure = _lebesgue_measure(kernel, generator, domain, grid_size)
-    report = _sampled_audit(
+    return _sampled_audit(
         Condition.RELAXED_A4, "audit-relaxed-a4", kernel, generator, trials, master_seed, measure
     )
-    worst = report.stats.worst_value
-    if report.verdict is Verdict.PASS and beta_cap is not None and worst > beta_cap + A4_TOL:
-        loc = report.stats.argmax_location
-        witness = Witness(tuple(loc["points"]), loc["t"], worst)
-        return AuditReport(
-            Condition.RELAXED_A4,
-            Verdict.FAIL,
-            witness,
-            report.stats,
-            message=f"grid Lebesgue constant {worst:.6g} exceeds the cap {beta_cap}",
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +391,12 @@ def extension_norm(system: GramSystem, y, t_new: float, b: float) -> float:
         ( K[x]^(-1) y + (q/p) K[x]^(-1) K_x(t_new),  -q/p ).
 
     Raises DegenerateSchur when |p| < 1e-14 (extended Gram numerically
-    singular) and DuplicatePoints when t_new coincides with a sample point.
+    singular), DuplicatePoints when t_new is a sample point and ValueError
+    when b is not finite.
     """
-    t_new = float(t_new)
+    t_new, b = float(t_new), float(b)
+    if not np.isfinite(b):
+        raise ValueError(f"extension value b must be finite, got {b}")
     if np.any(system.points.points == t_new):
         raise DuplicatePoints(f"extension point {t_new} coincides with a sample point")
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -416,6 +410,6 @@ def extension_norm(system: GramSystem, y, t_new: float, b: float) -> float:
             "the extended Gram matrix is numerically singular"
         )
     base = system.solve(y)
-    q = float(col @ base) - float(b)
+    q = float(col @ base) - b
     tail = -q / p
     return float(np.abs(base + (q / p) * d).sum() + abs(tail))

@@ -98,8 +98,8 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("variance", "halfwidth", "magnitude"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.corrupt_fraction <= 1.0:
             raise ValueError("corrupt_fraction must be in (0, 1]")
 

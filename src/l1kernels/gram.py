@@ -76,9 +76,6 @@ class PointSet:
     def n(self) -> int:
         return self.points.size
 
-    def __len__(self) -> int:
-        return self.points.size
-
     def __repr__(self) -> str:
         return f"PointSet({self.points.tolist()!r})"
 
@@ -118,7 +115,7 @@ class GramSystem:
 
     def kx_column(self, t: float) -> np.ndarray:
         """K_x(t) = (K(t, x_j))_j."""
-        return np.atleast_1d(self.kernel.eval(t, self.points.points))
+        return self.kernel.eval(t, self.points.points)
 
     def solve(self, y) -> np.ndarray:
         """Solve K[x] c = y through the stored factorization; y is (n,) or
@@ -167,9 +164,7 @@ def build_system(kernel: KernelSpec, points) -> GramSystem:
     if not isinstance(points, PointSet):
         points = PointSet(points)
     x = points.points
-    gram = np.asarray(kernel.eval(x[None, :], x[:, None]), dtype=float)
-    if gram.shape == ():
-        gram = gram.reshape(1, 1)
+    gram = kernel.eval(x[None, :], x[:, None])
     gram.flags.writeable = False
 
     factorization, rcond = _lu_factor_gated(

@@ -75,7 +75,7 @@ class ExpansionFunction:
         x = self.points.points
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim == 0:
-            return float(c @ np.atleast_1d(self.kernel.eval(x, t_arr)))
+            return float(c @ self.kernel.eval(x, t_arr))
         return c @ self.kernel.eval(x[:, None], t_arr[None, :])
 
     def bnorm(self) -> float:

@@ -52,7 +52,8 @@ from .interpolation import _reject_broken_l1
 SPARSITY_THRESHOLD = 1e-8
 
 # a lasso fit is certified (FitResult.converged) when its KKT residual is at
-# most this
+# most this, a ridge fit when its linear-system residual is at most this
+# times max(1, ||y||_inf)
 KKT_TOL = 1e-8
 
 # path steps one lasso solve may take before it stops uncertified, a guard
@@ -371,42 +372,36 @@ def lasso_gram(system: GramSystem, y, config: LassoConfig) -> FitResult:
 
 
 class RidgeSolver:
-    """Ridge solves on one Gram system, caching one LU per shift mu."""
+    """Ridge solves on one Gram system, caching the LU of K[x] + mu I per mu."""
 
     def __init__(self, system: GramSystem):
         self.system = system
         self._factorizations: dict[float, tuple] = {}
 
-    def _factorization(self, mu: float):
-        cached = self._factorizations.get(mu)
-        if cached is not None:
-            return cached
-        shifted = self.system.gram + mu * np.eye(self.system.n)
-        factorization, _ = _lu_factor_gated(
-            shifted,
-            lambda rcond: SingularShifted(
-                f"K[x] + mu I numerically singular at mu={mu:g} (rcond {rcond:.3e})"
-            ),
-        )
-        self._factorizations[mu] = (shifted, factorization)
-        return self._factorizations[mu]
-
     def solve(self, y, mu: float) -> FitResult:
         system = self.system
         y = _data_vector(y, system.n)
         _check_weight(mu)
-        shifted, factorization = self._factorization(mu)
+        factorization = self._factorizations.get(mu)
+        if factorization is None:
+            factorization, _ = _lu_factor_gated(
+                system.gram + mu * np.eye(system.n),
+                lambda rcond: SingularShifted(
+                    f"K[x] + mu I numerically singular at mu={mu:g} (rcond {rcond:.3e})"
+                ),
+            )
+            self._factorizations[mu] = factorization
         h = scipy.linalg.lu_solve(factorization, y)
         kh = system.gram @ h
         objective = float((kh - y) @ (kh - y)) + mu * float(h @ kh)
-        residual = float(np.abs(shifted @ h - y).max())
+        residual = float(np.abs(kh + mu * h - y).max())
         return FitResult(
             coefficients=CoefficientVector(h, Side.LEFT),
             objective=objective,
             kkt_residual=residual,
             iterations=0,
             sparsity=_count_sparsity(h),
-            converged=True,
+            converged=residual <= KKT_TOL * max(1.0, float(np.abs(y).max())),
         )
 
 
@@ -415,6 +410,7 @@ def ridge_gram(system: GramSystem, y, mu: float) -> FitResult:
 
     The reported objective is the kernel ridge value
     ||K h - y||^2 + mu h^T K h, and kkt_residual holds the linear-system
-    residual ||(K + mu I) h - y||_inf certifying the closed form.
+    residual ||(K + mu I) h - y||_inf; the fit is certified (converged)
+    when that is at most KKT_TOL * max(1, ||y||_inf).
     """
     return RidgeSolver(system).solve(y, mu)

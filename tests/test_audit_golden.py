@@ -14,6 +14,7 @@ To regenerate the golden file after an intended change of the reports:
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from l1kernels import (
     gaussian,
     wendland_d3_k1,
 )
+from l1kernels import admissibility
 
 GOLDEN = Path(__file__).with_name("audit_golden.json")
 GRID = 401
@@ -62,15 +64,12 @@ class SometimesDuplicated:
 
 
 def audits(kernel, generator, seed):
-    """The four sampled audits of one kernel and generator, by name."""
+    """The three sampled audits of one kernel and generator, by name."""
     return {
         "a1": lambda: audit_a1(kernel, generator, trials=TRIALS, master_seed=seed),
         "a4": lambda: audit_a4(kernel, generator, grid_size=GRID, trials=TRIALS, master_seed=seed),
         "relaxed": lambda: audit_relaxed_a4(
             kernel, generator, grid_size=GRID, trials=TRIALS, master_seed=seed
-        ),
-        "relaxed_cap": lambda: audit_relaxed_a4(
-            kernel, generator, grid_size=GRID, trials=TRIALS, master_seed=seed, beta_cap=1.5
         ),
     }
 
@@ -91,10 +90,20 @@ def cases():
     for audit, run in audits(exponential(), SometimesDuplicated(), 3).items():
         out[f"exponential-duplicates-seed3-{audit}"] = run
     # spacing no draw can meet: the sampler gives up with RuntimeError
-    starved = RandomPointSets(closed(-1.0, 1.0), (40, 50), min_spacing_factor=0.05, max_rejections=3)
+    starved = RandomPointSets(closed(-1.0, 1.0), (40, 50), min_spacing_factor=0.05)
     for audit, run in audits(exponential(), starved, 0).items():
-        out[f"exponential-starved-seed0-{audit}"] = run
+        out[f"exponential-starved-seed0-{audit}"] = with_three_draws(run)
     return out
+
+
+def with_three_draws(run):
+    """run, with the sampler giving up after 3 draws instead of MAX_POINT_DRAWS."""
+
+    def limited():
+        with mock.patch.object(admissibility, "MAX_POINT_DRAWS", 3):
+            return run()
+
+    return limited
 
 
 def summarize(report) -> dict:

@@ -84,6 +84,15 @@ def test_noise_deterministic_streams():
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel.gaussian(variance=0.0)
+    # an infinite scale would only fail later, as non-finite data in the lasso
+    for make, name in (
+        (NoiseModel.gaussian, "variance"),
+        (NoiseModel.uniform, "halfwidth"),
+        (NoiseModel.pepper_sauce, "magnitude"),
+    ):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                make(**{name: bad})
     with pytest.raises(ValueError):
         NoiseModel.pepper_sauce(corrupt_fraction=0.0)
     with pytest.raises(ValueError):

@@ -511,6 +511,14 @@ def test_ridge_residual_certificate():
         assert fit.converged and fit.iterations == 0
 
 
+def test_ridge_fit_failing_its_residual_is_not_certified():
+    # two nodes 1e-10 apart: the unshifted solve misses y by about 1.7e-6
+    system = build_system(exponential(), [0.0, 1e-10, 0.5, 1.0])
+    fit = ridge_gram(system, [1.0, -1.0, 0.3, 0.2], 0.0)
+    assert fit.kkt_residual > solvers.KKT_TOL
+    assert not fit.converged
+
+
 def test_ridge_dense_sparsity():
     rng = np.random.default_rng(16)
     system = random_system(rng)

@@ -201,8 +201,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     mu_grid = _parse_mu_grid(args.mu_grid) if args.mu_grid else ExperimentConfig().mu_grid
     try:
         kinds = {

@@ -51,6 +51,14 @@ def _reject_broken_l1(kernel: KernelSpec, what: str) -> None:
         )
 
 
+def _require_unit_lebesgue(kernel: KernelSpec, what: str) -> None:
+    if kernel.flags.a4 is not Status.PROVEN:
+        raise FormulaUnavailable(
+            f"{what} needs the unit Lebesgue bound, which is {kernel.flags.a4.value} for the "
+            f"{kernel.name} kernel; grid_sup_norm gives a lower bound of the sup norm"
+        )
+
+
 @dataclass(frozen=True)
 class ExpansionFunction:
     """A finite kernel expansion with side-tagged coefficients."""
@@ -88,12 +96,7 @@ class ExpansionFunction:
         """Sup norm via || c^T K[x] ||_inf (RIGHT side, needs (A4) proven)."""
         if self.side is not Side.RIGHT:
             raise ValueError("bsharp_norm applies to RIGHT expansions; use bnorm")
-        if self.kernel.flags.a4 is not Status.PROVEN:
-            raise FormulaUnavailable(
-                f"the finite sup-norm formula requires the unit Lebesgue bound, which is "
-                f"{self.kernel.flags.a4.value} for the {self.kernel.name} kernel; "
-                "use grid_sup_norm for a lower bound"
-            )
+        _require_unit_lebesgue(self.kernel, "the finite sup-norm formula")
         return self.grid_sup_norm(self.points.points)
 
     def grid_sup_norm(self, grid) -> float:
@@ -143,11 +146,7 @@ def min_norm_interpolant_bsharp(system: GramSystem, y) -> ExpansionFunction:
     Requires (A4) proven: the optimality argument and the finite norm
     formula both rest on it.
     """
-    if system.kernel.flags.a4 is not Status.PROVEN:
-        raise FormulaUnavailable(
-            f"sup-norm minimal interpolation needs the unit Lebesgue bound, which is "
-            f"{system.kernel.flags.a4.value} for the {system.kernel.name} kernel"
-        )
+    _require_unit_lebesgue(system.kernel, "sup-norm minimal interpolation")
     c = system.solve(y)
     return ExpansionFunction(system.kernel, system.points, CoefficientVector(c, Side.RIGHT))
 

@@ -23,9 +23,9 @@ per step call LAPACK's dtrtrs on R.  The least-squares residual of y is
 reorthogonalized against Q once; K^T K, whose condition number is
 cond(K)^2, is never formed.
 
-A solver remembers where its last solve stopped on the path.  A solve on
-the same data, at a weight mu no larger than the last one, resumes the
-path from there with the same factor; any other solve starts cold from
+A solver holds its path in buffers it allocates once.  A solve on the
+same data, at a weight mu no larger than the last one, resumes the path
+where the last solve stopped, in place; any other solve starts cold from
 c = 0.
 
 Every solution is certified by its KKT residual, not by trusting the path:
@@ -109,9 +109,17 @@ class FitResult:
         }
 
 
-def _count_sparsity(c: np.ndarray) -> int:
+def _certified(c: np.ndarray, objective: float, residual: float, bound: float, iterations: int) -> FitResult:
+    """The FitResult of coefficients c, certified when residual <= bound."""
     scale = max(1.0, float(np.abs(c).max(initial=0.0)))
-    return int(np.count_nonzero(np.abs(c) > SPARSITY_THRESHOLD * scale))
+    return FitResult(
+        coefficients=CoefficientVector(c, Side.LEFT),
+        objective=objective,
+        kkt_residual=residual,
+        iterations=iterations,
+        sparsity=int(np.count_nonzero(np.abs(c) > SPARSITY_THRESHOLD * scale)),
+        converged=residual <= bound,
+    )
 
 
 def _kkt_from_gradient(grad: np.ndarray, mu: float, c: np.ndarray) -> float:
@@ -199,43 +207,30 @@ _BOUNDS = np.array([[1.0], [-1.0]])
 _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 
 
-@dataclass
-class _PathStop:
-    """Where a solve reached its mu: its own copy of the data, the state of
-    the path there, and the buffers that hold it."""
-
-    y: np.ndarray
-    lam: float
-    m: int
-    active: np.ndarray
-    signs: np.ndarray
-    qb: np.ndarray
-    rb: np.ndarray
-    blocked: int | None
-
-
 class LassoSolver:
     """Exact lasso homotopy path on one Gram system (see module docs).
 
-    The thin QR of K[:, A] changes by one column per event and no update
-    copies its buffers, so a step costs O(n |A|) plus one K^T product over
-    two vectors.  The least-squares residual y - Q Q^T y is projected off
-    span(Q) a second time (Daniel, Gragg, Kaufman & Stewart 1976): an
-    updated thin Q is orthogonal only up to round-off, and what one
-    projection leaves of span(Q) in the residual is enough to derail
-    exactly tied paths.  The Gram matrix must be finite, since the updates
-    scan nothing.
+    The solver allocates its path buffers once, and the thin QR of K[:, A]
+    changes in them by one column per event, so a step costs O(n |A|) plus
+    one K^T product over two vectors.  The least-squares residual
+    y - Q Q^T y is projected off span(Q) a second time (Daniel, Gragg,
+    Kaufman & Stewart 1976): an updated thin Q is orthogonal only up to
+    round-off, and what one projection leaves of span(Q) in the residual is
+    enough to derail exactly tied paths.  The Gram matrix must be finite,
+    since the updates scan nothing.
 
-    The solver keeps the path point where its last solve reached mu (not
-    one cut short by MAX_PATH_STEPS).  solve() resumes from it, with its
-    factor and no further check, when y equals that solve's data by value
-    and config.mu is no larger than its mu, so solves of one y at
-    decreasing mu follow one path; each stop is resumed at most once.  Any
-    other solve starts cold from c = 0, and either way the result is the
-    exact path point at mu, certified by _finish.  FitResult.iterations
-    counts the steps of this solve, and MAX_PATH_STEPS caps them.  The stop
-    makes a solver stateful: one LassoSolver must not be shared between
-    threads that solve at the same time.
+    The buffers keep the path point where the last solve reached its mu,
+    and the stop keeps that solve's own copy of y with the path's lam, m and
+    barred rejoin.  solve() clears the stop before it writes anything and
+    sets it only when the path reaches mu, so a solve cut short by
+    MAX_PATH_STEPS, one at mu = 0 or one that raises leaves none.  A solve
+    resumes in place, with no further check, when y equals the stop's data
+    by value and config.mu is no larger than its weight, so solves of one y
+    at decreasing mu follow one path; any other solve starts cold from
+    c = 0.  Either way the result is the exact path point at mu, certified
+    by _finish; FitResult.iterations counts this solve's steps.  The
+    buffers make a solver stateful: one LassoSolver must not be shared
+    between threads that solve at the same time.
     """
 
     def __init__(self, system: GramSystem):
@@ -243,34 +238,37 @@ class LassoSolver:
         if not np.isfinite(system.gram).all():
             raise ValueError("Gram matrix must be finite")
         self.system = system
-        self._stop: _PathStop | None = None
+        n = system.n
+        # the active set A in order and its signs fill the first m slots; the
+        # thin QR K[:, A] = Q R fills the first m columns of qb and rb, so Q
+        # and the LAPACK view of R are Fortran-contiguous slices, never copies
+        self._active, self._signs = np.empty(n, dtype=np.intp), np.empty(n)
+        self._qb, self._rb = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+        # per-step buffers: triangular right-hand sides, the two vectors K^T
+        # multiplies, and per event (joins at +lam, joins at -lam, leaves) its
+        # arrival weight and the rate at which it closes
+        self._rhs, self._w = np.empty((n, 2)), np.empty((2, n))
+        self._event_buf, self._rate_buf = np.empty(3 * n), np.empty(3 * n)
+        # (y, lam, m, blocked) where the last solve reached its mu, or None
+        self._stop: tuple | None = None
 
     def solve(self, y, config: LassoConfig) -> FitResult:
         """Solve for one right-hand side, following the path down to config.mu."""
+        stop, self._stop = self._stop, None
         system, mu = self.system, config.mu
         n, k = system.n, system.gram
         y = _data_vector(y, n)
-        stop, self._stop = self._stop, None
         if mu == 0.0:
             # square nonsingular system: the unregularized minimizer interpolates
             return self._finish(system.solve(y), y, config, iterations=0)
 
-        # the active set A in order and its signs fill the first m slots; the
-        # thin QR K[:, A] = Q R fills the first m columns of qb and rb, so Q
-        # and the LAPACK view of R are Fortran-contiguous slices, never copies
-        if stop is not None and mu <= stop.lam and np.array_equal(y, stop.y):
-            lam, m, active, signs, qb, rb = stop.lam, stop.m, stop.active, stop.signs, stop.qb, stop.rb
-            blocked = stop.blocked
+        active, signs, qb, rb = self._active, self._signs, self._qb, self._rb
+        rhs, w, event_buf, rate_buf = self._rhs, self._w, self._event_buf, self._rate_buf
+        if stop is not None and mu <= stop[1] and np.array_equal(y, stop[0]):
+            _, lam, m, blocked = stop
         else:
             lam, m = zero_mu_threshold(system, y), 0
-            active, signs = np.empty(n, dtype=np.intp), np.empty(n)
-            qb, rb = np.empty((n, n), order="F"), np.empty((n, n), order="F")
             blocked = None  # the join event of the last coordinate to leave, barred
-        # per-step buffers: triangular right-hand sides, the two vectors K^T
-        # multiplies, and per event (joins at +lam, joins at -lam, leaves) its
-        # arrival weight and the rate at which it closes
-        rhs, w = np.empty((n, 2)), np.empty((2, n))
-        event_buf, rate_buf = np.empty(3 * n), np.empty(3 * n)
         steps = 0
         while True:
             q, r, sigma = qb[:, :m], rb[:, :m], signs[:m]
@@ -347,7 +345,7 @@ class LassoSolver:
         c = np.zeros(n)
         c[active[:m]] = c_a
         if done:
-            self._stop = _PathStop(y.copy(), lam, m, active, signs, qb, rb, blocked)
+            self._stop = (y.copy(), lam, m, blocked)
         return self._finish(c, y, config, iterations=steps)
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:
@@ -356,14 +354,7 @@ class LassoSolver:
         objective = float(r @ r) + config.mu * float(np.abs(c).sum())
         grad = 2.0 * (system.gram.T @ r)
         kkt = _kkt_from_gradient(grad, config.mu, c)
-        return FitResult(
-            coefficients=CoefficientVector(c, Side.LEFT),
-            objective=objective,
-            kkt_residual=kkt,
-            iterations=iterations,
-            sparsity=_count_sparsity(c),
-            converged=kkt <= KKT_TOL,
-        )
+        return _certified(c, objective, kkt, KKT_TOL, iterations)
 
 
 def lasso_gram(system: GramSystem, y, config: LassoConfig) -> FitResult:
@@ -395,14 +386,7 @@ class RidgeSolver:
         kh = system.gram @ h
         objective = float((kh - y) @ (kh - y)) + mu * float(h @ kh)
         residual = float(np.abs(kh + mu * h - y).max())
-        return FitResult(
-            coefficients=CoefficientVector(h, Side.LEFT),
-            objective=objective,
-            kkt_residual=residual,
-            iterations=0,
-            sparsity=_count_sparsity(h),
-            converged=residual <= KKT_TOL * max(1.0, float(np.abs(y).max())),
-        )
+        return _certified(h, objective, residual, KKT_TOL * max(1.0, float(np.abs(y).max())), iterations=0)
 
 
 def ridge_gram(system: GramSystem, y, mu: float) -> FitResult:

@@ -9,6 +9,7 @@ execution order — sequential or parallel — yields identical results.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 
 import numpy as np
@@ -18,6 +19,15 @@ __all__ = ["stream"]
 
 def _purpose_code(purpose: str) -> int:
     return zlib.crc32(purpose.encode("utf-8"))
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a count or seed that is not an integer >= minimum, before any
+    work: Python and numpy integers pass, bools and floats such as 3.0 fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def stream(master_seed: int, trial_index: int, purpose: str) -> np.random.Generator:

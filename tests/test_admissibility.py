@@ -197,6 +197,12 @@ BAD_SETTINGS = [
     dict(trials=3, grid_size=-3),
     dict(trials=3, grid_size=0),
     dict(trials=3, grid_size=1),
+    dict(trials=2.5),
+    dict(trials=3.0),
+    dict(trials=True),
+    dict(trials=3, master_seed=1.5),
+    dict(trials=3, grid_size=2.5),
+    dict(trials=3, grid_size=3.0),
 ]
 
 
@@ -394,6 +400,14 @@ def test_random_point_sets_respect_spacing():
         ps = gen(rng)
         assert 25 <= ps.n <= 30
         assert ps.min_spacing >= 1e-3
+
+
+def test_random_point_sets_take_only_integer_sizes():
+    for n_range in [(2.5, 4), (2, 4.5), (2, 3.0), (True, 3), (2, np.float64(5.0))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            RandomPointSets(EXP_WINDOW, n_range=n_range)
+    gen = RandomPointSets(EXP_WINDOW, n_range=(np.int64(3), np.int32(5)))
+    assert 3 <= gen(np.random.default_rng(0)).n <= 5
 
 
 @pytest.mark.parametrize("factor", [math.nan, -1e-3, math.inf])

@@ -201,7 +201,28 @@ def test_run_trial_warns_on_uncertified_selected_fit(monkeypatch, caplog):
     (warning,) = caplog.records
     assert warning.levelno == logging.WARNING
     assert warning.trial == 0
+    assert warning.method == "rkbs"
     assert warning.mu == record.rkbs.chosen_mu
+    assert math.isfinite(warning.kkt_residual)
+
+
+def test_run_trial_warns_on_uncertified_selected_ridge_fit(monkeypatch, caplog):
+    cfg = small_config()
+    record = run_trial(cfg, 2)
+    solve = RidgeSolver.solve
+
+    def uncertified(self, y, mu):
+        return dataclasses.replace(solve(self, y, mu), converged=False)
+
+    monkeypatch.setattr(RidgeSolver, "solve", uncertified)
+    with caplog.at_level(logging.WARNING, logger="l1kernels.experiment"):
+        assert run_trial(cfg, 2) == record
+    (warning,) = caplog.records
+    assert warning.levelno == logging.WARNING
+    assert "selected rkhs fit is not certified" in warning.getMessage()
+    assert warning.trial == 2
+    assert warning.method == "rkhs"
+    assert warning.mu == record.rkhs.chosen_mu
     assert math.isfinite(warning.kkt_residual)
 
 
@@ -323,6 +344,13 @@ def test_experiment_config_validation():
         ExperimentConfig(mu_grid=(-0.1, 1.0))
     with pytest.raises(ValueError):
         ExperimentConfig(mu_grid=(math.nan,))
+    # counts are integers, checked before any work; bools are not counts
+    for bad in (dict(trials=2.5), dict(trials=2.0), dict(trials=True), dict(n_points=20.5),
+                dict(n_points=np.float64(20.0)), dict(master_seed=1.5), dict(master_seed=False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ExperimentConfig(**bad)
+    cfg = ExperimentConfig(n_points=np.int32(20), trials=np.int64(2), master_seed=np.uint8(7))
+    assert (cfg.n_points, cfg.trials, cfg.master_seed) == (20, 2, 7)
 
 
 def test_config_to_json_pins_the_benchmark_design():

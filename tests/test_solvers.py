@@ -253,6 +253,22 @@ def test_lasso_resumes_only_its_last_stop_on_the_same_data(monkeypatch):
     assert resumed.iterations < LassoSolver(system).solve(y1, low).iterations
 
 
+def test_lasso_solve_that_raises_leaves_no_stop():
+    # a failed solve clears the stop like any other, so the next solve on
+    # the last good data starts cold rather than from the stop before it
+    rng = np.random.default_rng(29)
+    system = build_system(*well_spaced(rng, False, 20))
+    y = rng.uniform(-2, 2, system.n)
+    low = LassoConfig(mu=1e-3)
+    solver = LassoSolver(system)
+    solver.solve(y, LassoConfig(mu=0.5))
+    with pytest.raises(DimensionMismatch):
+        solver.solve(y[:-1], low)
+    fit, cold = solver.solve(y, low), LassoSolver(system).solve(y, low)
+    assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
+    assert fit.iterations == cold.iterations
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

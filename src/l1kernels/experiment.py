@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -246,12 +247,13 @@ def l2_error(f: ExpansionFunction, interval: tuple[float, float], nodes: int) ->
 
 
 class _Workbench:
-    """Shared per-experiment state: Gram system, quadrature, factorizations."""
+    """What every trial of one geometry shares: the Gram system, the
+    quadrature and evaluation matrix, and the solvers with their factors."""
 
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
+    def __init__(self, n_points: int, mus: tuple[float, ...]):
+        self.key = (n_points, mus)
         a, b = INTERVAL
-        self.x = np.linspace(a, b, config.n_points)
+        self.x = np.linspace(a, b, n_points)
         self.system = build_system(KERNEL, self.x)
         self.quad = np.linspace(a, b, QUADRATURE_NODES)
         self.dx = (b - a) / (QUADRATURE_NODES - 1)
@@ -261,19 +263,20 @@ class _Workbench:
         self.eval_matrix = KERNEL.eval(self.x[:, None], self.quad[None, :])
         self.lasso = LassoSolver(self.system)
         self.ridge = RidgeSolver(self.system)
-        self.mus = tuple(float(m) for m in config.mu_grid)
+        self.mus = mus
 
     def error_of(self, coefficients: np.ndarray) -> float:
         """Squared L2 distance to the target for a LEFT coefficient vector."""
         values = coefficients @ self.eval_matrix
         return _trapezoid_rms(values, self.target_quad, self.dx) ** 2
 
-    def run_trial(self, trial_index: int) -> TrialRecord:
-        cfg = self.config
+    def run_trial(self, cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         rng = stream(cfg.master_seed, trial_index, "noise")
         y = self.target_x + generate_noise(cfg.noise, cfg.n_points, rng)
 
-        # l1 path, largest mu first: each solve on y resumes where the last stopped
+        # l1 path, largest mu first: each solve on y resumes where the last
+        # stopped, but never where the last trial stopped
+        self.lasso._stop = None
         lasso_fits = {mu: self.lasso.solve(y, LassoConfig(mu=mu)) for mu in sorted(self.mus, reverse=True)}
         rkbs = self._select(lasso_fits, "rkbs", trial_index)
         rkhs = self._select({mu: self.ridge.solve(y, mu) for mu in self.mus}, "rkhs", trial_index)
@@ -310,9 +313,24 @@ class _Workbench:
         return MethodOutcome(l2_error=errors[best], sparsity=fit.sparsity, chosen_mu=mu)
 
 
+# the last workbench built in each thread; solvers hold state, so no two
+# threads share one
+_local = threading.local()
+
+
+def _workbench(config: ExperimentConfig) -> _Workbench:
+    """The current thread's workbench for config's geometry, rebuilt only
+    when the number of points or the mu grid changes."""
+    key = (config.n_points, tuple(float(m) for m in config.mu_grid))
+    bench = getattr(_local, "bench", None)
+    if bench is None or bench.key != key:
+        bench = _local.bench = _Workbench(*key)
+    return bench
+
+
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Run a single trial; a pure function of (config, trial_index)."""
-    return _Workbench(config).run_trial(trial_index)
+    return _workbench(config).run_trial(config, trial_index)
 
 
 def _aggregate(outcomes: list[MethodOutcome]) -> MethodAggregate:
@@ -325,8 +343,8 @@ def _aggregate(outcomes: list[MethodOutcome]) -> MethodAggregate:
 
 def run_experiment(config: ExperimentConfig) -> TrialSummary:
     """Run all trials for one noise model and aggregate per method."""
-    bench = _Workbench(config)
-    records = tuple(bench.run_trial(i) for i in range(config.trials))
+    bench = _workbench(config)
+    records = tuple(bench.run_trial(config, i) for i in range(config.trials))
     return TrialSummary(
         config=config,
         records=records,

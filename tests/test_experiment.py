@@ -3,6 +3,8 @@ import dataclasses
 import json
 import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from l1kernels import (
     summary_to_json,
     target_function,
 )
+from l1kernels import experiment
 from l1kernels.experiment import INTERVAL, KERNEL, config_to_json, csv_rows, CSV_HEADER
 from l1kernels.streams import stream
 from _oracles import trapezoid_l2
@@ -267,6 +270,98 @@ def test_run_trial_path_steps_are_pinned(monkeypatch):
         run_trial(cfg, k)
     assert len(fits) == 27
     assert sum(fit.iterations for fit in fits) == 1677
+
+
+@pytest.fixture
+def fresh_workbench(monkeypatch):
+    """Give the test thread an empty workbench slot, so that nothing a test
+    run before this one built is reused."""
+    monkeypatch.setattr(experiment, "_local", threading.local())
+
+
+def test_trials_of_one_geometry_build_the_gram_once(monkeypatch, fresh_workbench):
+    builds = []
+    build = experiment.build_system
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(experiment, "build_system", counted)
+    cfg = small_config()
+    run_trial(cfg, 0)
+    run_trial(cfg, 1)
+    run_experiment(cfg)
+    # the noise model and the seed are the trial's, not the workbench's
+    run_trial(small_config(noise=NoiseModel.pepper_sauce(), master_seed=3), 0)
+    run_trial(small_config(mu_grid=list(cfg.mu_grid)), 0)
+    assert len(builds) == 1
+    run_trial(small_config(n_points=30), 0)
+    run_trial(small_config(mu_grid=(1e-3, 1.0)), 0)
+    assert len(builds) == 3
+
+
+def test_run_trial_is_unchanged_by_the_calls_before_it(monkeypatch, fresh_workbench):
+    cfg = small_config()
+    record = run_trial(cfg, 1)
+
+    def assert_unchanged():
+        assert run_trial(cfg, 1) == record
+
+    assert_unchanged()
+    run_trial(small_config(noise=NoiseModel.uniform()), 1)
+    assert_unchanged()
+    run_trial(small_config(n_points=30), 0)
+    assert_unchanged()
+    run_trial(small_config(mu_grid=(1e-3, 1.0)), 0)
+    assert_unchanged()
+    run_experiment(small_config(trials=3))
+    assert_unchanged()
+    # a solve that raises part-way through a trial
+    solve, calls = LassoSolver.solve, []
+
+    def failing(self, y, config):
+        calls.append(config.mu)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("injected")
+        return solve(self, y, config)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LassoSolver, "solve", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            run_trial(small_config(noise=NoiseModel.pepper_sauce()), 0)
+    assert_unchanged()
+    # a one-weight grid: the trial's only solve is at the weight where the
+    # trial before it stopped
+    one = small_config(mu_grid=(0.01,))
+    first = run_trial(one, 0)
+    assert run_trial(one, 0) == first
+
+
+def test_threads_running_trials_at_once_give_the_serial_records(fresh_workbench):
+    cfg = small_config(trials=4)
+    serial = run_experiment(cfg).records
+    results, errors = {}, []
+
+    def worker(w):
+        try:
+            results[w] = [run_trial(cfg, k) for k in range(cfg.trials)]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(tuple(results[w]) == serial for w in range(4))
 
 
 def test_run_experiment_single_trial_equals_record():

@@ -200,8 +200,8 @@ class RandomPointSets:
         if not self.domain.bounded:
             raise ValueError("point sampling needs a bounded domain")
         lo, hi = self.n_range
-        _check_count("n_range[0]", lo, 1)
-        _check_count("n_range[1]", hi, lo)
+        lo = _check_count("n_range[0]", lo, 1)
+        object.__setattr__(self, "n_range", (lo, _check_count("n_range[1]", hi, lo)))
         if not 0.0 <= self.min_spacing_factor < np.inf:
             raise ValueError(f"min_spacing_factor must be finite and >= 0, got {self.min_spacing_factor}")
 
@@ -242,8 +242,8 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
     system, value, t) returns a FAIL message that stops the audit at that
     trial, or None.
     """
-    _check_count("trials", trials, 1)
-    _check_count("master_seed", master_seed, 0)
+    trials = _check_count("trials", trials, 1)
+    master_seed = _check_count("master_seed", master_seed, 0)
     lower_is_worse = condition is Condition.A1
     worst = worst_loc = None
     skipped = 0
@@ -282,7 +282,7 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
 
 def _lebesgue_measure(kernel: KernelSpec, generator, domain: Interval | None, grid_size: int):
     """Trial measure of the Lebesgue audits: grid supremum of L and its location."""
-    _check_count("grid_size", grid_size, 2)
+    grid_size = _check_count("grid_size", grid_size, 2)
     domain = domain or getattr(generator, "domain", None) or kernel.domain
 
     def measure(ps: PointSet, system: GramSystem):

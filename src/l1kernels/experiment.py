@@ -10,16 +10,21 @@ regularization weights.  The weight is chosen per method by an oracle: the
 one minimizing the L2([a,b]) distance to the *true* target (no
 cross-validation).  Reported per noise model and method: mean L2 error,
 mean sparsity, and max sparsity over the trials.  The JSON summary also
-carries the certificates of each trial's lasso path (path steps, largest
-KKT residual, unconverged fits) and their totals; the CSV does not.
+carries the certificates of the lasso paths (path steps, largest KKT
+residual, unconverged fits) per trial, in total and for the anchor.
 
-Everything is a pure function of the configuration, including the master
-seed: per-trial noise comes from counter-based streams keyed by
-(master_seed, trial_index, "noise"), so trials are order-independent and
-the CSV output is byte-identical across runs at a fixed BLAS thread count
-(another count sums the BLAS products in another order, which can move
-the last digits).  A selected fit of either method that fails its
-certificate is logged as a warning with structured fields.
+A thread keeps the work its trials share until n_points or the mu grid
+changes (about 7.5 MB at n = 200): the Gram system, the quadrature matrix,
+the ridge factors and the anchor, the noiseless target's lasso path point
+at the largest weight.  Every trial's path starts from the anchor, moves
+the data to the trial's own at that weight, and goes on down the grid.
+So run_trial(config, k) is a pure function of (config, k): per-trial
+noise comes from counter-based streams keyed by (master_seed, k, "noise"),
+and no trial starts where another stopped.  The CSV output is
+byte-identical across runs at a fixed BLAS thread count (another count
+sums the BLAS products in another order, which can move the last digits).
+A selected fit that fails its certificate is logged as a warning with
+structured fields.
 """
 
 from __future__ import annotations
@@ -156,22 +161,17 @@ class ExperimentConfig:
     master_seed: int = 12345
 
     def __post_init__(self):
-        _check_count("n_points", self.n_points, 2)
-        _check_count("trials", self.trials, 1)
-        _check_count("master_seed", self.master_seed, 0)
+        for name, minimum in (("n_points", 2), ("trials", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
         if len(self.mu_grid) == 0 or not all(0 <= m < math.inf for m in self.mu_grid):
             raise ValueError("mu_grid must be nonempty with finite nonnegative entries")
 
 
 @dataclass(frozen=True)
 class MethodOutcome:
-    """Oracle-selected result of one method in one trial.
-
-    l2_error is the *squared* L2([a,b]) distance to the target — the scale
-    used by the benchmark's reference table.  Selection by squared or plain
-    distance is equivalent (monotone), and :func:`l2_error` returns the
-    plain distance when that is wanted.
-    """
+    """Oracle-selected result of one method in one trial.  l2_error is the
+    *squared* L2([a,b]) distance to the target, the scale of the benchmark's
+    reference table (:func:`l2_error` gives the plain distance)."""
 
     l2_error: float
     sparsity: int
@@ -180,25 +180,23 @@ class MethodOutcome:
 
 @dataclass(frozen=True)
 class LassoPathStats:
-    """Certificates of a set of lasso fits: one trial's path over the mu
-    grid, or every trial of a run.
-
-    steps sums the path steps, max_kkt_residual is the largest KKT residual
-    and unconverged counts the fits that fail their certificate.
-    """
+    """Certificates of a set of lasso fits (a trial's path over the mu grid,
+    a run's trials, or the anchor): the summed path steps, the largest KKT
+    residual and the number of fits that fail their certificate."""
 
     steps: int
     max_kkt_residual: float
     unconverged: int
 
     @classmethod
+    def of(cls, fits) -> "LassoPathStats":
+        return cls.total(cls(f.iterations, f.kkt_residual, int(not f.converged)) for f in fits)
+
+    @classmethod
     def total(cls, stats) -> "LassoPathStats":
         stats = list(stats)
-        return cls(
-            steps=sum(s.steps for s in stats),
-            max_kkt_residual=max(s.max_kkt_residual for s in stats),
-            unconverged=sum(s.unconverged for s in stats),
-        )
+        steps, unconverged = sum(s.steps for s in stats), sum(s.unconverged for s in stats)
+        return cls(steps, max(s.max_kkt_residual for s in stats), unconverged)
 
 
 @dataclass(frozen=True)
@@ -222,6 +220,7 @@ class TrialSummary:
     records: tuple[TrialRecord, ...]
     rkbs: MethodAggregate
     rkhs: MethodAggregate
+    anchor: LassoPathStats  # the fit every trial's lasso path starts from
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +263,10 @@ class _Workbench:
         self.lasso = LassoSolver(self.system)
         self.ridge = RidgeSolver(self.system)
         self.mus = mus
+        # every trial's path starts from the noiseless target's stop at the
+        # largest weight, and moves the data from there
+        self.anchor_stats = LassoPathStats.of([self.lasso.solve(self.target_x, LassoConfig(mu=max(mus)))])
+        self.lasso._pin()
 
     def error_of(self, coefficients: np.ndarray) -> float:
         """Squared L2 distance to the target for a LEFT coefficient vector."""
@@ -274,8 +277,8 @@ class _Workbench:
         rng = stream(cfg.master_seed, trial_index, "noise")
         y = self.target_x + generate_noise(cfg.noise, cfg.n_points, rng)
 
-        # l1 path, largest mu first: each solve on y resumes where the last
-        # stopped, but never where the last trial stopped
+        # l1 path, largest mu first, from the anchor: each solve on y resumes
+        # where the last stopped, never where the last trial stopped
         self.lasso._stop = None
         lasso_fits = {mu: self.lasso.solve(y, LassoConfig(mu=mu)) for mu in sorted(self.mus, reverse=True)}
         rkbs = self._select(lasso_fits, "rkbs", trial_index)
@@ -291,10 +294,7 @@ class _Workbench:
             trial_index=trial_index,
             rkbs=rkbs,
             rkhs=rkhs,
-            lasso_path=LassoPathStats.total(
-                LassoPathStats(fit.iterations, fit.kkt_residual, int(not fit.converged))
-                for fit in lasso_fits.values()
-            ),
+            lasso_path=LassoPathStats.of(lasso_fits.values()),
         )
 
     def _select(self, fits: dict[float, FitResult], method: str, trial_index: int) -> MethodOutcome:
@@ -313,19 +313,15 @@ class _Workbench:
         return MethodOutcome(l2_error=errors[best], sparsity=fit.sparsity, chosen_mu=mu)
 
 
-# the last workbench built in each thread; solvers hold state, so no two
-# threads share one
-_local = threading.local()
+_local = threading.local()  # each thread's last workbench: solvers hold state
 
 
 def _workbench(config: ExperimentConfig) -> _Workbench:
-    """The current thread's workbench for config's geometry, rebuilt only
-    when the number of points or the mu grid changes."""
+    """This thread's workbench for config's n_points and mu grid."""
     key = (config.n_points, tuple(float(m) for m in config.mu_grid))
-    bench = getattr(_local, "bench", None)
-    if bench is None or bench.key != key:
-        bench = _local.bench = _Workbench(*key)
-    return bench
+    if getattr(_local, "bench", None) is None or _local.bench.key != key:
+        _local.bench = _Workbench(*key)
+    return _local.bench
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
@@ -345,12 +341,8 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
     """Run all trials for one noise model and aggregate per method."""
     bench = _workbench(config)
     records = tuple(bench.run_trial(config, i) for i in range(config.trials))
-    return TrialSummary(
-        config=config,
-        records=records,
-        rkbs=_aggregate([r.rkbs for r in records]),
-        rkhs=_aggregate([r.rkhs for r in records]),
-    )
+    rkbs, rkhs = (_aggregate([getattr(r, method) for r in records]) for method in ("rkbs", "rkhs"))
+    return TrialSummary(config, records, rkbs, rkhs, bench.anchor_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +378,7 @@ def summary_to_json(summary: TrialSummary) -> dict:
         "noise": summary.config.noise.label,
         "methods": {"rkhs": asdict(summary.rkhs), "rkbs": asdict(summary.rkbs)},
         "lasso_path": asdict(LassoPathStats.total(r.lasso_path for r in summary.records)),
+        "anchor": asdict(summary.anchor),
         "trials": [asdict(r) for r in summary.records],
     }
 

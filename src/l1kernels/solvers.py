@@ -26,7 +26,8 @@ cond(K)^2, is never formed.
 A solver holds its path in buffers it allocates once.  A solve on the
 same data, at a weight mu no larger than the last one, resumes the path
 where the last solve stopped, in place; any other solve starts cold from
-c = 0.
+c = 0.  At fixed lam the solution is piecewise linear in y too (Garrigues &
+El Ghaoui 2008), so one step engine follows any line in (y, lam).
 
 Every solution is certified by its KKT residual, not by trusting the path:
 
@@ -198,6 +199,13 @@ def _solve_r(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
+def _twice_residual(q: np.ndarray, v: np.ndarray, qtv: np.ndarray, out: np.ndarray) -> None:
+    """out = 2 (v - Q Q^T v) with qtv = Q^T v, projected off span(Q) twice."""
+    np.subtract(v, q @ qtv, out=out)
+    out -= q @ (q.T @ out)
+    out *= 2.0
+
+
 # the boundaries +lam and -lam, one row of join events each
 _BOUNDS = np.array([[1.0], [-1.0]])
 
@@ -226,10 +234,11 @@ class LassoSolver:
     MAX_PATH_STEPS, one at mu = 0 or one that raises leaves none.  A solve
     resumes in place, with no further check, when y equals the stop's data
     by value and config.mu is no larger than its weight, so solves of one y
-    at decreasing mu follow one path; any other solve starts cold from
-    c = 0.  Either way the result is the exact path point at mu, certified
-    by _finish; FitResult.iterations counts this solve's steps.  The
-    buffers make a solver stateful: one LassoSolver must not be shared
+    at decreasing mu follow one path; any other solve starts from the
+    anchor if _pin kept one, else cold from c = 0.  Either way the result
+    is the exact path point at mu, certified by _finish;
+    FitResult.iterations counts this solve's steps, data moves included.
+    The buffers make a solver stateful: one LassoSolver must not be shared
     between threads that solve at the same time.
     """
 
@@ -251,6 +260,8 @@ class LassoSolver:
         self._event_buf, self._rate_buf = np.empty(3 * n), np.empty(3 * n)
         # (y, lam, m, blocked) where the last solve reached its mu, or None
         self._stop: tuple | None = None
+        # copies of a stop and its active set, signs, Q and R, or None
+        self._anchor: tuple | None = None
 
     def solve(self, y, config: LassoConfig) -> FitResult:
         """Solve for one right-hand side, following the path down to config.mu."""
@@ -264,53 +275,72 @@ class LassoSolver:
 
         active, signs, qb, rb = self._active, self._signs, self._qb, self._rb
         rhs, w, event_buf, rate_buf = self._rhs, self._w, self._event_buf, self._rate_buf
+        # the path runs along the line (y + s e, lam0 + s h) as s falls to end:
+        # down in lam (e = 0, h = 1, s = lam), or at an anchor's weight from its
+        # data to y (h = 0, s from 1 to 0); a new line lifts the barred rejoin
+        lam0, h, e, end, anchor = 0.0, 1.0, None, mu, self._anchor
         if stop is not None and mu <= stop[1] and np.array_equal(y, stop[0]):
-            _, lam, m, blocked = stop
+            _, s, m, blocked = stop
+        elif anchor is not None and mu <= anchor[0][1]:
+            (y_anchor, s, m, blocked), *copies = anchor
+            active[:m], signs[:m], qb[:, :m], rb[:m, :m] = copies
+            if not np.array_equal(y, y_anchor):
+                lam0, h, e, s, end, blocked = s, 0.0, y_anchor - y, 1.0, 0.0, None
         else:
-            lam, m = zero_mu_threshold(system, y), 0
+            s, m = zero_mu_threshold(system, y), 0
             blocked = None  # the join event of the last coordinate to leave, barred
         steps = 0
         while True:
             q, r, sigma = qb[:, :m], rb[:, :m], signs[:m]
             qty = q.T @ y
+            qte = None if e is None else q.T @ e
             if m:
                 z = _solve_r(r, sigma, trans=1)
-                # below lam, c_A(l) = c_a + (lam - l) x1; c_a is solved at lam
+                # below s, c_A(t) = c_a + (s - t) x1; c_a is solved at s
                 # directly, since the least-squares part alone can be far larger
-                rhs[:m, 0] = qty - lam / 2.0 * z
-                rhs[:m, 1] = z / 2.0
+                rhs[:m, 0] = qty - (lam0 + s * h) / 2.0 * z
+                rhs[:m, 1] = h / 2.0 * z
+                if e is not None:
+                    rhs[:m, 0] += s * qte
+                    rhs[:m, 1] -= qte
                 c_a, x1 = _solve_r(r, rhs[:m]).T
             else:
                 z = c_a = x1 = qty
             done = False
-            if lam <= mu:
+            if s <= end:
                 # a value with the wrong sign has reached zero up to round-off;
-                # at mu such a coordinate leaves, as at any zero crossing
+                # at the end of a line such a coordinate leaves, as at any zero crossing
                 wrong = sigma * c_a < 0.0
                 done = not wrong.any()
+            if done and e is not None:
+                # the data has arrived at the anchor's weight; go on down in lam
+                s, lam0, h, e, end, blocked = lam0, 0.0, 1.0, None, mu, None
+                continue
             if done or steps == MAX_PATH_STEPS:
                 break
             steps += 1
             events, rates = event_buf[:2 * n + m], rate_buf[:2 * n + m]
             joins, leaves = events[:2 * n].reshape(2, n), events[2 * n:]
-            if lam <= mu:
+            if s <= end:
                 events.fill(-np.inf)
-                leaves[wrong] = lam
+                leaves[wrong] = s
             else:
-                # rho(l) = p + l slope; p comes from the least-squares residual of y on K_A
-                res = w[0]
-                np.subtract(y, q @ qty, out=res)
-                res -= q @ (q.T @ res)
-                res *= 2.0
+                # rho(t) = p + t slope; p comes from the least-squares residual
+                # of y on K_A, slope from Q z and the residual of e
+                _twice_residual(q, y, qty, out=w[0])
                 np.dot(q, z, out=w[1])
+                if e is not None:
+                    w[0] += lam0 * w[1]
+                    _twice_residual(q, e, qte, out=w[1])
                 p, slope = w @ k
-                # rho_j(l) = b l, b = +1 or -1, at l = b p_j / (1 - b slope_j)
+                # rho_j(t) = b (lam0 + t h), b = +1 or -1, at (b p_j - lam0) / (h - b slope_j)
                 join_rates = rates[:2 * n].reshape(2, n)
                 np.multiply(_BOUNDS, p, out=joins)
-                np.subtract(1.0, _BOUNDS * slope, out=join_rates)
+                joins -= lam0
+                np.subtract(h, _BOUNDS * slope, out=join_rates)
                 join_rates[:, active[:m]] = 0.0
-                # c_i(l) = 0 at l = lam + c_a_i / x1_i, kept as a quotient of
-                # -sigma c_a and -sigma x1 until lam is added
+                # c_i(t) = 0 at t = s + c_a_i / x1_i, kept as a quotient of
+                # -sigma c_a and -sigma x1 until s is added
                 np.multiply(-sigma, c_a, out=leaves)
                 np.multiply(-sigma, x1, out=rates[2 * n:])
                 # a coordinate that just left may rejoin only at the opposite
@@ -322,21 +352,21 @@ class LassoSolver:
                 closed = rates <= 0.0
                 rates[closed] = 1.0
                 events /= rates
-                leaves += lam
-                np.minimum(events, lam, out=events)
+                leaves += s
+                np.minimum(events, s, out=events)
                 events[closed] = -np.inf
-            e = int(events.argmax())
-            lam = max(float(events[e]), mu)
-            if events[e] < mu:
+            i = int(events.argmax())
+            s = max(float(events[i]), end)
+            if events[i] < end:
                 continue
-            if e < 2 * n:
-                j = e % n
+            if i < 2 * n:
+                j = i % n
                 _append_column(qb, rb, m, k[:, j])
-                active[m], signs[m] = j, 1.0 if e < n else -1.0
+                active[m], signs[m] = j, 1.0 if i < n else -1.0
                 m += 1
                 blocked = None
             else:
-                i = e - 2 * n
+                i -= 2 * n
                 # rotates the column out of Q and R within the buffers
                 _qr_delete(q, rb[:m, :m], i, which="col", overwrite_qr=True, check_finite=False)
                 blocked = active[i] + (0 if signs[i] > 0 else n)
@@ -345,8 +375,17 @@ class LassoSolver:
         c = np.zeros(n)
         c[active[:m]] = c_a
         if done:
-            self._stop = (y.copy(), lam, m, blocked)
+            self._stop = (y.copy(), s, m, blocked)
         return self._finish(c, y, config, iterations=steps)
+
+    def _pin(self) -> None:
+        """Keep copies of the last stop and its path point, if any, as the anchor
+        that later solves which cannot resume start from, whatever their data,
+        at a mu no larger than the anchor's."""
+        if self._stop is not None:
+            m = self._stop[2]
+            buffers = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]
+            self._anchor = self._stop, *(b.copy() for b in buffers)
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:
         system = self.system

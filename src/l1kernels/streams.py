@@ -21,13 +21,15 @@ def _purpose_code(purpose: str) -> int:
     return zlib.crc32(purpose.encode("utf-8"))
 
 
-def _check_count(name: str, value, minimum: int) -> None:
+def _check_count(name: str, value, minimum: int) -> int:
     """Reject a count or seed that is not an integer >= minimum, before any
-    work: Python and numpy integers pass, bools and floats such as 3.0 fail."""
+    work: Python and numpy integers pass, bools and floats such as 3.0 fail.
+    Returns the value as a Python int, which JSON can write."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def stream(master_seed: int, trial_index: int, purpose: str) -> np.random.Generator:

@@ -292,6 +292,36 @@ def test_audit_a4_fails_for_gaussian():
     assert report.message
 
 
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kernel=st.sampled_from(["exponential", "bridge", "gaussian"]))
+def test_permuting_a_generators_points_leaves_the_audits_unchanged(seed, kernel):
+    # the audits sort nothing but the profile grid, so a permuted point set
+    # changes only the order of the solves' sums; the Gaussian sets are spaced
+    # 0.3 apart, where cond(K) keeps its witnesses equal to 1e-12 (at the
+    # sampler's default spacing they differ by up to 2e-5 relative)
+    kernel, window, spacing = {
+        "exponential": (exponential(), EXP_WINDOW, 1e-3),
+        "bridge": (brownian_bridge(), brownian_bridge().domain, 1e-3),
+        "gaussian": (gaussian(1.0), Interval(-1.0, 1.0, lo_open=False, hi_open=False), 0.15),
+    }[kernel]
+    gen = RandomPointSets(window, n_range=(2, 5 if kernel.name == "gaussian" else 12), min_spacing_factor=spacing)
+    shuffle = np.random.default_rng(seed)
+
+    def permuted(rng):
+        points = gen(rng).points
+        return PointSet(points[shuffle.permutation(points.size)])
+
+    for audit in (audit_a1, audit_a4, audit_relaxed_a4):
+        options = {} if audit is audit_a1 else {"grid_size": 201, "domain": window}
+        report, other = (audit(kernel, g, trials=4, master_seed=seed, **options) for g in (gen, permuted))
+        assert other.verdict is report.verdict
+        assert other.stats.n_trials == report.stats.n_trials
+        if report.witness is not None:
+            assert other.witness.value == pytest.approx(report.witness.value, rel=1e-12, abs=0)
+        if audit is not audit_a1:
+            assert other.stats.worst_value == pytest.approx(report.stats.worst_value, rel=1e-12, abs=0)
+
+
 def test_audit_report_json_shape():
     gen = RandomPointSets(EXP_WINDOW, n_range=(2, 6))
     report = audit_a4(exponential(), gen, grid_size=101, trials=3)

@@ -11,12 +11,15 @@ import pytest
 
 from l1kernels import (
     ExperimentConfig,
+    Interval,
     LassoConfig,
     LassoSolver,
     NoiseKind,
     NoiseModel,
+    RandomPointSets,
     RidgeSolver,
     Side,
+    audit_a1,
     build_system,
     expansion,
     exponential,
@@ -260,14 +263,19 @@ def record_lasso_fits(monkeypatch) -> list:
     return fits
 
 
-def test_run_trial_path_steps_are_pinned(monkeypatch):
+def test_run_trial_path_steps_are_pinned():
     # the lasso path is exact, so its event sequence, and with it the number
     # of path steps, is fixed by the data; a change to the path's arithmetic
-    # that moves an event shows here first
-    fits = record_lasso_fits(monkeypatch)
+    # that moves an event shows here first.  These are the cold paths of the
+    # first three trials, each on a fresh solver
     cfg = ExperimentConfig(n_points=200, master_seed=12345)
+    x = np.linspace(*INTERVAL, cfg.n_points)
+    system = build_system(KERNEL, x)
+    fits = []
     for k in range(3):
-        run_trial(cfg, k)
+        y = target_function(x) + generate_noise(cfg.noise, cfg.n_points, stream(cfg.master_seed, k, "noise"))
+        solver = LassoSolver(system)
+        fits += [solver.solve(y, LassoConfig(mu=mu)) for mu in sorted(cfg.mu_grid, reverse=True)]
     assert len(fits) == 27
     assert sum(fit.iterations for fit in fits) == 1677
 
@@ -364,6 +372,21 @@ def test_threads_running_trials_at_once_give_the_serial_records(fresh_workbench)
     assert all(tuple(results[w]) == serial for w in range(4))
 
 
+def test_anchored_trial_path_steps_are_pinned(monkeypatch, fresh_workbench):
+    # the workbench solves the noiseless target once down to the largest
+    # weight; each trial moves the data from there to its own at that weight,
+    # then follows the path down the grid, in far fewer steps than the cold
+    # paths above
+    fits = record_lasso_fits(monkeypatch)
+    cfg = ExperimentConfig(n_points=200, master_seed=12345)
+    records = [run_trial(cfg, k) for k in range(3)]
+    anchor, fits = fits[0], fits[1:]
+    assert anchor.converged and anchor.iterations == 327
+    assert len(fits) == 27 and all(fit.converged for fit in fits)
+    assert [fit.iterations for fit in fits[::9]] == [23, 36, 17]
+    assert sum(fit.iterations for fit in fits) == sum(r.lasso_path.steps for r in records) == 1107
+
+
 def test_run_experiment_single_trial_equals_record():
     cfg = small_config(trials=1)
     summary = run_experiment(cfg)
@@ -405,10 +428,13 @@ def test_summary_json_shape():
     assert obj["trials"][0]["rkbs"].keys() == {"l2_error", "sparsity", "chosen_mu"}
 
 
-def test_summary_json_reports_lasso_path_certificates(monkeypatch):
-    fits = record_lasso_fits(monkeypatch)
+def test_summary_json_reports_lasso_path_certificates(monkeypatch, fresh_workbench):
+    recorded = record_lasso_fits(monkeypatch)
     cfg = small_config()
     obj = json.loads(json.dumps(summary_to_json(run_experiment(cfg))))
+    # the anchor's fit comes first, once; between them the two reports
+    # account for every path step
+    anchor, fits = recorded[0], recorded[1:]
 
     def stats(fits):
         return {
@@ -422,8 +448,12 @@ def test_summary_json_reports_lasso_path_certificates(monkeypatch):
     for k, trial in enumerate(obj["trials"]):
         assert trial["lasso_path"] == stats(fits[k * per_mu:(k + 1) * per_mu])
     assert obj["lasso_path"] == stats(fits)
+    assert obj["anchor"] == stats([anchor])
     assert obj["lasso_path"]["steps"] > 0
     assert obj["lasso_path"]["unconverged"] == 0
+    # the anchor is reported by every run of its workbench, built or reused
+    assert summary_to_json(run_experiment(cfg))["anchor"] == obj["anchor"]
+    assert len(recorded) == 1 + 2 * cfg.trials * per_mu
 
 
 def test_experiment_config_validation():
@@ -446,6 +476,19 @@ def test_experiment_config_validation():
             ExperimentConfig(**bad)
     cfg = ExperimentConfig(n_points=np.int32(20), trials=np.int64(2), master_seed=np.uint8(7))
     assert (cfg.n_points, cfg.trials, cfg.master_seed) == (20, 2, 7)
+
+
+def test_numpy_integer_counts_reach_the_json_as_ints():
+    window = Interval(-1, 1, lo_open=False, hi_open=False)
+    summary = run_experiment(ExperimentConfig(n_points=np.int64(10), trials=np.int64(1), mu_grid=(0.1,)))
+    assert json.loads(json.dumps(summary_to_json(summary)))["config"]["n_points"] == 10
+    report = audit_a1(exponential(), RandomPointSets(window), trials=np.int64(2))
+    assert json.loads(json.dumps(report.to_json()))["stats"]["n_trials"] == 2
+    # every count is kept as a Python int, whatever integer type it came as
+    cfg = ExperimentConfig(n_points=np.int32(10), trials=np.int64(1), master_seed=np.uint16(3))
+    assert type(cfg.n_points) is type(cfg.trials) is type(cfg.master_seed) is int
+    points = RandomPointSets(window, n_range=(np.int32(2), np.int64(4)))
+    assert type(points.n_range[0]) is type(points.n_range[1]) is int
 
 
 def test_config_to_json_pins_the_benchmark_design():

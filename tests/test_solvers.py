@@ -292,6 +292,87 @@ def test_lasso_solve_sequences_on_one_solver_match_cold_fits(seed, bridge, n, ca
         assert np.abs(c - cc).max() <= 1e-8 * np.abs(cc).max()
 
 
+def assert_same_fit(fit, cold):
+    c, cc = fit.coefficients.values, cold.coefficients.values
+    assert fit.converged
+    assert np.array_equal(np.flatnonzero(c), np.flatnonzero(cc))
+    assert np.abs(c - cc).max() <= 1e-8 * np.abs(cc).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bridge=st.booleans(),
+    n=st.integers(1, 40),
+    log_mus=st.lists(st.floats(-7.0, 1.0), min_size=1, max_size=4),
+)
+def test_lasso_anchor_moves_to_any_data_then_matches_cold_fits(seed, bridge, n, log_mus):
+    # a solve that cannot resume starts from the pinned anchor whatever its
+    # data, at a weight no larger than the anchor's: the path moves the data
+    # at the anchor's weight, then goes on down in mu
+    rng = np.random.default_rng(seed)
+    system = build_system(*well_spaced(rng, bridge, n))
+    y0, *ys = rng.uniform(-2, 2, (3, n))
+    mus = sorted((10.0 ** m for m in log_mus), reverse=True)
+    solver = LassoSolver(system)
+    solver.solve(y0, LassoConfig(mu=mus[0]))
+    solver._pin()
+    for y in ys + [y0]:
+        solver._stop = None
+        for mu in mus:
+            assert_same_fit(solver.solve(y, LassoConfig(mu=mu)), LassoSolver(system).solve(y, LassoConfig(mu=mu)))
+
+
+@pytest.mark.parametrize("n", [9, 40, 200])
+@pytest.mark.parametrize("bridge", [False, True])
+def test_lasso_anchor_on_tied_data_moves_to_noisy_data(n, bridge):
+    # the anchor's data is mirror-symmetric, so its coordinates joined in tied
+    # pairs; the noise breaks every tie on the way to the trial's data
+    if bridge:
+        x = np.linspace(0.01, 0.99, n)
+        system, y0 = build_system(brownian_bridge(), x), np.ones(n)
+    else:
+        x = np.linspace(-1.0, 1.0, n)
+        system, y0 = build_system(exponential(), x), target_function(x)
+    mus = DEFAULT_MU_GRID[2:]
+    solver = LassoSolver(system)
+    solver.solve(y0, LassoConfig(mu=mus[0]))
+    solver._pin()
+    assert solver._anchor[0][2] > 1
+    for seed in range(3):
+        y = y0 + 0.1 * np.random.default_rng(seed).standard_normal(n)
+        solver._stop = None
+        for mu in mus:
+            assert_same_fit(solver.solve(y, LassoConfig(mu=mu)), LassoSolver(system).solve(y, LassoConfig(mu=mu)))
+
+
+def test_lasso_anchor_serves_only_weights_below_its_own():
+    rng = np.random.default_rng(31)
+    system = build_system(*well_spaced(rng, False, 30))
+    y0, y1 = rng.uniform(-2, 2, (2, system.n))
+    high, low = LassoConfig(mu=0.5), LassoConfig(mu=1e-3)
+
+    def assert_cold(fit, y, config):
+        cold = LassoSolver(system).solve(y, config)
+        assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
+        assert fit.iterations == cold.iterations
+
+    solver = LassoSolver(system)
+    solver.solve(y0, low)
+    solver._pin()
+    # above the anchor's weight the path cannot start from it
+    assert_cold(solver.solve(y1, high), y1, high)
+    # below it the data moves, in fewer steps than a cold path takes
+    moved = solver.solve(y1, LassoConfig(mu=1e-4))
+    assert moved.converged and moved.iterations < LassoSolver(system).solve(y1, LassoConfig(mu=1e-4)).iterations
+    # on the anchor's own data the path resumes in place, with no step
+    assert solver.solve(y0, low).iterations == 0
+    # a solver pins nothing unless its last solve left a stop
+    fresh = LassoSolver(system)
+    fresh._pin()
+    assert fresh._anchor is None
+
+
 def well_spaced(rng, bridge, n):
     """A kernel and n sorted points on its domain, spaced at least 0.2 / n."""
     lo, hi = (0.01, 0.99) if bridge else (-2.0, 2.0)

@@ -13,18 +13,16 @@ mean sparsity, and max sparsity over the trials.  The JSON summary also
 carries the certificates of the lasso paths (path steps, largest KKT
 residual, unconverged fits) per trial, in total and for the anchor.
 
-A thread keeps the work its trials share until n_points or the mu grid
-changes (about 7.5 MB at n = 200): the Gram system, the quadrature matrix,
-the ridge factors and the anchor, the noiseless target's lasso path point
-at the largest weight.  Every trial's path starts from the anchor, moves
-the data to the trial's own at that weight, and goes on down the grid.
-So run_trial(config, k) is a pure function of (config, k): per-trial
-noise comes from counter-based streams keyed by (master_seed, k, "noise"),
-and no trial starts where another stopped.  The CSV output is
-byte-identical across runs at a fixed BLAS thread count (another count
-sums the BLAS products in another order, which can move the last digits).
-A selected fit that fails its certificate is logged as a warning with
-structured fields.
+A thread keeps what its trials share until n_points or the mu grid change
+(about 7.5 MB at n = 200): Gram system, quadrature matrix, ridge factors and
+the anchor, the noiseless target's lasso path point at the largest weight.
+Each trial's path moves the data from the anchor to its own at that weight,
+then goes on down the grid, and starts nowhere else.  So run_trial(config,
+k) is a pure function of (config, k), its noise drawn from the stream
+(master_seed, k, "noise"), and the CSV is byte-identical across runs at a
+fixed BLAS thread count (another count sums in another order, which can
+move the last digits).  A selected fit that fails its certificate is
+logged as a warning with structured fields.
 """
 
 from __future__ import annotations
@@ -169,9 +167,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MethodOutcome:
-    """Oracle-selected result of one method in one trial.  l2_error is the
-    *squared* L2([a,b]) distance to the target, the scale of the benchmark's
-    reference table (:func:`l2_error` gives the plain distance)."""
+    """Oracle-selected result of one method in one trial.
+
+    l2_error is the *squared* L2([a,b]) distance to the target — the scale
+    used by the benchmark's reference table.  Selection by squared or plain
+    distance is equivalent (monotone), and :func:`l2_error` returns the
+    plain distance when that is wanted.
+    """
 
     l2_error: float
     sparsity: int
@@ -195,8 +197,11 @@ class LassoPathStats:
     @classmethod
     def total(cls, stats) -> "LassoPathStats":
         stats = list(stats)
-        steps, unconverged = sum(s.steps for s in stats), sum(s.unconverged for s in stats)
-        return cls(steps, max(s.max_kkt_residual for s in stats), unconverged)
+        return cls(
+            steps=sum(s.steps for s in stats),
+            max_kkt_residual=max(s.max_kkt_residual for s in stats),
+            unconverged=sum(s.unconverged for s in stats),
+        )
 
 
 @dataclass(frozen=True)
@@ -246,8 +251,7 @@ def l2_error(f: ExpansionFunction, interval: tuple[float, float], nodes: int) ->
 
 
 class _Workbench:
-    """What every trial of one geometry shares: the Gram system, the
-    quadrature and evaluation matrix, and the solvers with their factors."""
+    """What the trials of one geometry share: Gram system, quadrature, solvers."""
 
     def __init__(self, n_points: int, mus: tuple[float, ...]):
         self.key = (n_points, mus)
@@ -263,8 +267,7 @@ class _Workbench:
         self.lasso = LassoSolver(self.system)
         self.ridge = RidgeSolver(self.system)
         self.mus = mus
-        # every trial's path starts from the noiseless target's stop at the
-        # largest weight, and moves the data from there
+        # the anchor: the noiseless target's path point at the largest weight
         self.anchor_stats = LassoPathStats.of([self.lasso.solve(self.target_x, LassoConfig(mu=max(mus)))])
         self.lasso._pin()
 

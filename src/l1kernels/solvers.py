@@ -235,11 +235,10 @@ class LassoSolver:
     resumes in place, with no further check, when y equals the stop's data
     by value and config.mu is no larger than its weight, so solves of one y
     at decreasing mu follow one path; any other solve starts from the
-    anchor if _pin kept one, else cold from c = 0.  Either way the result
-    is the exact path point at mu, certified by _finish;
-    FitResult.iterations counts this solve's steps, data moves included.
-    The buffers make a solver stateful: one LassoSolver must not be shared
-    between threads that solve at the same time.
+    anchor _pin kept, if any, else cold from c = 0.  Either way the result
+    is the exact path point at mu, certified by _finish, and its iterations
+    count this solve's steps, data moves included.  The buffers make a
+    solver stateful: one must not be shared between threads.
     """
 
     def __init__(self, system: GramSystem):
@@ -325,8 +324,7 @@ class LassoSolver:
                 events.fill(-np.inf)
                 leaves[wrong] = s
             else:
-                # rho(t) = p + t slope; p comes from the least-squares residual
-                # of y on K_A, slope from Q z and the residual of e
+                # rho(t) = p + t slope, from Q z and the residuals of y and e off span(Q)
                 _twice_residual(q, y, qty, out=w[0])
                 np.dot(q, z, out=w[1])
                 if e is not None:
@@ -380,8 +378,7 @@ class LassoSolver:
 
     def _pin(self) -> None:
         """Keep copies of the last stop and its path point, if any, as the anchor
-        that later solves which cannot resume start from, whatever their data,
-        at a mu no larger than the anchor's."""
+        that later solves at no larger mu start from when they cannot resume."""
         if self._stop is not None:
             m = self._stop[2]
             buffers = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]

@@ -235,10 +235,10 @@ class LassoSolver:
     resumes in place, with no further check, when y equals the stop's data
     by value and config.mu is no larger than its weight, so solves of one y
     at decreasing mu follow one path; any other solve starts from the
-    anchor _pin kept, if any, else cold from c = 0.  Either way the result
-    is the exact path point at mu, certified by _finish, and its iterations
-    count this solve's steps, data moves included.  The buffers make a
-    solver stateful: one must not be shared between threads.
+    anchor _pin kept if its mu is no larger, else cold from c = 0.  Either
+    way the result is the exact path point at mu, certified by _finish, and
+    its iterations count this solve's steps, data moves included.  The
+    buffers make a solver stateful: one must not be shared between threads.
     """
 
     def __init__(self, system: GramSystem):
@@ -334,7 +334,8 @@ class LassoSolver:
                 # rho_j(t) = b (lam0 + t h), b = +1 or -1, at (b p_j - lam0) / (h - b slope_j)
                 join_rates = rates[:2 * n].reshape(2, n)
                 np.multiply(_BOUNDS, p, out=joins)
-                joins -= lam0
+                if e is not None:
+                    joins -= lam0
                 np.subtract(h, _BOUNDS * slope, out=join_rates)
                 join_rates[:, active[:m]] = 0.0
                 # c_i(t) = 0 at t = s + c_a_i / x1_i, kept as a quotient of
@@ -377,8 +378,7 @@ class LassoSolver:
         return self._finish(c, y, config, iterations=steps)
 
     def _pin(self) -> None:
-        """Keep copies of the last stop and its path point, if any, as the anchor
-        that later solves at no larger mu start from when they cannot resume."""
+        """Keep copies of the last stop and its path point, if any, as the anchor."""
         if self._stop is not None:
             m = self._stop[2]
             buffers = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]

@@ -2,13 +2,17 @@
 
 Each case runs one audit with a fixed seed and compares its report with
 ``audit_golden.json``: verdict, trial count, worst value and message as
-they are, and the whole ``to_json()`` by a SHA-256 digest of its canonical
-JSON.  The cases cover PASS, FAIL and INCONCLUSIVE verdicts, singular-Gram
+they are, the location t of the worst Lebesgue value, and the whole
+``to_json()`` by a SHA-256 digest of its canonical JSON.  The cases cover PASS, FAIL and INCONCLUSIVE verdicts, singular-Gram
 skips (partial and total) and failed point sampling.
 
 To regenerate the golden file after an intended change of the reports:
 
     PYTHONPATH=src python tests/test_audit_golden.py
+
+Before it overwrites the file, the script prints, for each case that
+changed, the fields that moved, the relative move of worst_value and
+whether the location t moved.
 """
 
 import hashlib
@@ -109,13 +113,37 @@ def with_three_draws(run):
 def summarize(report) -> dict:
     obj = report.to_json()
     digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    location = obj["stats"]["argmax_location"]
     return {
         "verdict": obj["verdict"],
         "n_trials": obj["stats"]["n_trials"],
         "worst_value": obj["stats"]["worst_value"],
+        "argmax_t": location["t"] if isinstance(location, dict) else None,
         "message": obj.get("message"),
         "sha256": digest,
     }
+
+
+def changes(old: dict, new: dict) -> list:
+    """One line per case whose summary differs between two golden tables."""
+    lines = []
+    for case in sorted(old.keys() | new.keys()):
+        before, after = old.get(case), new.get(case)
+        if before == after:
+            continue
+        if before is None or after is None:
+            lines.append(f"{case}: {'added' if before is None else 'removed'}")
+            continue
+        keys = sorted(before.keys() | after.keys())
+        moved = [key for key in keys if key not in before or key not in after or before[key] != after[key]]
+        line = f"{case}: {', '.join(moved)}"
+        was, now = before.get("worst_value"), after.get("worst_value")
+        if was is not None and now is not None and was != now:
+            line += f"; worst_value moved {(now - was) / abs(was):+.2e} relative"
+        if before.get("argmax_t") is not None and after.get("argmax_t") is not None:
+            line += "; t moved" if "argmax_t" in moved else "; t kept"
+        lines.append(line)
+    return lines
 
 
 CASES = cases()
@@ -137,5 +165,9 @@ def test_audit_report_matches_golden(case, golden):
 
 if __name__ == "__main__":
     table = {case: summarize(run()) for case, run in sorted(CASES.items())}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    moved = changes(old, table)
+    print("\n".join(moved))
+    print(f"{len(moved)} of {len(table)} cases changed")
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} cases to {GOLDEN}")

@@ -97,9 +97,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class AuditStats:
+    """Trials run, the worst value and where it was, and the trials skipped
+    because their Gram was numerically singular (sampled Lebesgue audits)."""
+
     n_trials: int
     worst_value: float | None
     argmax_location: object = None
+    skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -225,8 +229,9 @@ class RandomPointSets:
 # audits
 
 
-def _inconclusive(condition: Condition, n_trials: int, message: str) -> AuditReport:
-    return AuditReport(condition, Verdict.INCONCLUSIVE, None, AuditStats(n_trials, None), message)
+def _inconclusive(condition: Condition, n_trials: int, message: str, skipped: int = 0) -> AuditReport:
+    stats = AuditStats(n_trials, None, skipped=skipped)
+    return AuditReport(condition, Verdict.INCONCLUSIVE, None, stats, message)
 
 
 def _sampled_audit(condition, label, kernel, generator, trials, master_seed, measure, fails=None):
@@ -235,8 +240,8 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
     Trial i draws a point set from the stream (master_seed, i, label) and
     builds its Gram system; a failed draw or construction ends the audit
     INCONCLUSIVE.  A numerically singular Gram is the A1 violation itself;
-    the Lebesgue audits skip and count it instead, and are INCONCLUSIVE when
-    every trial was skipped.  measure(ps, system) gives the trial's
+    the Lebesgue audits skip it, count it in stats.skipped, and are
+    INCONCLUSIVE when every trial was skipped.  measure(ps, system) gives the trial's
     (value, t): the rcond estimate for A1, where lower is worse, or the grid
     supremum of L and its location, where higher is worse.  fails(ps,
     system, value, t) returns a FAIL message that stops the audit at that
@@ -252,7 +257,7 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
         try:
             ps = generator(rng)
         except (DuplicatePoints, ValueError, RuntimeError) as exc:
-            return _inconclusive(condition, i, f"point sampling failed on trial {i}: {exc}")
+            return _inconclusive(condition, i, f"point sampling failed on trial {i}: {exc}", skipped)
         try:
             system = build_system(kernel, ps)
         except SingularGram as exc:
@@ -264,7 +269,7 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
             skipped += 1
             continue
         except (DomainError, DuplicatePoints) as exc:
-            return _inconclusive(condition, i, f"system construction failed on trial {i}: {exc}")
+            return _inconclusive(condition, i, f"system construction failed on trial {i}: {exc}", skipped)
         value, t = measure(ps, system)
         points = ps.points.tolist()
         loc = points if t is None else {"points": points, "t": t}
@@ -273,11 +278,12 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
         message = fails(ps, system, value, t) if fails is not None else None
         if message is not None:
             witness = Witness(tuple(points), t, value)
-            return AuditReport(condition, Verdict.FAIL, witness, AuditStats(i + 1, value, loc), message)
+            stats = AuditStats(i + 1, value, loc, skipped)
+            return AuditReport(condition, Verdict.FAIL, witness, stats, message)
     if skipped == trials:
-        return _inconclusive(condition, trials, "every sampled Gram matrix was numerically singular")
+        return _inconclusive(condition, trials, "every sampled Gram matrix was numerically singular", skipped)
     message = f"{skipped} of {trials} trials skipped (singular Gram)" if skipped else None
-    return AuditReport(condition, Verdict.PASS, None, AuditStats(trials, worst, worst_loc), message)
+    return AuditReport(condition, Verdict.PASS, None, AuditStats(trials, worst, worst_loc, skipped), message)
 
 
 def _lebesgue_measure(kernel: KernelSpec, generator, domain: Interval | None, grid_size: int):

@@ -327,7 +327,26 @@ def test_audit_report_json_shape():
     report = audit_a4(exponential(), gen, grid_size=101, trials=3)
     obj = report.to_json()
     assert set(obj) >= {"condition", "verdict", "witness", "stats"}
-    assert obj["stats"].keys() == {"n_trials", "worst_value", "argmax_location"}
+    assert obj["stats"].keys() == {"n_trials", "worst_value", "argmax_location", "skipped"}
+
+
+def test_sampled_audits_count_singular_gram_skips():
+    # clustered Gaussian sets: some Grams are singular at n 2-6, all at n 20-25
+    window = Interval(0.0, 0.05, lo_open=False, hi_open=False)
+    some = RandomPointSets(window, n_range=(2, 6))
+    report = audit_relaxed_a4(gaussian(1.0), some, grid_size=101, trials=6, master_seed=1)
+    assert report.verdict is Verdict.PASS
+    assert report.stats.skipped == 4
+    assert report.message == "4 of 6 trials skipped (singular Gram)"
+    failed = audit_a4(gaussian(1.0), some, grid_size=101, trials=6, master_seed=1)
+    assert failed.verdict is Verdict.FAIL
+    assert (failed.stats.n_trials, failed.stats.skipped) == (3, 2)
+    every = RandomPointSets(window, n_range=(20, 25))
+    for audit in (audit_a4, audit_relaxed_a4):
+        report = audit(gaussian(1.0), every, grid_size=101, trials=6, master_seed=1)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.stats.skipped == report.stats.n_trials == 6
+    assert audit_a1(exponential(), RandomPointSets(EXP_WINDOW), trials=3).stats.skipped == 0
 
 
 def test_audit_relaxed_a4_estimates_beta():

@@ -9,19 +9,23 @@ are checked against something that shares no code with them.
 import numpy as np
 
 
-def cd_lasso(a: np.ndarray, y: np.ndarray, mu: float, tol: float = 1e-10, max_sweeps: int = 200_000):
+def cd_lasso(a: np.ndarray, y: np.ndarray, mu: float, tol: float = 1e-10, max_sweeps: int = 200_000, start=None):
     """Cyclic coordinate descent for  min_c ||a c - y||^2 + mu ||c||_1.
 
     Closed-form coordinate update: c_j = S(a_j . r_j, mu/2) / ||a_j||^2
-    with r_j the residual excluding coordinate j.  Stops when the KKT
-    residual drops below tol.
+    with r_j the residual excluding coordinate j.  Starts from zero, or from
+    the iterate start, and stops when the KKT residual drops below tol.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     n = a.shape[1]
     col_sq = (a * a).sum(axis=0)
-    c = np.zeros(n)
-    r = y.copy()  # residual y - a c
+    if start is None:
+        c = np.zeros(n)
+        r = y.copy()  # residual y - a c
+    else:
+        c = np.array(start, dtype=float)
+        r = y - a @ c
     for _ in range(max_sweeps):
         for j in range(n):
             if col_sq[j] == 0.0:
@@ -47,8 +51,10 @@ def cd_lasso_batch(problems, tol: float = 1e-10, max_sweeps: int = 200_000) -> l
     zero row leaves the residual unchanged.  Every sweep applies the same
     cyclic coordinate update to all problems still running, and a problem
     stops, keeping its iterate, as soon as its own KKT residual drops below
-    tol.  Only the summation order of the dot products differs from
-    cd_lasso.  Returns one solution per problem, of its own length.
+    tol.  The last problem still running finishes in cd_lasso from its
+    iterate, so it no longer pays for the padding.  Only the summation order
+    of the dot products differs from cd_lasso.  Returns one solution per
+    problem, of its own length.
     """
     problems = [(np.asarray(a, dtype=float), np.asarray(y, dtype=float), float(mu)) for a, y, mu in problems]
     rows = max(a.shape[0] for a, _, _ in problems)
@@ -67,7 +73,9 @@ def cd_lasso_batch(problems, tol: float = 1e-10, max_sweeps: int = 200_000) -> l
     c = np.zeros((width, len(problems)))
     solutions = np.zeros((len(problems), width))
     running = np.arange(len(problems))  # problem index of each batch row
-    for _ in range(max_sweeps):
+    sweeps = 0
+    while running.size > 1 and sweeps < max_sweeps:
+        sweeps += 1
         for j in range(width):
             old = c[j]
             rho = np.einsum("pi,pi->p", cols[j], r) + col_sq[j] * old
@@ -82,9 +90,12 @@ def cd_lasso_batch(problems, tol: float = 1e-10, max_sweeps: int = 200_000) -> l
             keep = ~done
             running, r, mu, half_mu = running[keep], r[keep], mu[keep], half_mu[keep]
             cols, c, col_sq, safe_sq = cols[:, keep], c[:, keep], col_sq[:, keep], safe_sq[:, keep]
-            if not running.size:
-                break
-    solutions[running] = c.T
+    if running.size == 1:
+        a, y, last_mu = problems[running[0]]
+        start = c[:a.shape[1], 0]
+        solutions[running[0], :a.shape[1]] = cd_lasso(a, y, last_mu, tol, max_sweeps - sweeps, start)
+    else:
+        solutions[running] = c.T
     return [solutions[p, :a.shape[1]] for p, (a, _, _) in enumerate(problems)]
 
 

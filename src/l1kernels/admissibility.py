@@ -97,8 +97,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class AuditStats:
-    """Trials run, the worst value and where it was, and the trials skipped
-    because their Gram was numerically singular (sampled Lebesgue audits)."""
+    """Trials run, the worst value and its location, and the singular-Gram skips."""
 
     n_trials: int
     worst_value: float | None
@@ -229,7 +228,7 @@ class RandomPointSets:
 # audits
 
 
-def _inconclusive(condition: Condition, n_trials: int, message: str, skipped: int = 0) -> AuditReport:
+def _inconclusive(condition: Condition, n_trials: int, message: str, skipped: int) -> AuditReport:
     stats = AuditStats(n_trials, None, skipped=skipped)
     return AuditReport(condition, Verdict.INCONCLUSIVE, None, stats, message)
 
@@ -241,11 +240,11 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
     builds its Gram system; a failed draw or construction ends the audit
     INCONCLUSIVE.  A numerically singular Gram is the A1 violation itself;
     the Lebesgue audits skip it, count it in stats.skipped, and are
-    INCONCLUSIVE when every trial was skipped.  measure(ps, system) gives the trial's
-    (value, t): the rcond estimate for A1, where lower is worse, or the grid
-    supremum of L and its location, where higher is worse.  fails(ps,
-    system, value, t) returns a FAIL message that stops the audit at that
-    trial, or None.
+    INCONCLUSIVE when every trial was skipped.  measure(ps, system) gives the
+    trial's (value, t): the rcond estimate for A1, where lower is worse, or
+    the grid supremum of L and its location, where higher is worse.
+    fails(ps, system, value, t) returns a FAIL message that stops the audit
+    at that trial, or None.
     """
     trials = _check_count("trials", trials, 1)
     master_seed = _check_count("master_seed", master_seed, 0)

@@ -12,7 +12,9 @@ non-integer points need not be).  Every factorization in the library, the
 Gram's own and the ridge solver's shifted K[x] + mu I, goes through one
 helper that factors the matrix and rejects it when LAPACK's 1-norm rcond
 estimate falls below RCOND_FLOOR.  Kernel sections, solves and cardinal
-coefficients are methods of :class:`GramSystem`.
+coefficients are methods of :class:`GramSystem`.  Solves go through the LU
+(getrs); a cardinal matrix, thousands of columns at once, is the inverse
+from the LU (getri) times K_x, because one GEMM is 4-20x faster there.
 """
 
 from __future__ import annotations
@@ -135,12 +137,11 @@ class GramSystem:
         """Cardinal coefficient vectors for many evaluation points at once.
 
         Returns an (n, m) array whose i-th column is cardinal_coefficients(ts[i]),
-        computed as K[x]^(-1) @ K_x(ts) with the inverse from the stored LU
-        (LAPACK getri).  With one BLAS thread, getrs on the 2,001 or more
-        columns of a Lebesgue grid runs at 2-9 GFLOP/s, and the inverse and
-        one GEMM do the same work 4.5-17x faster.  The inverse-times-vector
-        product is as forward-accurate on these columns as the LU solve
-        (Du Croz & Higham 1992).
+        as K[x]^(-1) @ K_x(ts) with the inverse from the stored LU (getri).
+        With one BLAS thread, getrs on the 2,001+ columns of a Lebesgue grid
+        takes 0.16 ms at n = 5 and 14 ms at n = 200; the inverse and one GEMM
+        take 0.008 and 3.5 ms, and are as forward-accurate (Du Croz & Higham
+        1992).
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
         kx = self.kernel.eval(ts[None, :], self.points.points[:, None])

@@ -9,7 +9,9 @@ are checked against something that shares no code with them.
 import numpy as np
 
 
-def cd_lasso(a: np.ndarray, y: np.ndarray, mu: float, tol: float = 1e-10, max_sweeps: int = 200_000, start=None):
+def cd_lasso(
+    a: np.ndarray, y: np.ndarray, mu: float, tol: float = 1e-10, max_sweeps: int = 200_000, start=None
+):
     """Cyclic coordinate descent for  min_c ||a c - y||^2 + mu ||c||_1.
 
     Closed-form coordinate update: c_j = S(a_j . r_j, mu/2) / ||a_j||^2

@@ -3,8 +3,9 @@
 Each case runs one audit with a fixed seed and compares its report with
 ``audit_golden.json``: verdict, trial count, worst value and message as
 they are, the location t of the worst Lebesgue value, and the whole
-``to_json()`` by a SHA-256 digest of its canonical JSON.  The cases cover PASS, FAIL and INCONCLUSIVE verdicts, singular-Gram
-skips (partial and total) and failed point sampling.
+``to_json()`` by a SHA-256 digest of its canonical JSON.  The cases cover
+PASS, FAIL and INCONCLUSIVE verdicts, singular-Gram skips (partial and
+total) and failed point sampling.
 
 To regenerate the golden file after an intended change of the reports:
 

@@ -11,7 +11,8 @@ one minimizing the L2([a,b]) distance to the *true* target (no
 cross-validation).  Reported per noise model and method: mean L2 error,
 mean sparsity, and max sparsity over the trials.  The JSON summary also
 carries the certificates of the lasso paths (path steps, largest KKT
-residual, unconverged fits) per trial, in total and for the anchor.
+residual, unconverged fits) per trial, in total and for the anchor, and
+whether each selected fit is certified, with the count per method.
 
 A thread keeps what its trials share until n_points or the mu grid change
 (about 7.5 MB at n = 200): Gram system, quadrature matrix, ridge factors and
@@ -172,12 +173,14 @@ class MethodOutcome:
     l2_error is the *squared* L2([a,b]) distance to the target — the scale
     used by the benchmark's reference table.  Selection by squared or plain
     distance is equivalent (monotone), and :func:`l2_error` returns the
-    plain distance when that is wanted.
+    plain distance when that is wanted.  certified is the selected fit's
+    certificate (FitResult.converged).
     """
 
     l2_error: float
     sparsity: int
     chosen_mu: float
+    certified: bool
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,7 @@ class MethodAggregate:
     mean_error: float
     mean_sparsity: float
     max_sparsity: int
+    uncertified: int  # selected fits that fail their certificate
 
 
 @dataclass(frozen=True)
@@ -313,7 +317,7 @@ class _Workbench:
                 method, fit.kkt_residual, trial_index, mu,
                 extra={"trial": trial_index, "method": method, "mu": mu, "kkt_residual": fit.kkt_residual},
             )
-        return MethodOutcome(l2_error=errors[best], sparsity=fit.sparsity, chosen_mu=mu)
+        return MethodOutcome(l2_error=errors[best], sparsity=fit.sparsity, chosen_mu=mu, certified=fit.converged)
 
 
 _local = threading.local()  # each thread's last workbench: solvers hold state
@@ -337,6 +341,7 @@ def _aggregate(outcomes: list[MethodOutcome]) -> MethodAggregate:
         mean_error=float(np.mean([o.l2_error for o in outcomes])),
         mean_sparsity=float(np.mean([o.sparsity for o in outcomes])),
         max_sparsity=int(max(o.sparsity for o in outcomes)),
+        uncertified=sum(not o.certified for o in outcomes),
     )
 
 

@@ -25,9 +25,23 @@ cond(K)^2, is never formed.
 
 A solver holds its path in buffers it allocates once.  A solve on the
 same data, at a weight mu no larger than the last one, resumes the path
-where the last solve stopped, in place; any other solve starts cold from
-c = 0.  At fixed lam the solution is piecewise linear in y too (Garrigues &
-El Ghaoui 2008), so one step engine follows any line in (y, lam).
+where the last solve stopped, in place.  At fixed lam the solution is
+piecewise linear in y too (Garrigues & El Ghaoui 2008), so one step engine
+follows any line in (y, lam).
+
+K[x] is nonsingular, so the path is unique and has two known ends: c = 0
+from lam = 2 ||K^T y||_inf up (the top), and the interpolant K^-1 y, every
+coordinate active with its sign, as lam -> 0 (the bottom).  A cold solve
+starts from the end predicted to be nearer mu.  From the full-support line
+c0 - (lam / 2) K^-1 K^-1 sign(c0), c0 = K^-1 y, taken from the Gram's LU,
+the coordinates that cross zero by lam = mu predict the zeros at mu; the
+bottom pays about one leave per zero and the top about one join per
+nonzero, so the path starts at the bottom when fewer than half cross, and
+at the top when mu is at least the top's weight or c0 has an exact zero.
+The bottom start factors all of K in place (LAPACK geqrf and orgqr) and
+climbs in lam from 0 to mu.  It gives up, and the same solve starts again
+at the top, when its active set falls to half of n or fewer, when it has
+taken n steps, or when its fit fails its certificate.
 
 Every solution is certified by its KKT residual, not by trusting the path:
 
@@ -42,6 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrf as _geqrf
+from scipy.linalg.lapack import dgeqrf_lwork as _geqrf_lwork
+from scipy.linalg.lapack import dorgqr as _orgqr
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, NegativeMu, SingularShifted
@@ -206,6 +223,20 @@ def _twice_residual(q: np.ndarray, v: np.ndarray, qtv: np.ndarray, out: np.ndarr
     out *= 2.0
 
 
+def _bottom_is_nearer(system: GramSystem, y: np.ndarray, mu: float) -> bool:
+    """Whether a cold path to mu > 0 should start at the bottom (see module
+    docs): fewer than half of the coordinates cross zero by lam = mu on the
+    full-support line c0 - (lam / 2) K^-1 K^-1 sign(c0), c0 = K^-1 y, and
+    c0 has no exact zero."""
+    c0 = system.solve(y)
+    sigma = np.sign(c0)
+    if not sigma.all():
+        return False
+    d = system.solve(system.solve(sigma))
+    crossings = np.count_nonzero(sigma * (c0 - mu / 2.0 * d) <= 0.0)
+    return 2 * crossings < c0.size
+
+
 # the boundaries +lam and -lam, one row of join events each
 _BOUNDS = np.array([[1.0], [-1.0]])
 
@@ -229,16 +260,18 @@ class LassoSolver:
 
     The buffers keep the path point where the last solve reached its mu,
     and the stop keeps that solve's own copy of y with the path's lam, m and
-    barred rejoin.  solve() clears the stop before it writes anything and
-    sets it only when the path reaches mu, so a solve cut short by
-    MAX_PATH_STEPS, one at mu = 0 or one that raises leaves none.  A solve
-    resumes in place, with no further check, when y equals the stop's data
-    by value and config.mu is no larger than its weight, so solves of one y
-    at decreasing mu follow one path; any other solve starts from the
-    anchor _pin kept if its mu is no larger, else cold from c = 0.  Either
-    way the result is the exact path point at mu, certified by _finish, and
-    its iterations count this solve's steps, data moves included.  The
-    buffers make a solver stateful: one must not be shared between threads.
+    barred rejoin (none after a climb from the bottom).  solve() clears the
+    stop before it writes anything and sets it only when the path reaches
+    mu, so a solve cut short by MAX_PATH_STEPS, one at mu = 0 or one that
+    raises leaves none.  A solve resumes in place, with no further check,
+    when y equals the stop's data by value and config.mu is no larger than
+    its weight, so solves of one y at decreasing mu follow one path; any
+    other solve starts from the anchor _pin kept if its mu is no larger,
+    else cold, from the end of the path the rule picks (see module docs).
+    Either way the result is the exact path point at mu, certified by
+    _finish, and its iterations count this solve's steps, data moves and a
+    bottom start given up included.  The buffers make a solver stateful:
+    one must not be shared between threads.
     """
 
     def __init__(self, system: GramSystem):
@@ -263,32 +296,74 @@ class LassoSolver:
         self._anchor: tuple | None = None
 
     def solve(self, y, config: LassoConfig) -> FitResult:
-        """Solve for one right-hand side, following the path down to config.mu."""
+        """Solve for one right-hand side: the exact path point at config.mu."""
         stop, self._stop = self._stop, None
         system, mu = self.system, config.mu
-        n, k = system.n, system.gram
+        n = system.n
         y = _data_vector(y, n)
         if mu == 0.0:
             # square nonsingular system: the unregularized minimizer interpolates
             return self._finish(system.solve(y), y, config, iterations=0)
 
+        anchor = self._anchor
+        if stop is not None and mu <= stop[1] and np.array_equal(y, stop[0]):
+            _, lam, m, blocked = stop
+            c, steps = self._follow(y, mu, m, blocked, lam)
+        elif anchor is not None and mu <= anchor[0][1]:
+            (y_anchor, lam, m, blocked), *copies = anchor
+            self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m] = copies
+            if np.array_equal(y, y_anchor):
+                c, steps = self._follow(y, mu, m, blocked, lam)
+            else:
+                # move the data from the anchor's to y at the anchor's weight
+                c, steps = self._follow(y, mu, m, None, 1.0, lam0=lam, h=0.0, e=y_anchor - y, end=0.0)
+        else:
+            lam_max, steps = zero_mu_threshold(system, y), 0
+            if mu < lam_max and _bottom_is_nearer(system, y, mu) and self._factor_all(y):
+                # up from the interpolant: lam = mu - s as s falls from mu to 0
+                c, steps = self._follow(y, mu, n, None, mu, lam0=mu, h=-1.0, end=0.0)
+                fit = self._finish(c, y, config, iterations=steps)
+                if fit.converged or steps == MAX_PATH_STEPS:
+                    return fit
+                # the path fell to half support or ran n steps short of mu, or
+                # the fit failed its certificate: start again at the top
+                self._stop = None
+            c, steps = self._follow(y, mu, 0, None, lam_max, steps=steps)
+        return self._finish(c, y, config, iterations=steps)
+
+    def _factor_all(self, y: np.ndarray) -> bool:
+        """Make every coordinate active, with the QR of the whole Gram in the
+        buffers (LAPACK geqrf and orgqr in place) and the signs of the
+        interpolant R^-1 Q^T y; False when the interpolant has an exact zero,
+        whose sign the path cannot take."""
+        n, qb, rb = self.system.n, self._qb, self._rb
+        lwork = max(int(_geqrf_lwork(n, n)[0]), n)
+        qb[:] = self.system.gram
+        _, tau, _, info = _geqrf(qb, lwork=lwork, overwrite_a=True)
+        if info == 0:
+            # R is the upper triangle; what lies below it is never read
+            rb[:] = qb
+            _, _, info = _orgqr(qb, tau, lwork=lwork, overwrite_a=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of geqrf or orgqr")
+        self._active[:] = np.arange(n)
+        np.sign(_solve_r(rb, qb.T @ y), out=self._signs)
+        return bool(self._signs.all())
+
+    def _follow(self, y, mu, m, blocked, s, lam0=0.0, h=1.0, e=None, end=None, steps=0):
+        """Follow the path from the point in the buffers (m active columns;
+        blocked, the barred join event of the last coordinate to leave) along
+        the line (y + s e, lam0 + s h) as s falls to end, by default down in
+        lam to mu; a line in the data goes on down in lam from its end.  The
+        path stops at MAX_PATH_STEPS in all, counting from steps, and a line up
+        from the bottom (h < 0) gives up once its active set falls to half of
+        n or fewer or it has taken n steps.  Returns the coefficients where
+        the path stopped and the step count; sets the stop if it reached mu."""
+        n, k = self.system.n, self.system.gram
         active, signs, qb, rb = self._active, self._signs, self._qb, self._rb
         rhs, w, event_buf, rate_buf = self._rhs, self._w, self._event_buf, self._rate_buf
-        # the path runs along the line (y + s e, lam0 + s h) as s falls to end:
-        # down in lam (e = 0, h = 1, s = lam), or at an anchor's weight from its
-        # data to y (h = 0, s from 1 to 0); a new line lifts the barred rejoin
-        lam0, h, e, end, anchor = 0.0, 1.0, None, mu, self._anchor
-        if stop is not None and mu <= stop[1] and np.array_equal(y, stop[0]):
-            _, s, m, blocked = stop
-        elif anchor is not None and mu <= anchor[0][1]:
-            (y_anchor, s, m, blocked), *copies = anchor
-            active[:m], signs[:m], qb[:, :m], rb[:m, :m] = copies
-            if not np.array_equal(y, y_anchor):
-                lam0, h, e, s, end, blocked = s, 0.0, y_anchor - y, 1.0, 0.0, None
-        else:
-            s, m = zero_mu_threshold(system, y), 0
-            blocked = None  # the join event of the last coordinate to leave, barred
-        steps = 0
+        if end is None:
+            end = mu
         while True:
             q, r, sigma = qb[:, :m], rb[:, :m], signs[:m]
             qty = q.T @ y
@@ -315,7 +390,7 @@ class LassoSolver:
                 # the data has arrived at the anchor's weight; go on down in lam
                 s, lam0, h, e, end, blocked = lam0, 0.0, 1.0, None, mu, None
                 continue
-            if done or steps == MAX_PATH_STEPS:
+            if done or steps == MAX_PATH_STEPS or (h < 0.0 and (2 * m <= n or steps >= n)):
                 break
             steps += 1
             events, rates = event_buf[:2 * n + m], rate_buf[:2 * n + m]
@@ -324,17 +399,22 @@ class LassoSolver:
                 events.fill(-np.inf)
                 leaves[wrong] = s
             else:
-                # rho(t) = p + t slope, from Q z and the residuals of y and e off span(Q)
+                # rho(t) = p + t slope: p from the residual of y off span(Q) plus
+                # lam0 Q z, the slope from h Q z or, on a line in the data (h = 0),
+                # from the residual of e
                 _twice_residual(q, y, qty, out=w[0])
                 np.dot(q, z, out=w[1])
-                if e is not None:
+                if lam0:
                     w[0] += lam0 * w[1]
+                if e is not None:
                     _twice_residual(q, e, qte, out=w[1])
+                elif h != 1.0:
+                    w[1] *= h
                 p, slope = w @ k
                 # rho_j(t) = b (lam0 + t h), b = +1 or -1, at (b p_j - lam0) / (h - b slope_j)
                 join_rates = rates[:2 * n].reshape(2, n)
                 np.multiply(_BOUNDS, p, out=joins)
-                if e is not None:
+                if lam0:
                     joins -= lam0
                 np.subtract(h, _BOUNDS * slope, out=join_rates)
                 join_rates[:, active[:m]] = 0.0
@@ -374,8 +454,10 @@ class LassoSolver:
         c = np.zeros(n)
         c[active[:m]] = c_a
         if done:
-            self._stop = (y.copy(), s, m, blocked)
-        return self._finish(c, y, config, iterations=steps)
+            # a line up in lam stops with no barred rejoin: below its stop the
+            # path from the top may well rejoin that coordinate at its old boundary
+            self._stop = (y.copy(), lam0 + s * h, m, blocked if h > 0 else None)
+        return c, steps
 
     def _pin(self) -> None:
         """Keep copies of the last stop and its path point, if any, as the anchor."""
@@ -394,7 +476,9 @@ class LassoSolver:
 
 
 def lasso_gram(system: GramSystem, y, config: LassoConfig) -> FitResult:
-    """Solve the l1-regularized Gram least-squares problem (see module docs)."""
+    """Solve the l1-regularized Gram least-squares problem (see module docs):
+    one cold solve on a fresh LassoSolver, from c = 0 or from the
+    interpolant K^-1 y, whichever end of the path is predicted nearer."""
     return LassoSolver(system).solve(y, config)
 
 

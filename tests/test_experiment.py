@@ -200,16 +200,30 @@ def test_run_trial_warns_on_uncertified_selected_fit(monkeypatch, caplog):
     def uncertified(self, y, config):
         return dataclasses.replace(solve(self, y, config), converged=False)
 
+    assert record.rkbs.certified and record.rkhs.certified
+    clean = run_experiment(cfg)
+    assert (clean.rkbs.uncertified, clean.rkhs.uncertified) == (0, 0)
     monkeypatch.setattr(LassoSolver, "solve", uncertified)
     every_fit_uncertified = dataclasses.replace(record.lasso_path, unconverged=len(cfg.mu_grid))
     with caplog.at_level(logging.WARNING, logger="l1kernels.experiment"):
-        assert run_trial(cfg, 0) == dataclasses.replace(record, lasso_path=every_fit_uncertified)
+        assert run_trial(cfg, 0) == dataclasses.replace(
+            record,
+            rkbs=dataclasses.replace(record.rkbs, certified=False),
+            lasso_path=every_fit_uncertified,
+        )
     (warning,) = caplog.records
     assert warning.levelno == logging.WARNING
     assert warning.trial == 0
     assert warning.method == "rkbs"
     assert warning.mu == record.rkbs.chosen_mu
     assert math.isfinite(warning.kkt_residual)
+    # the summary counts the uncertified selected fits per method
+    summary = run_experiment(cfg)
+    assert (summary.rkbs.uncertified, summary.rkhs.uncertified) == (cfg.trials, 0)
+    methods = summary_to_json(summary)["methods"]
+    assert (methods["rkbs"]["uncertified"], methods["rkhs"]["uncertified"]) == (cfg.trials, 0)
+    # and the CSV does not show them
+    assert csv_rows([("gaussian", summary)]) == csv_rows([("gaussian", clean)])
 
 
 def test_run_trial_warns_on_uncertified_selected_ridge_fit(monkeypatch, caplog):
@@ -222,7 +236,7 @@ def test_run_trial_warns_on_uncertified_selected_ridge_fit(monkeypatch, caplog):
 
     monkeypatch.setattr(RidgeSolver, "solve", uncertified)
     with caplog.at_level(logging.WARNING, logger="l1kernels.experiment"):
-        assert run_trial(cfg, 2) == record
+        assert run_trial(cfg, 2) == dataclasses.replace(record, rkhs=dataclasses.replace(record.rkhs, certified=False))
     (warning,) = caplog.records
     assert warning.levelno == logging.WARNING
     assert "selected rkhs fit is not certified" in warning.getMessage()
@@ -425,7 +439,8 @@ def test_summary_json_shape():
     assert set(obj["methods"]) == {"rkhs", "rkbs"}
     assert len(obj["trials"]) == 1
     assert obj["config"]["metadata"]["error_scale"] == "squared L2([a,b]) distance"
-    assert obj["trials"][0]["rkbs"].keys() == {"l2_error", "sparsity", "chosen_mu"}
+    assert obj["trials"][0]["rkbs"].keys() == {"l2_error", "sparsity", "chosen_mu", "certified"}
+    assert obj["methods"]["rkbs"].keys() == {"mean_error", "mean_sparsity", "max_sparsity", "uncertified"}
 
 
 def test_summary_json_reports_lasso_path_certificates(monkeypatch, fresh_workbench):

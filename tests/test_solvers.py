@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from l1kernels import (
     brownian_bridge,
     build_system,
     exponential,
+    gaussian,
     kkt_residual,
     lasso_gram,
     ridge_gram,
@@ -148,6 +150,12 @@ def solve_path(solver, y, mus):
     return [solver.solve(y, LassoConfig(mu=mu)) for mu in mus]
 
 
+def start_at(patch, end):
+    """Make every cold solve start from one end of the path, "top" (c = 0)
+    or "bottom" (the interpolant), whatever the rule would pick."""
+    patch.setattr(solvers, "_bottom_is_nearer", lambda system, y, mu: end == "bottom")
+
+
 def test_lasso_warm_start_path():
     rng = np.random.default_rng(8)
     system = random_system(rng)
@@ -183,7 +191,12 @@ def test_lasso_path_certified_under_symmetric_ties(n, bridge):
         x = np.linspace(-1.0, 1.0, n)
         system = build_system(exponential(), x)
         y = 1.0 + np.cos(3.0 * x)
-    for fit in solve_path(LassoSolver(system), y, DEFAULT_MU_GRID):
+    # cold fits too, from whichever end the rule picks; on the bridge at
+    # n = 200 it keeps the top, where cold paths take 120-1,219 steps each
+    # (1 s in all), so the warm path alone covers that case
+    mus = () if bridge and n == 200 else DEFAULT_MU_GRID
+    cold = [LassoSolver(system).solve(y, LassoConfig(mu=mu)) for mu in mus]
+    for fit in solve_path(LassoSolver(system), y, DEFAULT_MU_GRID) + cold:
         assert fit.converged, fit.kkt_residual
         c = fit.coefficients.values
         assert np.abs(c - c[::-1]).max() <= 1e-6 * max(1.0, np.abs(c).max())
@@ -220,10 +233,13 @@ def test_lasso_resumes_only_its_last_stop_on_the_same_data(monkeypatch):
         assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
         assert fit.iterations == cold.iterations
 
-    def capped(y):
+    def capped(y, end="top", config=low):
+        # a cold solve starts from the given end; at 1e-3 the bottom path
+        # takes 2 steps, at 0.1 it takes 19 (the top: 60 and 43)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "MAX_PATH_STEPS", 3)
-            return solver.solve(y, low)
+            start_at(patch, end)
+            return solver.solve(y, config)
 
     solver = LassoSolver(system)
     # data that is no longer the last solve's
@@ -242,15 +258,19 @@ def test_lasso_resumes_only_its_last_stop_on_the_same_data(monkeypatch):
     cut = capped(y1)
     assert cut.iterations == 3 and not cut.converged
     assert_cold(solver.solve(y1, low), y1, low)
-    solver.solve(y2, high)
-    assert not capped(y1).converged
-    assert_cold(solver.solve(y1, low), y1, low)
+    for end, config in (("top", low), ("bottom", LassoConfig(mu=0.1))):
+        solver.solve(y2, high)
+        assert not capped(y1, end, config).converged
+        assert_cold(solver.solve(y1, low), y1, low)
 
-    # the same data at a smaller mu does resume
+    # the same data at a smaller mu does resume, in fewer steps than a cold
+    # path from the top (a cold path from the bottom takes 2 steps here)
     solver.solve(y1, high)
     resumed = solver.solve(y1, low)
     assert resumed.converged
-    assert resumed.iterations < LassoSolver(system).solve(y1, low).iterations
+    with monkeypatch.context() as patch:
+        start_at(patch, "top")
+        assert resumed.iterations < LassoSolver(system).solve(y1, low).iterations
 
 
 def test_lasso_solve_that_raises_leaves_no_stop():
@@ -346,7 +366,7 @@ def test_lasso_anchor_on_tied_data_moves_to_noisy_data(n, bridge):
             assert_same_fit(solver.solve(y, LassoConfig(mu=mu)), LassoSolver(system).solve(y, LassoConfig(mu=mu)))
 
 
-def test_lasso_anchor_serves_only_weights_below_its_own():
+def test_lasso_anchor_serves_only_weights_below_its_own(monkeypatch):
     rng = np.random.default_rng(31)
     system = build_system(*well_spaced(rng, False, 30))
     y0, y1 = rng.uniform(-2, 2, (2, system.n))
@@ -362,15 +382,200 @@ def test_lasso_anchor_serves_only_weights_below_its_own():
     solver._pin()
     # above the anchor's weight the path cannot start from it
     assert_cold(solver.solve(y1, high), y1, high)
-    # below it the data moves, in fewer steps than a cold path takes
+    # below it the data moves, in fewer steps than a cold path from the top
+    # takes (one from the interpolant takes 1 step at this small weight)
     moved = solver.solve(y1, LassoConfig(mu=1e-4))
-    assert moved.converged and moved.iterations < LassoSolver(system).solve(y1, LassoConfig(mu=1e-4)).iterations
+    with monkeypatch.context() as patch:
+        start_at(patch, "top")
+        top = LassoSolver(system).solve(y1, LassoConfig(mu=1e-4))
+    assert moved.converged and moved.iterations < top.iterations
     # on the anchor's own data the path resumes in place, with no step
     assert solver.solve(y0, low).iterations == 0
     # a solver pins nothing unless its last solve left a stop
     fresh = LassoSolver(system)
     fresh._pin()
     assert fresh._anchor is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bridge=st.booleans(),
+    n=st.integers(1, 40),
+    log_mu=st.floats(-7.0, 1.0),
+)
+def test_cold_fits_from_either_end_match_the_warm_top_path(seed, bridge, n, log_mu):
+    # the path is unique, so a cold fit from the top, from the bottom or from
+    # the end the rule picks is the point the warm path from the top reaches
+    rng = np.random.default_rng(seed)
+    system = build_system(*well_spaced(rng, bridge, n))
+    y = rng.uniform(-2, 2, n)
+    mu = 10.0 ** log_mu
+    config = LassoConfig(mu=mu)
+    with pytest.MonkeyPatch.context() as patch:
+        start_at(patch, "top")
+        warm = solve_path(LassoSolver(system), y, [m for m in DEFAULT_MU_GRID if m > mu] + [mu])[-1]
+    assert warm.converged
+    for end in (None, "top", "bottom"):
+        with pytest.MonkeyPatch.context() as patch:
+            if end is not None:
+                start_at(patch, end)
+            assert_same_fit(LassoSolver(system).solve(y, config), warm)
+
+
+def test_cold_fits_from_either_end_match_coordinate_descent():
+    rng = np.random.default_rng(37)
+    problems = []
+    for _ in range(8):
+        system = random_system(rng, n_max=6, min_spacing=0.2)
+        problems.append((system, rng.uniform(-2, 2, system.n), 10.0 ** rng.uniform(-4, 0.3)))
+    oracles = cd_lasso_batch([(system.gram, y, mu) for system, y, mu in problems], tol=1e-10)
+    for (system, y, mu), oracle in zip(problems, oracles):
+        for end in ("top", "bottom"):
+            with pytest.MonkeyPatch.context() as patch:
+                start_at(patch, end)
+                fit = LassoSolver(system).solve(y, LassoConfig(mu=mu))
+            assert fit.kkt_residual <= 1e-10
+            assert np.abs(fit.coefficients.values - oracle).max() <= 1e-6
+            gap = fit.objective - lasso_objective(system.gram, y, mu, oracle)
+            assert abs(gap) <= 1e-9 * max(1.0, fit.objective)
+
+
+def test_lasso_resumes_below_a_stop_reached_from_the_bottom(monkeypatch):
+    # the path from the interpolant climbs in lam, so a coordinate it drops
+    # at a weight below its stop is one the path from the top rejoins there;
+    # a stop that kept it barred stalled the resume uncertified (KKT 3.5e-3)
+    rng = np.random.default_rng(0)
+    system = build_system(*well_spaced(rng, False, 9))
+    _, y = rng.uniform(-2, 2, (2, 9))
+    start_at(monkeypatch, "bottom")
+    solver = LassoSolver(system)
+    assert solver.solve(y, LassoConfig(mu=1e-2)).converged
+    # the stop holds the weight it reached, not the line's parameter
+    assert solver._stop[1] == 1e-2 and solver._stop[3] is None
+    resumed = solver.solve(y, LassoConfig(mu=1e-3))
+    start_at(monkeypatch, "top")
+    assert_same_fit(resumed, LassoSolver(system).solve(y, LassoConfig(mu=1e-3)))
+
+
+def test_lasso_interpolant_with_an_exact_zero_starts_at_the_top(monkeypatch):
+    # the bottom's signs are those of K^-1 y, and a zero has none: the rule
+    # keeps the top, and so does the solver when the start is forced, from
+    # the zero in R^-1 Q^T y.  On a diagonal Gram the fit is closed-form.
+    base = build_system(exponential(), [0.0, 1.0, 2.0])
+    gram = np.diag([1.0, 2.0, 4.0])
+    system = GramSystem(base.kernel, base.points, gram, scipy.linalg.lu_factor(gram), 1.0)
+    y, mu = np.array([1.0, 0.0, -3.0]), 1e-3
+    assert system.solve(y)[1] == 0.0
+    assert not solvers._bottom_is_nearer(system, y, mu)
+    with monkeypatch.context() as patch:
+        start_at(patch, "top")
+        top = LassoSolver(system).solve(y, LassoConfig(mu=mu))
+    start_at(monkeypatch, "bottom")
+    fit = LassoSolver(system).solve(y, LassoConfig(mu=mu))
+    assert fit.converged and fit.iterations == top.iterations
+    assert np.array_equal(fit.coefficients.values, top.coefficients.values)
+    k = np.diag(gram)
+    expected = np.sign(y) * np.maximum(k * np.abs(y) - mu / 2.0, 0.0) / k**2
+    assert fit.coefficients.values == pytest.approx(expected, rel=1e-12)
+
+
+def test_lasso_zero_solution_in_no_steps_from_either_end(monkeypatch):
+    rng = np.random.default_rng(2)
+    system = build_system(*well_spaced(rng, False, 12))
+    y = rng.uniform(-2, 2, system.n)
+    mu0 = zero_mu_threshold(system, y)
+    for end in ("top", "bottom"):
+        start_at(monkeypatch, end)
+        for mu in (mu0, mu0 * 1.000001, 10.0 * mu0):
+            fit = LassoSolver(system).solve(y, LassoConfig(mu=mu))
+            assert np.all(fit.coefficients.values == 0.0)
+            assert fit.iterations == 0 and fit.kkt_residual == 0.0 and fit.converged
+
+
+def test_lasso_bottom_path_restarts_from_the_top_within_one_solve(monkeypatch):
+    # all three restarts give the top path's fit bit for bit, and the
+    # iterations count the steps of both attempts
+    def top_fit(system, y, mu):
+        with monkeypatch.context() as patch:
+            start_at(patch, "top")
+            return LassoSolver(system).solve(y, LassoConfig(mu=mu))
+
+    # a Gaussian Gram with rcond 1.8e-8: the bottom fit at mu = 1e-7, 1 step,
+    # misses its certificate (KKT 1.3e-8); the top's meets it (6.8e-9)
+    rng = np.random.default_rng(358)
+    system = build_system(gaussian(), np.sort(rng.uniform(-1, 1, 6)))
+    y = rng.uniform(-2, 2, 6)
+    assert solvers._bottom_is_nearer(system, y, 1e-7)
+    fit, top = lasso_gram(system, y, LassoConfig(mu=1e-7)), top_fit(system, y, 1e-7)
+    assert fit.converged and fit.iterations == top.iterations + 1
+    assert np.array_equal(fit.coefficients.values, top.coefficients.values)
+    # smooth data at mu = 10: the rule predicts 6 zeros where 196 hold, so
+    # the bottom path falls to half support after 100 steps and gives up
+    x = np.linspace(-1.0, 1.0, 200)
+    system, y = build_system(exponential(), x), 1.0 + np.cos(3.0 * x)
+    assert solvers._bottom_is_nearer(system, y, 10.0)
+    fit, top = lasso_gram(system, y, LassoConfig(mu=10.0)), top_fit(system, y, 10.0)
+    assert fit.converged and (fit.iterations, top.iterations) == (105, 5)
+    assert np.array_equal(fit.coefficients.values, top.coefficients.values)
+    # the bridge's constant data, whose interpolant is zero inside up to
+    # round-off: forced to the bottom at mu = 1, the path churns through
+    # ties with more than half support, and gives up after n = 200 steps
+    x = np.linspace(0.01, 0.99, 200)
+    system, y = build_system(brownian_bridge(), x), np.ones(200)
+    start_at(monkeypatch, "bottom")
+    fit, top = lasso_gram(system, y, LassoConfig(mu=1.0)), top_fit(system, y, 1.0)
+    assert fit.converged and (fit.iterations, top.iterations) == (680, 480)
+    assert np.array_equal(fit.coefficients.values, top.coefficients.values)
+
+
+# per problem of the test below: the end of each cold solve, largest mu first,
+# and the summed steps (all from the top: 318, 1,998, 2,590 and 1,337)
+PINNED_COLD_PATHS = [
+    ("T T T T B B B B B", 112),
+    ("T T T T B B B B B", 604),
+    ("T T T T T B B B B", 932),
+    ("BT BT B B B B B B B", 477),
+]
+
+
+def test_cold_path_steps_and_ends_are_pinned(monkeypatch):
+    # the path is exact, so the end each cold solve starts from and its step
+    # count are fixed by the data.  Requests like the fit benchmark's: the
+    # five-bump target plus gaussian or pepper noise on random points of
+    # [-1, 1], over the default grid; then the smooth tie data, the rule's
+    # worst case.  "T" is a solve from the top, "B" one from the bottom,
+    # "BT" one that gave the bottom up and started again at the top
+    follow = LassoSolver._follow
+    lines = []
+
+    def traced(self, *args, h=1.0, **kwargs):
+        lines.append("B" if h < 0.0 else "T")
+        return follow(self, *args, h=h, **kwargs)
+
+    monkeypatch.setattr(LassoSolver, "_follow", traced)
+
+    def cold_path(system, y):
+        ends, steps = [], 0
+        for mu in DEFAULT_MU_GRID:
+            lines.clear()
+            fit = LassoSolver(system).solve(y, LassoConfig(mu=mu))
+            assert fit.converged
+            ends.append("".join(lines))
+            steps += fit.iterations
+        return " ".join(ends), steps
+
+    rng = np.random.default_rng(41)
+    paths = []
+    for n, pepper in ((20, False), (110, True), (200, False)):
+        x = np.sort(rng.uniform(-1.0, 1.0, n))
+        while np.diff(x).min() < 2e-4:
+            x = np.sort(rng.uniform(-1.0, 1.0, n))
+        noise = 0.1 * (2.0 * rng.integers(0, 2, n) - 1.0) if pepper else rng.normal(0.0, 0.1, n)
+        paths.append(cold_path(build_system(exponential(), x), target_function(x) + noise))
+    x = np.linspace(-1.0, 1.0, 200)
+    paths.append(cold_path(build_system(exponential(), x), 1.0 + np.cos(3.0 * x)))
+    assert paths == PINNED_COLD_PATHS
 
 
 def well_spaced(rng, bridge, n):
@@ -521,14 +726,20 @@ def test_lasso_factor_updates_raise_on_degenerate_input():
 
 
 def test_lasso_unconverged_returns_best_iterate(monkeypatch):
-    rng = np.random.default_rng(9)
-    system = random_system(rng)
+    # at mu = 0.1 both ends of this path are more than 3 steps away (43 steps
+    # from the top, 19 from the bottom); end None leaves the choice to the rule
+    rng = np.random.default_rng(23)
+    system = build_system(*well_spaced(rng, False, 30))
     y = rng.uniform(-2, 2, system.n)
     monkeypatch.setattr(solvers, "MAX_PATH_STEPS", 3)
-    fit = lasso_gram(system, y, LassoConfig(mu=1e-4))
-    assert not fit.converged
-    assert fit.iterations == 3
-    assert np.isfinite(fit.objective)
+    for end in (None, "top", "bottom"):
+        with monkeypatch.context() as patch:
+            if end is not None:
+                start_at(patch, end)
+            fit = lasso_gram(system, y, LassoConfig(mu=0.1))
+        assert not fit.converged
+        assert fit.iterations == 3
+        assert np.isfinite(fit.objective)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,11 @@ The library is organized around five layers:
   benchmark.
 
 The `l1kernels` console script exposes audits, fits, and the benchmark.
+The library logs to the "l1kernels" logger and prints nothing unless the
+application configures logging.
 """
+
+import logging
 
 from .errors import (
     DegenerateSchur,
@@ -114,3 +118,5 @@ from .experiment import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -2,12 +2,15 @@
 
 Exit codes: 0 on success (a FAIL audit verdict is still a successful
 audit), 1 on usage errors, 2 on numerical failure (diagnostic on stderr).
+Log records of the library go to stderr at the level of -v/--log-level
+(warnings by default).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -241,6 +244,10 @@ def _build_parser() -> _Parser:
         prog="l1kernels",
         description="Kernel admissibility audits, interpolation, and the sparse regression benchmark.",
     )
+    parser.add_argument(
+        "-v", "--log-level", type=str.upper, choices=("DEBUG", "INFO", "WARNING", "ERROR"), default="WARNING",
+        help="show the library's log records from this level up on stderr (default: warning)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_audit = sub.add_parser("audit", help="numerically audit admissibility conditions")
@@ -285,6 +292,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"audit": _cmd_audit, "fit": _cmd_fit, "experiment": _cmd_experiment}
+    log, stream = logging.getLogger("l1kernels"), logging.StreamHandler(sys.stderr)
+    stream.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(stream)
+    log.setLevel(args.log_level)
     try:
         return handlers[args.command](args)
     except _UsageError as exc:
@@ -293,6 +305,9 @@ def main(argv=None) -> int:
     except L1KernelsError as exc:
         print(f"l1kernels {args.command}: numerical failure: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT
+    finally:
+        log.removeHandler(stream)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

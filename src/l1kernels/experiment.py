@@ -11,14 +11,19 @@ one minimizing the L2([a,b]) distance to the *true* target (no
 cross-validation).  Reported per noise model and method: mean L2 error,
 mean sparsity, and max sparsity over the trials.  The JSON summary also
 carries the certificates of the lasso paths (path steps, largest KKT
-residual, unconverged fits) per trial, in total and for the anchor, and
-whether each selected fit is certified, with the count per method.
+residual, unconverged fits) per trial, in total and for the anchor, each
+trial's path steps per weight in grid order, and whether each selected fit
+is certified, with the count per method.
 
 A thread keeps what its trials share until n_points or the mu grid change
-(about 7.5 MB at n = 200): Gram system, quadrature matrix, ridge factors and
-the anchor, the noiseless target's lasso path point at the largest weight.
-Each trial's path moves the data from the anchor to its own at that weight,
-then goes on down the grid, and starts nowhere else.  So run_trial(config,
+(about 8 MB at n = 200): Gram system, quadrature matrix, ridge factors and
+the two saved ends of the lasso path, the anchor (the noiseless target's
+path point at the largest weight) and the QR of the whole Gram (the
+bottom frame).  Each trial sweeps its lasso grid from both ends
+(LassoSolver.sweep): it climbs from the interpolant through the weights the
+cold-start rule sends to the bottom, then moves the data from the anchor to
+its own at the largest weight and goes on down through the rest, and
+starts nowhere else.  So run_trial(config,
 k) is a pure function of (config, k), its noise drawn from the stream
 (master_seed, k, "noise"), and the CSV is byte-identical across runs at a
 fixed BLAS thread count (another count sums in another order, which can
@@ -213,6 +218,7 @@ class TrialRecord:
     rkbs: MethodOutcome
     rkhs: MethodOutcome
     lasso_path: LassoPathStats
+    path_steps: tuple[int, ...]  # lasso path steps per weight, in mu grid order
 
 
 @dataclass(frozen=True)
@@ -284,16 +290,17 @@ class _Workbench:
         rng = stream(cfg.master_seed, trial_index, "noise")
         y = self.target_x + generate_noise(cfg.noise, cfg.n_points, rng)
 
-        # l1 path, largest mu first, from the anchor: each solve on y resumes
-        # where the last stopped, never where the last trial stopped
-        self.lasso._stop = None
-        lasso_fits = {mu: self.lasso.solve(y, LassoConfig(mu=mu)) for mu in sorted(self.mus, reverse=True)}
+        lasso_fits = self.lasso.sweep(y, self.mus)
+        path_steps = tuple(lasso_fits[mu].iterations for mu in self.mus)
+        logger.debug(
+            "trial %d: lasso path steps %s", trial_index, path_steps,
+            extra={"trial": trial_index, "path_steps": path_steps},
+        )
         rkbs = self._select(lasso_fits, "rkbs", trial_index)
         rkhs = self._select({mu: self.ridge.solve(y, mu) for mu in self.mus}, "rkhs", trial_index)
         if rkhs.sparsity != cfg.n_points:
             logger.warning(
-                "ridge solution unexpectedly sparse: %d of %d coefficients above "
-                "threshold (trial %d, mu=%g)",
+                "ridge solution unexpectedly sparse: %d of %d coefficients nonzero (trial %d, mu=%g)",
                 rkhs.sparsity, cfg.n_points, trial_index, rkhs.chosen_mu,
                 extra={"trial": trial_index, "mu": rkhs.chosen_mu, "sparsity": rkhs.sparsity},
             )
@@ -302,6 +309,7 @@ class _Workbench:
             rkbs=rkbs,
             rkhs=rkhs,
             lasso_path=LassoPathStats.of(lasso_fits.values()),
+            path_steps=path_steps,
         )
 
     def _select(self, fits: dict[float, FitResult], method: str, trial_index: int) -> MethodOutcome:
@@ -350,6 +358,13 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
     bench = _workbench(config)
     records = tuple(bench.run_trial(config, i) for i in range(config.trials))
     rkbs, rkhs = (_aggregate([getattr(r, method) for r in records]) for method in ("rkbs", "rkhs"))
+    paths = LassoPathStats.total(r.lasso_path for r in records)
+    logger.info(
+        "%s noise: %d trials, %d lasso path steps, %d uncertified lasso fits",
+        config.noise.label, config.trials, paths.steps, paths.unconverged,
+        extra={"noise": config.noise.label, "trials": config.trials, "path_steps": paths.steps,
+               "unconverged": paths.unconverged},
+    )
     return TrialSummary(config, records, rkbs, rkhs, bench.anchor_stats)
 
 

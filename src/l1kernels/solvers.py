@@ -31,17 +31,22 @@ follows any line in (y, lam).
 
 K[x] is nonsingular, so the path is unique and has two known ends: c = 0
 from lam = 2 ||K^T y||_inf up (the top), and the interpolant K^-1 y, every
-coordinate active with its sign, as lam -> 0 (the bottom).  A cold solve
-starts from the end predicted to be nearer mu.  From the full-support line
-c0 - (lam / 2) K^-1 K^-1 sign(c0), c0 = K^-1 y, taken from the Gram's LU,
-the coordinates that cross zero by lam = mu predict the zeros at mu; the
+coordinate active with its sign, as lam -> 0 (the bottom).  A solve picks
+its end by a rule: from the full-support line c0 - (lam / 2) K^-1 K^-1
+sign(c0), c0 = K^-1 y, taken once per data vector from the Gram's LU, the
+coordinates that cross zero by lam = mu predict the zeros at mu; the
 bottom pays about one leave per zero and the top about one join per
 nonzero, so the path starts at the bottom when fewer than half cross, and
 at the top when mu is at least the top's weight or c0 has an exact zero.
-The bottom start factors all of K in place (LAPACK geqrf and orgqr) and
-climbs in lam from 0 to mu.  It gives up, and the same solve starts again
-at the top, when its active set falls to half of n or fewer, when it has
-taken n steps, or when its fit fails its certificate.
+The crossings never fall as mu grows, so the rule sends a run of the
+smallest weights of a grid to the bottom.  A path from the bottom climbs
+in lam: from the stop of an earlier solve on the same data at a smaller
+weight, else from the QR of all of K (LAPACK geqrf and orgqr; a solver
+that keeps an anchor keeps this QR too, since it does not depend on the
+data).  It gives up, and the same solve starts again from above, when its
+active set falls to half of n or fewer, when it has taken n steps, or when
+its fit fails its certificate; the rule then keeps that data at the top
+from that weight up.
 
 Every solution is certified by its KKT residual, not by trusting the path:
 
@@ -64,10 +69,6 @@ from scipy.linalg.lapack import dtrtrs
 from .errors import DimensionMismatch, NegativeMu, SingularShifted
 from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated
 from .interpolation import _reject_broken_l1
-
-# a coefficient counts towards a fit's sparsity when |c_j| exceeds this
-# times max(1, ||c||_inf)
-SPARSITY_THRESHOLD = 1e-8
 
 # a lasso fit is certified (FitResult.converged) when its KKT residual is at
 # most this, a ridge fit when its linear-system residual is at most this
@@ -105,8 +106,10 @@ class FitResult:
     """Coefficients plus the certificates that qualify them.
 
     objective is recomputed from the final coefficients (not carried from
-    solver internals); sparsity counts |c_j| above SPARSITY_THRESHOLD after
-    scaling by max(1, ||c||_inf).
+    solver internals); sparsity counts the nonzero coefficients.  For the
+    lasso that is the size of its active set: the path sets every other
+    coefficient to exactly zero, and the KKT certificate covers the zeros
+    as it covers the rest.
     """
 
     coefficients: CoefficientVector
@@ -129,13 +132,12 @@ class FitResult:
 
 def _certified(c: np.ndarray, objective: float, residual: float, bound: float, iterations: int) -> FitResult:
     """The FitResult of coefficients c, certified when residual <= bound."""
-    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
     return FitResult(
         coefficients=CoefficientVector(c, Side.LEFT),
         objective=objective,
         kkt_residual=residual,
         iterations=iterations,
-        sparsity=int(np.count_nonzero(np.abs(c) > SPARSITY_THRESHOLD * scale)),
+        sparsity=int(np.count_nonzero(c)),
         converged=residual <= bound,
     )
 
@@ -223,18 +225,30 @@ def _twice_residual(q: np.ndarray, v: np.ndarray, qtv: np.ndarray, out: np.ndarr
     out *= 2.0
 
 
-def _bottom_is_nearer(system: GramSystem, y: np.ndarray, mu: float) -> bool:
-    """Whether a cold path to mu > 0 should start at the bottom (see module
-    docs): fewer than half of the coordinates cross zero by lam = mu on the
-    full-support line c0 - (lam / 2) K^-1 K^-1 sign(c0), c0 = K^-1 y, and
-    c0 has no exact zero."""
-    c0 = system.solve(y)
+def _bottom_is_nearer(c0: np.ndarray, d: np.ndarray, mu: float) -> bool:
+    """The rule (see module docs) for c0 = K^-1 y and d = K^-1 K^-1 sign(c0):
+    whether fewer than half of the coordinates cross zero by lam = mu on the
+    full-support line c0 - (lam / 2) d, and c0 has no exact zero."""
     sigma = np.sign(c0)
     if not sigma.all():
         return False
-    d = system.solve(system.solve(sigma))
     crossings = np.count_nonzero(sigma * (c0 - mu / 2.0 * d) <= 0.0)
     return 2 * crossings < c0.size
+
+
+def _factor_qr(gram: np.ndarray, q: np.ndarray, r: np.ndarray) -> None:
+    """Q R = gram for the square Gram, in place in the n x n Fortran-ordered
+    q and r (LAPACK geqrf and orgqr): Q in q, R in the upper triangle of r,
+    whose lower part is never read."""
+    n = gram.shape[0]
+    lwork = max(int(_geqrf_lwork(n, n)[0]), n)
+    q[:] = gram
+    _, tau, _, info = _geqrf(q, lwork=lwork, overwrite_a=True)
+    if info == 0:
+        r[:] = q
+        _, _, info = _orgqr(q, tau, lwork=lwork, overwrite_a=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of geqrf or orgqr")
 
 
 # the boundaries +lam and -lam, one row of join events each
@@ -259,19 +273,23 @@ class LassoSolver:
     since the updates scan nothing.
 
     The buffers keep the path point where the last solve reached its mu,
-    and the stop keeps that solve's own copy of y with the path's lam, m and
-    barred rejoin (none after a climb from the bottom).  solve() clears the
-    stop before it writes anything and sets it only when the path reaches
-    mu, so a solve cut short by MAX_PATH_STEPS, one at mu = 0 or one that
-    raises leaves none.  A solve resumes in place, with no further check,
-    when y equals the stop's data by value and config.mu is no larger than
-    its weight, so solves of one y at decreasing mu follow one path; any
-    other solve starts from the anchor _pin kept if its mu is no larger,
-    else cold, from the end of the path the rule picks (see module docs).
-    Either way the result is the exact path point at mu, certified by
-    _finish, and its iterations count this solve's steps, data moves and a
-    bottom start given up included.  The buffers make a solver stateful:
-    one must not be shared between threads.
+    and the stop keeps that solve's own copy of y with the path's lam, m
+    and barred rejoin (none after a climb).  solve() clears the stop before
+    it writes anything and sets it only when the path reaches mu, so a
+    solve cut short by MAX_PATH_STEPS, one at mu = 0 or one that raises
+    leaves none.  A solve on data equal by value to the stop's, or else to
+    the anchor's (_pin), goes on down from that point, in place, when
+    config.mu is no larger than its weight.  Otherwise the rule picks the
+    end (see module docs).  The bottom climbs from that point, which lies
+    below config.mu, else from the interpolant; a climb that gives up
+    starts again from above, and the rule sends no larger weight on the
+    same data to the bottom again.  From above, the path moves the data
+    from the anchor at its weight when config.mu is no larger, else starts
+    from c = 0.  Either way the result is the exact path point at mu,
+    certified by _finish, and its iterations count this solve's steps,
+    data moves and a climb given up included.  sweep() orders a grid of
+    weights so that each solve finds its start.  The buffers make a solver
+    stateful: one must not be shared between threads.
     """
 
     def __init__(self, system: GramSystem):
@@ -294,6 +312,13 @@ class LassoSolver:
         self._stop: tuple | None = None
         # copies of a stop and its active set, signs, Q and R, or None
         self._anchor: tuple | None = None
+        # copies of Q and R of all of K, kept by _pin, or None
+        self._frame: tuple | None = None
+        # (y, 2 ||K^T y||_inf, c0, d) of the rule for the last data it saw,
+        # and the weight from which the rule keeps that data at the top: the
+        # top's weight, or one where a climb gave up
+        self._line: tuple | None = None
+        self._ceiling = 0.0
 
     def solve(self, y, config: LassoConfig) -> FitResult:
         """Solve for one right-hand side: the exact path point at config.mu."""
@@ -305,48 +330,84 @@ class LassoSolver:
             # square nonsingular system: the unregularized minimizer interpolates
             return self._finish(system.solve(y), y, config, iterations=0)
 
-        anchor = self._anchor
-        if stop is not None and mu <= stop[1] and np.array_equal(y, stop[0]):
+        anchor, steps = self._anchor, 0
+        if stop is not None and not np.array_equal(y, stop[0]):
+            stop = None
+        if stop is None and anchor is not None and np.array_equal(y, anchor[0][0]):
+            # the anchor is a point of this data's own path
+            stop = self._restore_anchor()
+        if stop is not None and mu <= stop[1]:
             _, lam, m, blocked = stop
             c, steps = self._follow(y, mu, m, blocked, lam)
-        elif anchor is not None and mu <= anchor[0][1]:
-            (y_anchor, lam, m, blocked), *copies = anchor
-            self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m] = copies
-            if np.array_equal(y, y_anchor):
-                c, steps = self._follow(y, mu, m, blocked, lam)
+            return self._finish(c, y, config, iterations=steps)
+        if self._starts_at_bottom(y, mu):
+            # up in lam = mu - s as s falls to 0, from the point below mu or
+            # from the interpolant
+            if stop is not None:
+                s, m = mu - stop[1], stop[2]
             else:
-                # move the data from the anchor's to y at the anchor's weight
-                c, steps = self._follow(y, mu, m, None, 1.0, lam0=lam, h=0.0, e=y_anchor - y, end=0.0)
-        else:
-            lam_max, steps = zero_mu_threshold(system, y), 0
-            if mu < lam_max and _bottom_is_nearer(system, y, mu) and self._factor_all(y):
-                # up from the interpolant: lam = mu - s as s falls from mu to 0
-                c, steps = self._follow(y, mu, n, None, mu, lam0=mu, h=-1.0, end=0.0)
+                s, m = (mu if self._load_bottom(y) else None), n
+            if s is not None:
+                c, steps = self._follow(y, mu, m, None, s, lam0=mu, h=-1.0, end=0.0)
                 fit = self._finish(c, y, config, iterations=steps)
                 if fit.converged or steps == MAX_PATH_STEPS:
                     return fit
-                # the path fell to half support or ran n steps short of mu, or
-                # the fit failed its certificate: start again at the top
-                self._stop = None
-            c, steps = self._follow(y, mu, 0, None, lam_max, steps=steps)
+                # the climb fell to half support or ran n steps short of mu, or
+                # its fit failed the certificate: start again from above
+                self._stop, self._ceiling = None, mu
+        if anchor is not None and mu <= anchor[0][1]:
+            # move the data from the anchor's to y at the anchor's weight
+            y_anchor, lam, m, _ = self._restore_anchor()
+            c, steps = self._follow(y, mu, m, None, 1.0, lam0=lam, h=0.0, e=y_anchor - y, end=0.0, steps=steps)
+        else:
+            # down from c = 0 at the top's weight, which the rule has computed
+            c, steps = self._follow(y, mu, 0, None, self._line[1], steps=steps)
         return self._finish(c, y, config, iterations=steps)
 
-    def _factor_all(self, y: np.ndarray) -> bool:
+    def sweep(self, y, mus) -> dict[float, FitResult]:
+        """Fits of y at every weight of mus, keyed in the order of mus.
+
+        The weights the rule sends to the bottom, a run of the smallest, are
+        solved in increasing order, each climb resuming the last; the rest in
+        decreasing order, each path down resuming the last and the first
+        starting from the anchor or the top.  A climb that gives up starts
+        its own weight again from above, and the weights above it go down
+        with the rest.  No solve starts where an earlier call stopped."""
+        configs = {mu: LassoConfig(mu=mu) for mu in mus}
+        y = _data_vector(y, self.system.n)
+        self._stop, fits = None, {}
+        for mu in sorted(configs):
+            if not self._starts_at_bottom(y, mu):
+                break
+            fits[mu] = self.solve(y, configs[mu])
+        for mu in sorted(configs.keys() - fits.keys(), reverse=True):
+            fits[mu] = self.solve(y, configs[mu])
+        return {mu: fits[mu] for mu in configs}
+
+    def _starts_at_bottom(self, y: np.ndarray, mu: float) -> bool:
+        """Whether the rule starts a path to mu on data y at the bottom:
+        mu is below the ceiling and _bottom_is_nearer holds.  The top's
+        weight, c0 and d are computed once per data vector."""
+        line = self._line
+        if line is None or not np.array_equal(y, line[0]):
+            system = self.system
+            c0 = system.solve(y)
+            d = system.solve(system.solve(np.sign(c0)))
+            line = self._line = (y.copy(), zero_mu_threshold(system, y), c0, d)
+            self._ceiling = line[1]
+        return mu < self._ceiling and _bottom_is_nearer(line[2], line[3], mu)
+
+    def _load_bottom(self, y: np.ndarray) -> bool:
         """Make every coordinate active, with the QR of the whole Gram in the
-        buffers (LAPACK geqrf and orgqr in place) and the signs of the
-        interpolant R^-1 Q^T y; False when the interpolant has an exact zero,
-        whose sign the path cannot take."""
-        n, qb, rb = self.system.n, self._qb, self._rb
-        lwork = max(int(_geqrf_lwork(n, n)[0]), n)
-        qb[:] = self.system.gram
-        _, tau, _, info = _geqrf(qb, lwork=lwork, overwrite_a=True)
-        if info == 0:
-            # R is the upper triangle; what lies below it is never read
-            rb[:] = qb
-            _, _, info = _orgqr(qb, tau, lwork=lwork, overwrite_a=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of geqrf or orgqr")
-        self._active[:] = np.arange(n)
+        buffers, copied from the kept frame or else factored in place, and
+        the signs of the interpolant R^-1 Q^T y; False when the interpolant
+        has an exact zero, whose sign the path cannot take."""
+        qb, rb = self._qb, self._rb
+        if self._frame is None:
+            _factor_qr(self.system.gram, qb, rb)
+        else:
+            qb[:], rb[:] = self._frame
+        self._active[:] = np.arange(self.system.n)
         np.sign(_solve_r(rb, qb.T @ y), out=self._signs)
         return bool(self._signs.all())
 
@@ -356,8 +417,8 @@ class LassoSolver:
         the line (y + s e, lam0 + s h) as s falls to end, by default down in
         lam to mu; a line in the data goes on down in lam from its end.  The
         path stops at MAX_PATH_STEPS in all, counting from steps, and a line up
-        from the bottom (h < 0) gives up once its active set falls to half of
-        n or fewer or it has taken n steps.  Returns the coefficients where
+        in lam (h < 0) gives up once its active set falls to half of n or
+        fewer or it has taken n steps.  Returns the coefficients where
         the path stopped and the step count; sets the stop if it reached mu."""
         n, k = self.system.n, self.system.gram
         active, signs, qb, rb = self._active, self._signs, self._qb, self._rb
@@ -460,11 +521,22 @@ class LassoSolver:
         return c, steps
 
     def _pin(self) -> None:
-        """Keep copies of the last stop and its path point, if any, as the anchor."""
+        """Keep copies of the last stop and its path point, if any, as the
+        anchor, and the QR of all of K as the bottom frame."""
         if self._stop is not None:
             m = self._stop[2]
             buffers = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]
             self._anchor = self._stop, *(b.copy() for b in buffers)
+            if self._frame is None:
+                self._frame = tuple(np.empty_like(self._qb) for _ in range(2))
+                _factor_qr(self.system.gram, *self._frame)
+
+    def _restore_anchor(self) -> tuple:
+        """Copy the anchor's path point into the buffers; returns its stop."""
+        stop, *copies = self._anchor
+        m = stop[2]
+        self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m] = copies
+        return stop
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:
         system = self.system

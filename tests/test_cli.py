@@ -1,4 +1,8 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -249,3 +253,39 @@ def test_invalid_settings_are_usage_errors(argv, capsys):
 
 def test_missing_subcommand_is_usage_error():
     assert run_cli() == 1
+
+
+# ---------------------------------------------------------------------------
+# logging
+
+
+def test_log_level_shows_the_library_records_on_stderr(capsys):
+    args = ("experiment", "--noise", "gaussian", "--trials", "1", "--n", "20", "--mu-grid", "1e-2,1e-1")
+    assert run_cli("-v", "debug", *args) == 0
+    err = capsys.readouterr().err
+    assert "DEBUG l1kernels.experiment: trial 0: lasso path steps (" in err
+    assert "INFO l1kernels.experiment: gaussian noise: 1 trials, " in err
+    # warnings only by default, and no handler outlives the run
+    assert run_cli(*args) == 0
+    assert capsys.readouterr().err == ""
+    log = logging.getLogger("l1kernels")
+    assert [type(h) for h in log.handlers] == [logging.NullHandler]
+    assert log.level == logging.NOTSET
+
+
+def test_invalid_log_level_is_usage_error(capsys):
+    assert run_cli("--log-level", "loud", "experiment") == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'LOUD'" in err and "Traceback" not in err
+
+
+def test_library_is_silent_by_default():
+    # with no logging configured, Python prints warnings through its last
+    # resort handler; the library's own null handler keeps it quiet
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("l1kernels").__file__)))
+    code = "import logging, l1kernels; logging.getLogger('l1kernels.experiment').warning('heard')"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert out.stderr == ""

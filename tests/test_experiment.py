@@ -32,7 +32,7 @@ from l1kernels import (
     summary_to_json,
     target_function,
 )
-from l1kernels import experiment
+from l1kernels import experiment, solvers
 from l1kernels.experiment import INTERVAL, KERNEL, config_to_json, csv_rows, CSV_HEADER
 from l1kernels.streams import stream
 from _oracles import trapezoid_l2
@@ -388,17 +388,100 @@ def test_threads_running_trials_at_once_give_the_serial_records(fresh_workbench)
 
 def test_anchored_trial_path_steps_are_pinned(monkeypatch, fresh_workbench):
     # the workbench solves the noiseless target once down to the largest
-    # weight; each trial moves the data from there to its own at that weight,
-    # then follows the path down the grid, in far fewer steps than the cold
-    # paths above
+    # weight and keeps the QR of the whole Gram.  Each trial climbs from the
+    # interpolant through the weights the rule sends to the bottom (1e-7 to
+    # 1e-4 here), each climb resuming the last; then it moves the data from
+    # the anchor to its own at the largest weight and follows the path down
+    # through the rest, in far fewer steps than the cold paths above.  Steps
+    # per weight in grid order; from 1e-3 up they are the path down's as
+    # before, and the bottom four, 10, 16 and 16 steps on the climb, took
+    # 100, 101 and 111 on the way down
     fits = record_lasso_fits(monkeypatch)
     cfg = ExperimentConfig(n_points=200, master_seed=12345)
     records = [run_trial(cfg, k) for k in range(3)]
     anchor, fits = fits[0], fits[1:]
     assert anchor.converged and anchor.iterations == 327
     assert len(fits) == 27 and all(fit.converged for fit in fits)
-    assert [fit.iterations for fit in fits[::9]] == [23, 36, 17]
-    assert sum(fit.iterations for fit in fits) == sum(r.lasso_path.steps for r in records) == 1107
+    assert [r.path_steps for r in records] == [
+        (1, 1, 1, 7, 163, 53, 10, 32, 23),
+        (1, 1, 2, 12, 145, 45, 10, 24, 36),
+        (1, 1, 1, 13, 155, 45, 18, 19, 17),
+    ]
+    assert sum(fit.iterations for fit in fits) == sum(r.lasso_path.steps for r in records) == 837
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.gaussian(), NoiseModel.uniform(), NoiseModel.pepper_sauce()])
+def test_two_ended_sweep_selects_what_the_path_down_selects(noise, monkeypatch):
+    # the weights the oracle selects lie above the rule's split, where the
+    # sweep runs the path down from the anchor bit for bit; below it the
+    # climb reaches the same exact path points
+    cfg = ExperimentConfig(noise=noise)
+    bench = experiment._workbench(cfg)
+    for k in range(3):
+        y = bench.target_x + generate_noise(noise, cfg.n_points, stream(cfg.master_seed, k, "noise"))
+        record, fits = run_trial(cfg, k), bench.lasso.sweep(y, cfg.mu_grid)
+        climbed = [bench.lasso._starts_at_bottom(y, mu) for mu in cfg.mu_grid]
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_bottom_is_nearer", lambda c0, d, mu: False)
+            down_record, down = run_trial(cfg, k), bench.lasso.sweep(y, cfg.mu_grid)
+        assert (record.rkbs, record.rkhs) == (down_record.rkbs, down_record.rkhs)
+        assert 3 <= sum(climbed) < len(cfg.mu_grid) - 2
+        assert record.lasso_path.steps < down_record.lasso_path.steps
+        for mu, bottom in zip(cfg.mu_grid, climbed):
+            fit, ref = fits[mu], down[mu]
+            c, cr = fit.coefficients.values, ref.coefficients.values
+            assert fit.converged and ref.converged
+            if bottom:
+                assert np.array_equal(np.flatnonzero(c), np.flatnonzero(cr))
+                assert np.abs(c - cr).max() <= 1e-8 * np.abs(cr).max()
+            else:
+                assert np.array_equal(c, cr) and fit.iterations == ref.iterations
+
+
+def test_sweep_after_a_climb_gives_up_matches_cold_fits(monkeypatch):
+    # on smooth data the rule sends every weight of the grid to the bottom,
+    # but from mu = 0.1 the climb to 1 falls to half support and gives up:
+    # that solve starts again from the anchor, and the weight above it, no
+    # longer sent to the bottom, goes down from the anchor too
+    x = np.linspace(*INTERVAL, 200)
+    system, y = build_system(KERNEL, x), 1.0 + np.cos(3.0 * x)
+    mus = tuple(10.0 ** j for j in range(-7, 2))
+    solver = LassoSolver(system)
+    solver.solve(target_function(x), LassoConfig(mu=10.0))
+    solver._pin()
+    assert all(solver._starts_at_bottom(y, mu) for mu in mus)
+    follow, lines = LassoSolver._follow, []
+
+    def traced(self, *args, h=1.0, **kwargs):
+        lines.append("B" if h < 0.0 else "T" if h > 0.0 else "M")
+        return follow(self, *args, h=h, **kwargs)
+
+    monkeypatch.setattr(LassoSolver, "_follow", traced)
+    fits = solver.sweep(y, mus)
+    assert "".join(lines) == "B" * 8 + "MM"
+    assert not solver._starts_at_bottom(y, 1.0) and solver._starts_at_bottom(y, 0.1)
+    for mu, fit in fits.items():
+        cold = LassoSolver(system).solve(y, LassoConfig(mu=mu))
+        c, cc = fit.coefficients.values, cold.coefficients.values
+        assert fit.converged
+        assert np.array_equal(np.flatnonzero(c), np.flatnonzero(cc))
+        assert np.abs(c - cc).max() <= 1e-8 * np.abs(cc).max()
+
+
+def test_ridge_sparsity_counts_nonzeros_on_seed_7007_trial_253(caplog):
+    # one ridge coefficient of this trial is 1.65e-8, below 1e-8 times the
+    # largest (2.99); a thresholded count read 199 and warned of a sparse fit
+    cfg = ExperimentConfig(master_seed=7007)
+    x = np.linspace(*INTERVAL, cfg.n_points)
+    y = target_function(x) + generate_noise(cfg.noise, cfg.n_points, stream(7007, 253, "noise"))
+    fit = RidgeSolver(build_system(KERNEL, x)).solve(y, 0.1)
+    h = np.abs(fit.coefficients.values)
+    assert h.min() < 1e-8 * h.max()
+    assert fit.sparsity == cfg.n_points
+    with caplog.at_level(logging.DEBUG, logger="l1kernels"):
+        record = run_trial(cfg, 253)
+    assert record.rkhs.chosen_mu == 0.1 and record.rkhs.sparsity == cfg.n_points
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_run_experiment_single_trial_equals_record():
@@ -440,6 +523,7 @@ def test_summary_json_shape():
     assert len(obj["trials"]) == 1
     assert obj["config"]["metadata"]["error_scale"] == "squared L2([a,b]) distance"
     assert obj["trials"][0]["rkbs"].keys() == {"l2_error", "sparsity", "chosen_mu", "certified"}
+    assert len(obj["trials"][0]["path_steps"]) == len(cfg.mu_grid)
     assert obj["methods"]["rkbs"].keys() == {"mean_error", "mean_sparsity", "max_sparsity", "uncertified"}
 
 
@@ -462,6 +546,8 @@ def test_summary_json_reports_lasso_path_certificates(monkeypatch, fresh_workben
     assert len(fits) == cfg.trials * per_mu
     for k, trial in enumerate(obj["trials"]):
         assert trial["lasso_path"] == stats(fits[k * per_mu:(k + 1) * per_mu])
+        # the same steps per weight, in grid order
+        assert sorted(trial["path_steps"]) == sorted(f.iterations for f in fits[k * per_mu:(k + 1) * per_mu])
     assert obj["lasso_path"] == stats(fits)
     assert obj["anchor"] == stats([anchor])
     assert obj["lasso_path"]["steps"] > 0

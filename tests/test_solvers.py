@@ -153,7 +153,7 @@ def solve_path(solver, y, mus):
 def start_at(patch, end):
     """Make every cold solve start from one end of the path, "top" (c = 0)
     or "bottom" (the interpolant), whatever the rule would pick."""
-    patch.setattr(solvers, "_bottom_is_nearer", lambda system, y, mu: end == "bottom")
+    patch.setattr(solvers, "_bottom_is_nearer", lambda c0, d, mu: end == "bottom")
 
 
 def test_lasso_warm_start_path():
@@ -343,6 +343,33 @@ def test_lasso_anchor_moves_to_any_data_then_matches_cold_fits(seed, bridge, n, 
             assert_same_fit(solver.solve(y, LassoConfig(mu=mu)), LassoSolver(system).solve(y, LassoConfig(mu=mu)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bridge=st.booleans(),
+    n=st.integers(1, 40),
+    log_anchor=st.floats(-7.0, 1.0),
+    log_mus=st.lists(st.one_of(st.none(), st.floats(-7.0, 1.0)), min_size=1, max_size=6),
+)
+def test_lasso_sweep_of_any_grid_matches_cold_fits(seed, bridge, n, log_anchor, log_mus):
+    # a grid in any order, with repeats and mu = 0 (None), on a solver whose
+    # anchor and bottom frame are kept: every fit is the cold fit's path
+    # point, keyed in the grid's order
+    rng = np.random.default_rng(seed)
+    system = build_system(*well_spaced(rng, bridge, n))
+    y0, *ys = rng.uniform(-2, 2, (3, n))
+    mus = [0.0 if m is None else 10.0 ** m for m in log_mus]
+    solver = LassoSolver(system)
+    solver.solve(y0, LassoConfig(mu=10.0 ** log_anchor))
+    solver._pin()
+    assert solver._frame is not None
+    for y in ys + [y0]:
+        fits = solver.sweep(y, mus)
+        assert list(fits) == list(dict.fromkeys(mus))
+        for mu, fit in fits.items():
+            assert_same_fit(fit, LassoSolver(system).solve(y, LassoConfig(mu=mu)))
+
+
 @pytest.mark.parametrize("n", [9, 40, 200])
 @pytest.mark.parametrize("bridge", [False, True])
 def test_lasso_anchor_on_tied_data_moves_to_noisy_data(n, bridge):
@@ -467,7 +494,7 @@ def test_lasso_interpolant_with_an_exact_zero_starts_at_the_top(monkeypatch):
     system = GramSystem(base.kernel, base.points, gram, scipy.linalg.lu_factor(gram), 1.0)
     y, mu = np.array([1.0, 0.0, -3.0]), 1e-3
     assert system.solve(y)[1] == 0.0
-    assert not solvers._bottom_is_nearer(system, y, mu)
+    assert not LassoSolver(system)._starts_at_bottom(y, mu)
     with monkeypatch.context() as patch:
         start_at(patch, "top")
         top = LassoSolver(system).solve(y, LassoConfig(mu=mu))
@@ -506,7 +533,7 @@ def test_lasso_bottom_path_restarts_from_the_top_within_one_solve(monkeypatch):
     rng = np.random.default_rng(358)
     system = build_system(gaussian(), np.sort(rng.uniform(-1, 1, 6)))
     y = rng.uniform(-2, 2, 6)
-    assert solvers._bottom_is_nearer(system, y, 1e-7)
+    assert LassoSolver(system)._starts_at_bottom(y, 1e-7)
     fit, top = lasso_gram(system, y, LassoConfig(mu=1e-7)), top_fit(system, y, 1e-7)
     assert fit.converged and fit.iterations == top.iterations + 1
     assert np.array_equal(fit.coefficients.values, top.coefficients.values)
@@ -514,7 +541,7 @@ def test_lasso_bottom_path_restarts_from_the_top_within_one_solve(monkeypatch):
     # the bottom path falls to half support after 100 steps and gives up
     x = np.linspace(-1.0, 1.0, 200)
     system, y = build_system(exponential(), x), 1.0 + np.cos(3.0 * x)
-    assert solvers._bottom_is_nearer(system, y, 10.0)
+    assert LassoSolver(system)._starts_at_bottom(y, 10.0)
     fit, top = lasso_gram(system, y, LassoConfig(mu=10.0)), top_fit(system, y, 10.0)
     assert fit.converged and (fit.iterations, top.iterations) == (105, 5)
     assert np.array_equal(fit.coefficients.values, top.coefficients.values)

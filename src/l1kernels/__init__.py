@@ -44,16 +44,13 @@ from .kernels import (
     Interval,
     KernelSpec,
     Status,
-    bspline,
     brownian_bridge,
     closed_form_cardinal,
     exponential,
     gaussian,
-    inverse_multiquadric,
     kernel_from_json,
     kernel_to_json,
     sinc,
-    wendland_d3_k0,
     wendland_d3_k1,
 )
 from .gram import (

@@ -5,16 +5,18 @@ matrix K[x], its pivoted LU factorization, and a reciprocal condition
 estimate.  Every zoo kernel satisfies K(s, t) == K(t, s) exactly in floating
 point, so K[x] is symmetric and one orientation serves both sides.
 
-LU with partial pivoting is used instead of Cholesky on purpose: Gram
-matrices here are nonsingular by the admissibility condition (A1) but need
-not be positive definite (the Brownian bridge Gram is, the sinc Gram on
-non-integer points need not be).  Every factorization in the library, the
-Gram's own and the ridge solver's shifted K[x] + mu I, goes through one
-helper that factors the matrix and rejects it when LAPACK's 1-norm rcond
-estimate falls below RCOND_FLOOR.  Kernel sections, solves and cardinal
-coefficients are methods of :class:`GramSystem`.  Solves go through the LU
-(getrs); a cardinal matrix, thousands of columns at once, is the inverse
-from the LU (getri) times K_x, because one GEMM is 4-20x faster there.
+LU with partial pivoting is used instead of Cholesky on purpose: the theory
+asks of a Gram matrix only that it be nonsingular (A1), not positive
+definite, and one rcond gate then serves both K[x] and the ridge solver's
+shifted K[x] + mu I.  (Every zoo kernel is in fact positive definite: the
+Brownian bridge as a covariance, the others by a nonnegative Fourier
+transform, for sinc a box.)  Every factorization in the library goes
+through one helper that factors the matrix and rejects it when LAPACK's
+1-norm rcond estimate falls below RCOND_FLOOR.  Kernel sections, solves
+and cardinal coefficients are methods of :class:`GramSystem`.  Solves go
+through the LU (getrs); a cardinal matrix, thousands of columns at once,
+is the inverse from the LU (getri) times K_x, because one GEMM is 4-20x
+faster there.
 """
 
 from __future__ import annotations

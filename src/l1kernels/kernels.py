@@ -34,10 +34,7 @@ __all__ = [
     "exponential",
     "brownian_bridge",
     "gaussian",
-    "inverse_multiquadric",
-    "wendland_d3_k0",
     "wendland_d3_k1",
-    "bspline",
     "sinc",
     "closed_form_cardinal",
     "kernel_from_json",
@@ -49,10 +46,7 @@ class Family(enum.Enum):
     EXPONENTIAL = "exponential"
     BROWNIAN_BRIDGE = "brownian_bridge"
     GAUSSIAN = "gaussian"
-    INVERSE_MULTIQUADRIC = "inverse_multiquadric"
-    WENDLAND_D3_K0 = "wendland_d3_k0"
     WENDLAND_D3_K1 = "wendland_d3_k1"
-    BSPLINE = "bspline"
     SINC = "sinc"
 
 
@@ -111,10 +105,6 @@ class Interval:
 _REAL_LINE = Interval()
 _UNIT_OPEN = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 
-# Max order for B-spline kernels: the divided-difference recursion stays
-# exact in double precision for small orders.
-MAX_BSPLINE_ORDER = 6
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -130,8 +120,6 @@ class KernelSpec:
     flags: AdmissibilityFlags
     bound: float
     sigma: float | None = None
-    beta: float | None = None
-    order: int | None = None
 
     @property
     def name(self) -> str:
@@ -170,34 +158,9 @@ def _eval_gaussian(spec, s, t):
     return np.exp(-((s - t) ** 2) / spec.sigma)
 
 
-def _eval_inverse_multiquadric(spec, s, t):
-    return (1.0 + (s - t) ** 2) ** (-spec.beta)
-
-
-def _eval_wendland_d3_k0(spec, s, t):
-    r = np.abs(s - t)
-    return np.maximum(1.0 - r, 0.0) ** 2
-
-
 def _eval_wendland_d3_k1(spec, s, t):
     r = np.abs(s - t)
     return np.maximum(1.0 - r, 0.0) ** 4 * (1.0 + 4.0 * r)
-
-
-def _bspline_uncentered(p: int, x):
-    """Order-p cardinal B-spline on [0, p] by the two-term recursion."""
-    if p == 1:
-        return np.where((x >= 0.0) & (x < 1.0), 1.0, 0.0)
-    lower = _bspline_uncentered(p - 1, x)
-    shifted = _bspline_uncentered(p - 1, x - 1.0)
-    return (x * lower + (p - x) * shifted) / (p - 1)
-
-
-def _eval_bspline(spec, s, t):
-    # evaluate on |s - t|: the centered spline is even, and going through the
-    # absolute value keeps eval(s, t) == eval(t, s) exact in floating point
-    p = spec.order
-    return _bspline_uncentered(p, np.abs(s - t) + p / 2.0)
 
 
 def _eval_sinc(spec, s, t):
@@ -208,10 +171,7 @@ _EVALUATORS = {
     Family.EXPONENTIAL: _eval_exponential,
     Family.BROWNIAN_BRIDGE: _eval_brownian_bridge,
     Family.GAUSSIAN: _eval_gaussian,
-    Family.INVERSE_MULTIQUADRIC: _eval_inverse_multiquadric,
-    Family.WENDLAND_D3_K0: _eval_wendland_d3_k0,
     Family.WENDLAND_D3_K1: _eval_wendland_d3_k1,
-    Family.BSPLINE: _eval_bspline,
     Family.SINC: _eval_sinc,
 }
 
@@ -262,52 +222,18 @@ def gaussian(sigma: float = 1.0, domain: Interval | None = None) -> KernelSpec:
     )
 
 
-def inverse_multiquadric(beta: float, domain: Interval | None = None) -> KernelSpec:
-    """K(s,t) = (1 + (s-t)^2)^(-beta).  beta = 1/2 is known to fail (A4)."""
-    if not beta > 0:
-        raise ValueError(f"inverse multiquadric beta must be positive, got {beta}")
-    flags = AdmissibilityFlags(a4=Status.DISPROVEN) if beta == 0.5 else AdmissibilityFlags()
-    return KernelSpec(
-        family=Family.INVERSE_MULTIQUADRIC,
-        domain=domain or _REAL_LINE,
-        flags=flags,
-        bound=1.0,
-        beta=float(beta),
-    )
-
-
-def wendland_d3_k0(domain: Interval | None = None) -> KernelSpec:
-    """Compactly supported kernel (1-r)_+^2 with r = |s-t|."""
-    return KernelSpec(
-        family=Family.WENDLAND_D3_K0,
-        domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(),
-        bound=1.0,
-    )
-
-
 def wendland_d3_k1(domain: Interval | None = None) -> KernelSpec:
-    """Compactly supported kernel (1-r)_+^4 (1+4r) with r = |s-t|."""
+    """Compactly supported kernel (1-r)_+^4 (1+4r) with r = |s-t|.
+
+    Fails the unit Lebesgue bound (A4).  Witness: on x = (0, 0.2) at
+    t = -0.159 the cardinal coefficients are (1.1288, -0.4210), so
+    L(t) = 1.54975, with rcond 0.151; 50-digit arithmetic agrees.
+    """
     return KernelSpec(
         family=Family.WENDLAND_D3_K1,
         domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(),
+        flags=AdmissibilityFlags(a4=Status.DISPROVEN),
         bound=1.0,
-    )
-
-
-def bspline(order: int, domain: Interval | None = None) -> KernelSpec:
-    """Centered cardinal B-spline kernel B_p(s-t) of order p >= 2."""
-    if not (isinstance(order, (int, np.integer)) and 2 <= order <= MAX_BSPLINE_ORDER):
-        raise ValueError(
-            f"B-spline order must be an integer in [2, {MAX_BSPLINE_ORDER}], got {order}"
-        )
-    return KernelSpec(
-        family=Family.BSPLINE,
-        domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(),
-        bound=1.0,
-        order=int(order),
     )
 
 
@@ -331,10 +257,7 @@ _CONSTRUCTORS = {
     Family.EXPONENTIAL: exponential,
     Family.BROWNIAN_BRIDGE: brownian_bridge,
     Family.GAUSSIAN: gaussian,
-    Family.INVERSE_MULTIQUADRIC: inverse_multiquadric,
-    Family.WENDLAND_D3_K0: wendland_d3_k0,
     Family.WENDLAND_D3_K1: wendland_d3_k1,
-    Family.BSPLINE: bspline,
     Family.SINC: sinc,
 }
 
@@ -417,10 +340,6 @@ def kernel_to_json(kernel: KernelSpec) -> dict:
     params: dict = {}
     if kernel.sigma is not None:
         params["sigma"] = kernel.sigma
-    if kernel.beta is not None:
-        params["beta"] = kernel.beta
-    if kernel.order is not None:
-        params["order"] = kernel.order
     dom = kernel.domain
     obj = {
         "family": kernel.family.value,

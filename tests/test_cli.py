@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from l1kernels import Family
 from l1kernels.cli import main, _parse_mu_grid, _UsageError
 
 
@@ -54,8 +55,13 @@ def test_audit_gaussian_a4_fails(tmp_path):
 
 
 def test_audit_bad_kernel_is_usage_error(capsys):
-    assert run_cli("audit", "--kernel", "nonexistent") == 1
-    assert "bad --kernel" in capsys.readouterr().err
+    # bspline is a family the zoo no longer has
+    for name in ("nonexistent", "bspline"):
+        assert run_cli("audit", "--kernel", name) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert f"bad --kernel value: unknown kernel family '{name}'" in err
+        assert all(family.value in err for family in Family)
     for argv in (
         ("--kernel", "exponential", "--trials", "0"),
         ("--kernel", "brownian_bridge", "--window=-1,1"),

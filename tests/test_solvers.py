@@ -409,13 +409,25 @@ def test_lasso_anchor_serves_only_weights_below_its_own(monkeypatch):
     solver._pin()
     # above the anchor's weight the path cannot start from it
     assert_cold(solver.solve(y1, high), y1, high)
-    # below it the data moves, in fewer steps than a cold path from the top
-    # takes (one from the interpolant takes 1 step at this small weight)
-    moved = solver.solve(y1, LassoConfig(mu=1e-4))
+    # below it the data moves from the anchor, on one line and in fewer steps
+    # than a cold path from the top takes to the same fit; with the stop of
+    # the solve above cleared and the top forced, no start other than the
+    # anchor lies below the top (the interpolant would take 1 step here)
+    solver._stop = None
+    lines, follow = [], solver._follow
+
+    def traced_follow(*args, **kwargs):
+        lines.append(kwargs.get("h"))
+        return follow(*args, **kwargs)
+
     with monkeypatch.context() as patch:
         start_at(patch, "top")
+        patch.setattr(solver, "_follow", traced_follow)
+        moved = solver.solve(y1, LassoConfig(mu=1e-4))
         top = LassoSolver(system).solve(y1, LassoConfig(mu=1e-4))
-    assert moved.converged and moved.iterations < top.iterations
+    assert lines == [0.0]
+    assert_same_fit(moved, top)
+    assert moved.iterations < top.iterations
     # on the anchor's own data the path resumes in place, with no step
     assert solver.solve(y0, low).iterations == 0
     # a solver pins nothing unless its last solve left a stop

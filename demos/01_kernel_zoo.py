@@ -3,9 +3,10 @@
 Each kernel family carries static flags recording which of the four
 admissibility conditions (nonsingular Grams, boundedness, l1-injectivity,
 unit Lebesgue bound) are settled analytically.  Only the exponential and
-Brownian bridge kernels carry all four; the Gaussian and the Wendland kernel
-break the Lebesgue bound, and sinc is the canonical l1-injectivity
-counterexample.  The table says where each settled flag comes from.
+Brownian bridge kernels carry all four; the Gaussian, the Wendland kernel
+and sinc have nonsingular Grams and bounded values but break the Lebesgue
+bound, and sinc is also the canonical l1-injectivity counterexample.  The
+table says where each settled flag comes from.
 """
 
 import json
@@ -25,22 +26,26 @@ from l1kernels import (
 )
 
 PAPER = "[1] Song, Zhang & Hickernell, arXiv 1101.4388"
+BOOK = "[2] Wendland, Scattered Data Approximation (2005), ch. 6 and 9"
 zoo = [
     (exponential(), "proof [1]; closed-form cardinal functions"),
     (brownian_bridge(), "proof [1]; closed-form cardinal functions"),
-    (gaussian(sigma=1.0), "A4: reference [1]"),
-    (wendland_d3_k1(), "A4: witness x = (0, 0.2), t = -0.159"),
-    (sinc(), "A3: reference [1]"),
+    (gaussian(sigma=1.0), "A1, A2: reference [2]; A4: reference [1]"),
+    (wendland_d3_k1(), "A1, A2: reference [2]; A4: witness x = (0, 0.2), t = -0.159"),
+    (sinc(), "A1, A2: box transform; A3: reference [1]; A4: witness x = (0, 1), t = 0.5"),
 ]
 
 print(f"{'family':16s} {'domain':14s} {'|K|<=':6s} {'a1/a2/a3/a4':12s} source")
 for k, source in zoo:
     flags = "/".join(getattr(k.flags, a).value[0] for a in ("a1", "a2", "a3", "a4"))
     print(f"{k.name:16s} {str(k.domain):14s} {k.bound:<6g} {flags:12s} {source}")
-print(f"(p=proven, d=disproven, u=unknown)  {PAPER}")
+print(f"(p=proven, d=disproven, u=unknown)  {PAPER}; {BOOK}")
 
 witness = build_system(wendland_d3_k1(), [0.0, 0.2])
 print(f"\nWendland witness: L(-0.159) = {lebesgue_function(witness, -0.159):.5f} > 1 "
+      f"(rcond {witness.rcond_estimate:.3f})")
+witness = build_system(sinc(), [0.0, 1.0])
+print(f"sinc witness:     L(0.5) = {lebesgue_function(witness, 0.5):.7f} = 4/pi > 1 "
       f"(rcond {witness.rcond_estimate:.3f})")
 
 print("\nPointwise values:")

@@ -155,9 +155,9 @@ def _cmd_audit(args) -> int:
                 master_seed=args.seed, domain=window,
             )
         reports.append(rep)
-        detail = f"worst {rep.stats.worst_value:.6g}" if rep.stats.worst_value is not None else ""
+        worst = f", worst {rep.stats.worst_value:.6g}" if rep.stats.worst_value is not None else ""
         extra = f"; {rep.message}" if rep.message else ""
-        print(f"{cond}: {rep.verdict.value} ({rep.stats.n_trials} trials, {detail}{extra})")
+        print(f"{cond}: {rep.verdict.value} ({rep.stats.n_trials} trials{worst}{extra})")
 
     if args.condition == "all":
         a3 = kernel.flags.a3

@@ -17,13 +17,13 @@ is certified, with the count per method.
 
 A thread keeps what its trials share until n_points or the mu grid change
 (about 8 MB at n = 200): Gram system, quadrature matrix, ridge factors and
-the two saved ends of the lasso path, the anchor (the noiseless target's
-path point at the largest weight) and the QR of the whole Gram (the
-bottom frame).  Each trial sweeps its lasso grid from both ends
-(LassoSolver.sweep): it climbs from the interpolant through the weights the
-cold-start rule sends to the bottom, then moves the data from the anchor to
-its own at the largest weight and goes on down through the rest, and
-starts nowhere else.  So run_trial(config,
+a lasso solver pinned (LassoSolver.pin) at the anchor, the noiseless
+target's path point at the largest weight, which also keeps the QR of the
+whole Gram (the bottom frame).  Each trial sweeps its lasso grid from both
+ends (LassoSolver.sweep): it climbs from the interpolant through the
+weights below the cold-start rule's split, then moves the data from the
+anchor to its own at the largest weight and goes on down through the rest,
+and starts nowhere else.  So run_trial(config,
 k) is a pure function of (config, k), its noise drawn from the stream
 (master_seed, k, "noise"), and the CSV is byte-identical across runs at a
 fixed BLAS thread count (another count sums in another order, which can
@@ -278,8 +278,7 @@ class _Workbench:
         self.ridge = RidgeSolver(self.system)
         self.mus = mus
         # the anchor: the noiseless target's path point at the largest weight
-        self.anchor_stats = LassoPathStats.of([self.lasso.solve(self.target_x, LassoConfig(mu=max(mus)))])
-        self.lasso._pin()
+        self.anchor_stats = LassoPathStats.of([self.lasso.pin(self.target_x, LassoConfig(mu=max(mus)))])
 
     def error_of(self, coefficients: np.ndarray) -> float:
         """Squared L2 distance to the target for a LEFT coefficient vector."""

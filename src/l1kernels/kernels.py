@@ -210,13 +210,13 @@ def brownian_bridge(domain: Interval | None = None) -> KernelSpec:
 
 
 def gaussian(sigma: float = 1.0, domain: Interval | None = None) -> KernelSpec:
-    """K(s,t) = exp(-(s-t)^2 / sigma).  Fails the unit Lebesgue bound (A4)."""
+    """K(s,t) = exp(-(s-t)^2 / sigma).  A1, A2 by reference (Wendland 2005, ch. 6); fails A4."""
     if not sigma > 0:
         raise ValueError(f"gaussian sigma must be positive, got {sigma}")
     return KernelSpec(
         family=Family.GAUSSIAN,
         domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(a4=Status.DISPROVEN),
+        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, a4=Status.DISPROVEN),
         bound=1.0,
         sigma=float(sigma),
     )
@@ -225,14 +225,15 @@ def gaussian(sigma: float = 1.0, domain: Interval | None = None) -> KernelSpec:
 def wendland_d3_k1(domain: Interval | None = None) -> KernelSpec:
     """Compactly supported kernel (1-r)_+^4 (1+4r) with r = |s-t|.
 
-    Fails the unit Lebesgue bound (A4).  Witness: on x = (0, 0.2) at
+    A1 and A2 by reference (strictly positive definite on R^3, Wendland 2005,
+    ch. 9).  Fails the unit Lebesgue bound (A4).  Witness: on x = (0, 0.2) at
     t = -0.159 the cardinal coefficients are (1.1288, -0.4210), so
     L(t) = 1.54975, with rcond 0.151; 50-digit arithmetic agrees.
     """
     return KernelSpec(
         family=Family.WENDLAND_D3_K1,
         domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(a4=Status.DISPROVEN),
+        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, a4=Status.DISPROVEN),
         bound=1.0,
     )
 
@@ -243,12 +244,15 @@ def sinc(domain: Interval | None = None) -> KernelSpec:
     Included as the documented counterexample: distinct absolutely-summable
     expansions of sinc translates can sum to the same function (condition
     (A3) fails), so this kernel cannot back an l1-norm function space and
-    the fitting operations reject it.
+    the fitting operations reject it.  A1 holds since c^T K c integrates
+    |sum_j c_j exp(i w x_j)|^2 over the box |w| <= pi, A2 since |K| <= 1.
+    A4 fails: on x = (0, 1) the Gram is the identity, so at t = 0.5 the
+    cardinal coefficients are (2/pi, 2/pi) and L(t) = 4/pi, rcond 1.
     """
     return KernelSpec(
         family=Family.SINC,
         domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(a3=Status.DISPROVEN),
+        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.DISPROVEN, Status.DISPROVEN),
         bound=1.0,
     )
 

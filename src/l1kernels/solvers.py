@@ -32,21 +32,19 @@ follows any line in (y, lam).
 K[x] is nonsingular, so the path is unique and has two known ends: c = 0
 from lam = 2 ||K^T y||_inf up (the top), and the interpolant K^-1 y, every
 coordinate active with its sign, as lam -> 0 (the bottom).  A solve picks
-its end by a rule: from the full-support line c0 - (lam / 2) K^-1 K^-1
-sign(c0), c0 = K^-1 y, taken once per data vector from the Gram's LU, the
-coordinates that cross zero by lam = mu predict the zeros at mu; the
-bottom pays about one leave per zero and the top about one join per
-nonzero, so the path starts at the bottom when fewer than half cross, and
-at the top when mu is at least the top's weight or c0 has an exact zero.
-The crossings never fall as mu grows, so the rule sends a run of the
-smallest weights of a grid to the bottom.  A path from the bottom climbs
-in lam: from the stop of an earlier solve on the same data at a smaller
-weight, else from the QR of all of K (LAPACK geqrf and orgqr; a solver
-that keeps an anchor keeps this QR too, since it does not depend on the
-data).  It gives up, and the same solve starts again from above, when its
-active set falls to half of n or fewer, when it has taken n steps, or when
-its fit fails its certificate; the rule then keeps that data at the top
-from that weight up.
+its end by one split weight per data vector.  On the full-support line
+c0 - (lam / 2) d, c0 = K^-1 y and d = K^-1 K^-1 sign(c0) (from the Gram's
+LU), coordinate j crosses zero at lam = 2 |c0_j| / (sign(c0_j) d_j), and
+the crossings by lam = mu predict the zeros at mu.  The bottom pays about
+one leave per zero and the top one join per nonzero, so the path starts at
+the bottom exactly when mu is below the split: the ceil(n/2)-th smallest
+crossing weight, capped at the top's weight, and 0 when c0 has an exact
+zero.  A path from the bottom climbs in lam: from the stop of an earlier
+solve on the same data at a smaller weight, else from the QR of all of K
+(LAPACK geqrf and orgqr, kept by a pinned solver).  It gives up, and the
+same solve starts again from above, when its active set falls to half of
+n or fewer, when it has taken n steps, or when its fit fails its
+certificate; the split of that data then drops to that weight.
 
 Every solution is certified by its KKT residual, not by trusting the path:
 
@@ -225,15 +223,17 @@ def _twice_residual(q: np.ndarray, v: np.ndarray, qtv: np.ndarray, out: np.ndarr
     out *= 2.0
 
 
-def _bottom_is_nearer(c0: np.ndarray, d: np.ndarray, mu: float) -> bool:
-    """The rule (see module docs) for c0 = K^-1 y and d = K^-1 K^-1 sign(c0):
-    whether fewer than half of the coordinates cross zero by lam = mu on the
-    full-support line c0 - (lam / 2) d, and c0 has no exact zero."""
+def _bottom_split(c0: np.ndarray, d: np.ndarray) -> float:
+    """The split (see module docs) for c0 = K^-1 y and d = K^-1 K^-1 sign(c0),
+    before its cap at the top's weight; a coordinate of c0 - (lam / 2) d that
+    never crosses zero has crossing weight inf."""
     sigma = np.sign(c0)
     if not sigma.all():
-        return False
-    crossings = np.count_nonzero(sigma * (c0 - mu / 2.0 * d) <= 0.0)
-    return 2 * crossings < c0.size
+        return 0.0
+    rate = sigma * d
+    crossings = np.divide(2.0 * np.abs(c0), rate, out=np.full(c0.size, np.inf), where=rate > 0.0)
+    k = (c0.size - 1) // 2
+    return float(np.partition(crossings, k)[k])
 
 
 def _factor_qr(gram: np.ndarray, q: np.ndarray, r: np.ndarray) -> None:
@@ -260,6 +260,17 @@ _BOUNDS = np.array([[1.0], [-1.0]])
 _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 
 
+@dataclass(eq=False)
+class _Data:
+    """A solver's own copy of its last data y, y's top weight 2 ||K^T y||_inf
+    and split, and the stop (lam, m, blocked) of the last solve on y, or None."""
+
+    y: np.ndarray
+    top: float
+    split: float
+    stop: tuple | None = None
+
+
 class LassoSolver:
     """Exact lasso homotopy path on one Gram system (see module docs).
 
@@ -272,24 +283,23 @@ class LassoSolver:
     enough to derail exactly tied paths.  The Gram matrix must be finite,
     since the updates scan nothing.
 
-    The buffers keep the path point where the last solve reached its mu,
-    and the stop keeps that solve's own copy of y with the path's lam, m
-    and barred rejoin (none after a climb).  solve() clears the stop before
-    it writes anything and sets it only when the path reaches mu, so a
+    Between calls the solver keeps two records: _data, of the last data
+    vector with the stop whose path point the buffers hold, and _pinned, the
+    anchor that pin() keeps with the bottom frame.  solve() clears the stop
+    before it reads anything and sets it only when the path reaches mu, so a
     solve cut short by MAX_PATH_STEPS, one at mu = 0 or one that raises
-    leaves none.  A solve on data equal by value to the stop's, or else to
-    the anchor's (_pin), goes on down from that point, in place, when
-    config.mu is no larger than its weight.  Otherwise the rule picks the
-    end (see module docs).  The bottom climbs from that point, which lies
-    below config.mu, else from the interpolant; a climb that gives up
-    starts again from above, and the rule sends no larger weight on the
-    same data to the bottom again.  From above, the path moves the data
-    from the anchor at its weight when config.mu is no larger, else starts
-    from c = 0.  Either way the result is the exact path point at mu,
-    certified by _finish, and its iterations count this solve's steps,
-    data moves and a climb given up included.  sweep() orders a grid of
-    weights so that each solve finds its start.  The buffers make a solver
-    stateful: one must not be shared between threads.
+    leaves none.  A solve on the stop's data goes on down from the stop, in
+    place, when config.mu is no larger than its weight.  Otherwise the path
+    starts at the bottom when config.mu is below the split: from the stop,
+    which then lies below config.mu, else from the interpolant; a climb that
+    gives up starts again from above and lowers the split to its weight.
+    From above, the path moves the data from the anchor at its weight when
+    config.mu is no larger, else starts from c = 0.  Either way the result is
+    the exact path point at mu, certified by _finish, and its iterations
+    count this solve's steps, data moves and a climb given up included.
+    sweep() orders a grid of weights so that each solve finds its start.
+    The buffers make a solver stateful: one must not be shared between
+    threads.
     """
 
     def __init__(self, system: GramSystem):
@@ -308,45 +318,35 @@ class LassoSolver:
         # arrival weight and the rate at which it closes
         self._rhs, self._w = np.empty((n, 2)), np.empty((2, n))
         self._event_buf, self._rate_buf = np.empty(3 * n), np.empty(3 * n)
-        # (y, lam, m, blocked) where the last solve reached its mu, or None
-        self._stop: tuple | None = None
-        # copies of a stop and its active set, signs, Q and R, or None
-        self._anchor: tuple | None = None
-        # copies of Q and R of all of K, kept by _pin, or None
-        self._frame: tuple | None = None
-        # (y, 2 ||K^T y||_inf, c0, d) of the rule for the last data it saw,
-        # and the weight from which the rule keeps that data at the top: the
-        # top's weight, or one where a climb gave up
-        self._line: tuple | None = None
-        self._ceiling = 0.0
+        # the last data's record (at first one that matches no data), and the
+        # anchor pin() keeps: its data and weight, copies of its active set,
+        # signs, Q and R, and the QR of all of K (the bottom frame)
+        self._data = _Data(np.empty(0), 0.0, 0.0)
+        self._pinned: tuple | None = None
 
     def solve(self, y, config: LassoConfig) -> FitResult:
         """Solve for one right-hand side: the exact path point at config.mu."""
-        stop, self._stop = self._stop, None
-        system, mu = self.system, config.mu
-        n = system.n
-        y = _data_vector(y, n)
+        data, system, mu = self._data, self.system, config.mu
+        stop, data.stop = data.stop, None
+        y = _data_vector(y, system.n)
         if mu == 0.0:
             # square nonsingular system: the unregularized minimizer interpolates
             return self._finish(system.solve(y), y, config, iterations=0)
 
-        anchor, steps = self._anchor, 0
-        if stop is not None and not np.array_equal(y, stop[0]):
-            stop = None
-        if stop is None and anchor is not None and np.array_equal(y, anchor[0][0]):
-            # the anchor is a point of this data's own path
-            stop = self._restore_anchor()
-        if stop is not None and mu <= stop[1]:
-            _, lam, m, blocked = stop
+        steps = 0
+        if not np.array_equal(y, data.y):
+            data, stop = self._record(y), None
+        if stop is not None and mu <= stop[0]:
+            lam, m, blocked = stop
             c, steps = self._follow(y, mu, m, blocked, lam)
             return self._finish(c, y, config, iterations=steps)
-        if self._starts_at_bottom(y, mu):
+        if mu < data.split:
             # up in lam = mu - s as s falls to 0, from the point below mu or
             # from the interpolant
             if stop is not None:
-                s, m = mu - stop[1], stop[2]
+                s, m = mu - stop[0], stop[1]
             else:
-                s, m = (mu if self._load_bottom(y) else None), n
+                s, m = (mu if self._load_bottom(y) else None), system.n
             if s is not None:
                 c, steps = self._follow(y, mu, m, None, s, lam0=mu, h=-1.0, end=0.0)
                 fit = self._finish(c, y, config, iterations=steps)
@@ -354,59 +354,74 @@ class LassoSolver:
                     return fit
                 # the climb fell to half support or ran n steps short of mu, or
                 # its fit failed the certificate: start again from above
-                self._stop, self._ceiling = None, mu
-        if anchor is not None and mu <= anchor[0][1]:
+                data.stop, data.split = None, mu
+        if self._pinned is not None and mu <= self._pinned[1]:
             # move the data from the anchor's to y at the anchor's weight
-            y_anchor, lam, m, _ = self._restore_anchor()
+            y_anchor, lam, point, _ = self._pinned
+            m = point[0].size
+            self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m] = point
             c, steps = self._follow(y, mu, m, None, 1.0, lam0=lam, h=0.0, e=y_anchor - y, end=0.0, steps=steps)
         else:
-            # down from c = 0 at the top's weight, which the rule has computed
-            c, steps = self._follow(y, mu, 0, None, self._line[1], steps=steps)
+            # down from c = 0 at the top's weight
+            c, steps = self._follow(y, mu, 0, None, data.top, steps=steps)
         return self._finish(c, y, config, iterations=steps)
+
+    def pin(self, y, config: LassoConfig) -> FitResult:
+        """solve(y, config), then keep the path point it reached as the anchor
+        and the QR of all of K as the bottom frame.  Later solves on any data
+        at a weight no larger than the anchor's move the data from it.  A
+        solve that stops short of config.mu, or runs at mu = 0, keeps
+        nothing, not even an earlier anchor."""
+        fit = self.solve(y, config)
+        data, self._pinned = self._data, None
+        if data.stop is not None:
+            lam, m, _ = data.stop
+            point = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]
+            frame = np.empty_like(self._qb), np.empty_like(self._rb)
+            _factor_qr(self.system.gram, *frame)
+            self._pinned = data.y, lam, tuple(b.copy() for b in point), frame
+        return fit
 
     def sweep(self, y, mus) -> dict[float, FitResult]:
         """Fits of y at every weight of mus, keyed in the order of mus.
 
-        The weights the rule sends to the bottom, a run of the smallest, are
-        solved in increasing order, each climb resuming the last; the rest in
+        The weights below the split, a run of the smallest, are solved in
+        increasing order, each climb resuming the last; the rest in
         decreasing order, each path down resuming the last and the first
         starting from the anchor or the top.  A climb that gives up starts
         its own weight again from above, and the weights above it go down
-        with the rest.  No solve starts where an earlier call stopped."""
+        with the rest.  Of earlier calls only the anchor carries over: the
+        record of y is made afresh."""
         configs = {mu: LassoConfig(mu=mu) for mu in mus}
         y = _data_vector(y, self.system.n)
-        self._stop, fits = None, {}
+        data, fits = self._record(y), {}
         for mu in sorted(configs):
-            if not self._starts_at_bottom(y, mu):
+            if not mu < data.split:
                 break
             fits[mu] = self.solve(y, configs[mu])
         for mu in sorted(configs.keys() - fits.keys(), reverse=True):
             fits[mu] = self.solve(y, configs[mu])
         return {mu: fits[mu] for mu in configs}
 
-    def _starts_at_bottom(self, y: np.ndarray, mu: float) -> bool:
-        """Whether the rule starts a path to mu on data y at the bottom:
-        mu is below the ceiling and _bottom_is_nearer holds.  The top's
-        weight, c0 and d are computed once per data vector."""
-        line = self._line
-        if line is None or not np.array_equal(y, line[0]):
-            system = self.system
-            c0 = system.solve(y)
-            d = system.solve(system.solve(np.sign(c0)))
-            line = self._line = (y.copy(), zero_mu_threshold(system, y), c0, d)
-            self._ceiling = line[1]
-        return mu < self._ceiling and _bottom_is_nearer(line[2], line[3], mu)
+    def _record(self, y: np.ndarray) -> _Data:
+        """Keep a new record of data y, with no stop."""
+        system = self.system
+        c0 = system.solve(y)
+        d = system.solve(system.solve(np.sign(c0)))
+        top = zero_mu_threshold(system, y)
+        self._data = _Data(y.copy(), top, min(_bottom_split(c0, d), top))
+        return self._data
 
     def _load_bottom(self, y: np.ndarray) -> bool:
         """Make every coordinate active, with the QR of the whole Gram in the
-        buffers, copied from the kept frame or else factored in place, and
+        buffers, copied from the pinned frame or else factored in place, and
         the signs of the interpolant R^-1 Q^T y; False when the interpolant
         has an exact zero, whose sign the path cannot take."""
         qb, rb = self._qb, self._rb
-        if self._frame is None:
+        if self._pinned is None:
             _factor_qr(self.system.gram, qb, rb)
         else:
-            qb[:], rb[:] = self._frame
+            qb[:], rb[:] = self._pinned[3]
         self._active[:] = np.arange(self.system.n)
         np.sign(_solve_r(rb, qb.T @ y), out=self._signs)
         return bool(self._signs.all())
@@ -517,26 +532,8 @@ class LassoSolver:
         if done:
             # a line up in lam stops with no barred rejoin: below its stop the
             # path from the top may well rejoin that coordinate at its old boundary
-            self._stop = (y.copy(), lam0 + s * h, m, blocked if h > 0 else None)
+            self._data.stop = (lam0 + s * h, m, blocked if h > 0 else None)
         return c, steps
-
-    def _pin(self) -> None:
-        """Keep copies of the last stop and its path point, if any, as the
-        anchor, and the QR of all of K as the bottom frame."""
-        if self._stop is not None:
-            m = self._stop[2]
-            buffers = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]
-            self._anchor = self._stop, *(b.copy() for b in buffers)
-            if self._frame is None:
-                self._frame = tuple(np.empty_like(self._qb) for _ in range(2))
-                _factor_qr(self.system.gram, *self._frame)
-
-    def _restore_anchor(self) -> tuple:
-        """Copy the anchor's path point into the buffers; returns its stop."""
-        stop, *copies = self._anchor
-        m = stop[2]
-        self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m] = copies
-        return stop
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:
         system = self.system

@@ -101,6 +101,21 @@ def cd_lasso_batch(problems, tol: float = 1e-10, max_sweeps: int = 200_000) -> l
     return [solutions[p, :a.shape[1]] for p, (a, _, _) in enumerate(problems)]
 
 
+def bottom_by_crossings(system, y: np.ndarray, mu: float) -> bool:
+    """The lasso's cold-start rule counted at one weight: the path to mu
+    starts at the interpolant when mu is below the top's weight
+    2 ||K^T y||_inf, c0 = K^-1 y has no exact zero, and fewer than half of
+    the coordinates of the full-support line c0 - (mu / 2) K^-1 K^-1
+    sign(c0) have crossed zero by mu.  c0 and the line are solved on the
+    system's LU, as the solver solves them."""
+    c0 = system.solve(y)
+    sigma = np.sign(c0)
+    d = system.solve(system.solve(sigma))
+    crossed = np.count_nonzero(sigma * (c0 - mu / 2.0 * d) <= 0.0)
+    top = 2.0 * np.abs(system.gram.T @ y).max()
+    return bool(mu < top and sigma.all() and 2 * crossed < y.size)
+
+
 def lasso_objective(a: np.ndarray, y: np.ndarray, mu: float, c: np.ndarray) -> float:
     r = a @ c - y
     return float(r @ r) + mu * float(np.abs(c).sum())

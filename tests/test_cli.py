@@ -54,6 +54,19 @@ def test_audit_gaussian_a4_fails(tmp_path):
     assert report["witness"]["value"] > 1.001
 
 
+def test_audit_line_of_a_report_with_no_worst_value(capsys):
+    # on a window this narrow every sampled Gaussian Gram is singular, so the
+    # A4 report has a message but no worst value
+    code = run_cli("audit", "--kernel", "gaussian", "--window=-0.001,0.001", "--trials", "3", "--condition", "a4")
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a4: inconclusive (3 trials; every sampled Gram matrix was numerically singular)"
+    ]
+    assert run_cli("audit", "--kernel", "exponential", "--trials", "3", "--condition", "a4") == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("a4: pass (3 trials, worst 0.99") and line.endswith(")")
+
+
 def test_audit_bad_kernel_is_usage_error(capsys):
     # bspline is a family the zoo no longer has
     for name in ("nonexistent", "bspline"):

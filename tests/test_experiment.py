@@ -35,7 +35,7 @@ from l1kernels import (
 from l1kernels import experiment, solvers
 from l1kernels.experiment import INTERVAL, KERNEL, config_to_json, csv_rows, CSV_HEADER
 from l1kernels.streams import stream
-from _oracles import trapezoid_l2
+from _oracles import bottom_by_crossings, trapezoid_l2
 
 TARGET_CENTERS = (-1.0, -0.8, 0.0, 0.8, 1.0)
 
@@ -420,9 +420,9 @@ def test_two_ended_sweep_selects_what_the_path_down_selects(noise, monkeypatch):
     for k in range(3):
         y = bench.target_x + generate_noise(noise, cfg.n_points, stream(cfg.master_seed, k, "noise"))
         record, fits = run_trial(cfg, k), bench.lasso.sweep(y, cfg.mu_grid)
-        climbed = [bench.lasso._starts_at_bottom(y, mu) for mu in cfg.mu_grid]
+        climbed = [bottom_by_crossings(bench.system, y, mu) for mu in cfg.mu_grid]
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_bottom_is_nearer", lambda c0, d, mu: False)
+            patch.setattr(solvers, "_bottom_split", lambda c0, d: 0.0)
             down_record, down = run_trial(cfg, k), bench.lasso.sweep(y, cfg.mu_grid)
         assert (record.rkbs, record.rkhs) == (down_record.rkbs, down_record.rkhs)
         assert 3 <= sum(climbed) < len(cfg.mu_grid) - 2
@@ -447,9 +447,8 @@ def test_sweep_after_a_climb_gives_up_matches_cold_fits(monkeypatch):
     system, y = build_system(KERNEL, x), 1.0 + np.cos(3.0 * x)
     mus = tuple(10.0 ** j for j in range(-7, 2))
     solver = LassoSolver(system)
-    solver.solve(target_function(x), LassoConfig(mu=10.0))
-    solver._pin()
-    assert all(solver._starts_at_bottom(y, mu) for mu in mus)
+    solver.pin(target_function(x), LassoConfig(mu=10.0))
+    assert all(bottom_by_crossings(system, y, mu) for mu in mus)
     follow, lines = LassoSolver._follow, []
 
     def traced(self, *args, h=1.0, **kwargs):
@@ -459,7 +458,17 @@ def test_sweep_after_a_climb_gives_up_matches_cold_fits(monkeypatch):
     monkeypatch.setattr(LassoSolver, "_follow", traced)
     fits = solver.sweep(y, mus)
     assert "".join(lines) == "B" * 8 + "MM"
-    assert not solver._starts_at_bottom(y, 1.0) and solver._starts_at_bottom(y, 0.1)
+    # the split of this data has dropped to 1: from the stop at 0.1, a solve
+    # at 5 starts from the anchor, not with a climb
+    lines.clear()
+    solver.solve(y, LassoConfig(mu=0.1))
+    solver.solve(y, LassoConfig(mu=5.0))
+    assert "".join(lines) == "TM"
+    # a sweep makes its data's record afresh, so it repeats the first
+    lines.clear()
+    again = solver.sweep(y, mus)
+    assert "".join(lines) == "B" * 8 + "MM"
+    assert all(np.array_equal(again[mu].coefficients.values, fits[mu].coefficients.values) for mu in mus)
     for mu, fit in fits.items():
         cold = LassoSolver(system).solve(y, LassoConfig(mu=mu))
         c, cc = fit.coefficients.values, cold.coefficients.values

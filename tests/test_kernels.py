@@ -149,12 +149,12 @@ def test_admissibility_metadata():
         assert all(
             getattr(k.flags, a) is Status.PROVEN for a in ("a1", "a2", "a3", "a4")
         )
-    g = gaussian(1.0)
-    assert g.flags.a4 is Status.DISPROVEN
-    assert g.flags.a1 is Status.UNKNOWN
+    # strictly positive definite with |K| <= 1: A1 and A2 by reference
+    for k in (gaussian(1.0), wendland_d3_k1(), sinc()):
+        assert k.flags.a1 is Status.PROVEN and k.flags.a2 is Status.PROVEN
+        assert k.flags.a4 is Status.DISPROVEN
+    assert gaussian(1.0).flags.a3 is Status.UNKNOWN
     assert sinc().flags.a3 is Status.DISPROVEN
-    assert sinc().flags.a4 is Status.UNKNOWN
-    assert wendland_d3_k1().flags.a4 is Status.DISPROVEN
 
 
 def test_wendland_d3_k1_a4_witness():
@@ -173,6 +173,19 @@ def test_wendland_d3_k1_a4_witness():
     assert abs(numeric - closed) <= 1e-12
     bound = 1.0 + A4_TOL + np.finfo(float).eps / system.rcond_estimate
     assert min(numeric, closed) > bound
+
+
+def test_sinc_a4_witness():
+    # the docstring's two-point witness: on x = (0, 1) the Gram is the
+    # identity, so at t = 0.5 the cardinal coefficients are the kernel
+    # values sinc(0.5) = 2/pi and L(t) = 4/pi
+    system = build_system(sinc(), [0.0, 1.0])
+    assert np.abs(system.gram - np.eye(2)).max() <= 1e-16
+    assert system.rcond_estimate == pytest.approx(1.0, rel=1e-15)
+    numeric = lebesgue_function(system, 0.5)
+    assert numeric == pytest.approx(4.0 / math.pi, rel=1e-15)
+    assert numeric == pytest.approx(1.2732395, abs=1e-7)
+    assert numeric > 1.0 + A4_TOL + np.finfo(float).eps / system.rcond_estimate
 
 
 def test_every_family_is_registered_and_verdicted():

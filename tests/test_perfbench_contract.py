@@ -1,23 +1,40 @@
-"""What perfbench/ reads of the library: the traced names and the FitResult
-fields its solve counter and span descriptions use.  perfbench/run.py fails
-the whole run when one of them is missing, so a rename shows here first."""
+"""What perfbench/ reads of the library: the traced names, the FitResult
+fields its solve counter and span descriptions use, and every call its
+workloads make.  perfbench/run.py fails the whole run when one of them is
+missing, so a rename shows here first."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import l1kernels
-from l1kernels import FitResult, LassoConfig, LassoSolver, build_system, exponential
+from l1kernels import (
+    FitResult,
+    Interval,
+    LassoConfig,
+    LassoSolver,
+    RandomPointSets,
+    audit_relaxed_a4,
+    build_system,
+    exponential,
+    gaussian,
+)
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load("perfbench_spans", PERFBENCH / "spans.py")
 
 
 def test_every_traced_name_resolves_on_the_library():
@@ -37,3 +54,25 @@ def test_lasso_solve_reports_an_int_step_count_and_a_bool_certificate():
         assert isinstance(fit, FitResult)
         assert type(fit.iterations) is int and fit.iterations > 0
         assert type(fit.converged) is bool and fit.converged
+
+
+@pytest.mark.parametrize("name", ["sweep-gaussian", "audit", "fit"])
+def test_every_workload_runs_and_checks_one_operation(name, monkeypatch):
+    # the calls perfbench/run.py makes of a workload before and during its
+    # timed loop; workloads.py imports its sibling spans.py by that name
+    monkeypatch.setitem(sys.modules, "spans", load_spans())
+    workloads = load("perfbench_workloads", PERFBENCH / "workloads.py")
+    workload = workloads.WORKLOADS[name](l1kernels, 11)
+    workload.warm_up()
+    inputs = workload.inputs(0)
+    record = workload.check(inputs, workload.run(inputs))
+    assert workload.counts([record]) is not None
+
+
+def test_skipped_trials_of_a_partly_skipped_audit_match_its_stats():
+    # perfbench/spans.py reads the skip count out of the report's message
+    window = Interval(0.0, 0.05, lo_open=False, hi_open=False)
+    some = RandomPointSets(window, n_range=(2, 6))
+    report = audit_relaxed_a4(gaussian(1.0), some, grid_size=101, trials=6, master_seed=1)
+    assert 0 < report.stats.skipped < report.stats.n_trials
+    assert load_spans().skipped_trials(report) == report.stats.skipped

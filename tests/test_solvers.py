@@ -31,7 +31,7 @@ from l1kernels import (
 )
 from l1kernels import solvers
 from l1kernels.solvers import _append_column, _solve_r
-from _oracles import cd_lasso, cd_lasso_batch, lasso_objective
+from _oracles import bottom_by_crossings, cd_lasso, cd_lasso_batch, lasso_objective
 
 DEFAULT_MU_GRID = tuple(10.0 ** j for j in range(1, -8, -1))  # largest first
 
@@ -152,8 +152,22 @@ def solve_path(solver, y, mus):
 
 def start_at(patch, end):
     """Make every cold solve start from one end of the path, "top" (c = 0)
-    or "bottom" (the interpolant), whatever the rule would pick."""
-    patch.setattr(solvers, "_bottom_is_nearer", lambda c0, d, mu: end == "bottom")
+    or "bottom" (the interpolant), whatever the rule would pick: the split
+    is then the top's weight or 0."""
+    patch.setattr(solvers, "_bottom_split", lambda c0, d: math.inf if end == "bottom" else 0.0)
+
+
+def trace_lines(patch):
+    """Record the kind of each line the path follows, in a list returned:
+    "B" up in mu from below, "M" a data move at a fixed mu, "T" down in mu."""
+    follow, lines = LassoSolver._follow, []
+
+    def traced(self, *args, h=1.0, **kwargs):
+        lines.append("B" if h < 0.0 else "M" if h == 0.0 else "T")
+        return follow(self, *args, h=h, **kwargs)
+
+    patch.setattr(LassoSolver, "_follow", traced)
+    return lines
 
 
 def test_lasso_warm_start_path():
@@ -233,12 +247,9 @@ def test_lasso_resumes_only_its_last_stop_on_the_same_data(monkeypatch):
         assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
         assert fit.iterations == cold.iterations
 
-    def capped(y, end="top", config=low):
-        # a cold solve starts from the given end; at 1e-3 the bottom path
-        # takes 2 steps, at 0.1 it takes 19 (the top: 60 and 43)
+    def capped(y, config=low):
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "MAX_PATH_STEPS", 3)
-            start_at(patch, end)
             return solver.solve(y, config)
 
     solver = LassoSolver(system)
@@ -258,10 +269,15 @@ def test_lasso_resumes_only_its_last_stop_on_the_same_data(monkeypatch):
     cut = capped(y1)
     assert cut.iterations == 3 and not cut.converged
     assert_cold(solver.solve(y1, low), y1, low)
+    # cut short from either end: at 1e-3 the bottom path takes 2 steps, at
+    # 0.1 it takes 19 (the top: 60 and 43).  The solver computes the rule once
+    # per data vector, so the end stays forced for the solves after the cut
     for end, config in (("top", low), ("bottom", LassoConfig(mu=0.1))):
-        solver.solve(y2, high)
-        assert not capped(y1, end, config).converged
-        assert_cold(solver.solve(y1, low), y1, low)
+        with monkeypatch.context() as patch:
+            start_at(patch, end)
+            solver.solve(y2, high)
+            assert not capped(y1, config).converged
+            assert_cold(solver.solve(y1, low), y1, low)
 
     # the same data at a smaller mu does resume, in fewer steps than a cold
     # path from the top (a cold path from the bottom takes 2 steps here)
@@ -335,10 +351,8 @@ def test_lasso_anchor_moves_to_any_data_then_matches_cold_fits(seed, bridge, n, 
     y0, *ys = rng.uniform(-2, 2, (3, n))
     mus = sorted((10.0 ** m for m in log_mus), reverse=True)
     solver = LassoSolver(system)
-    solver.solve(y0, LassoConfig(mu=mus[0]))
-    solver._pin()
+    solver.pin(y0, LassoConfig(mu=mus[0]))
     for y in ys + [y0]:
-        solver._stop = None
         for mu in mus:
             assert_same_fit(solver.solve(y, LassoConfig(mu=mu)), LassoSolver(system).solve(y, LassoConfig(mu=mu)))
 
@@ -360,9 +374,7 @@ def test_lasso_sweep_of_any_grid_matches_cold_fits(seed, bridge, n, log_anchor, 
     y0, *ys = rng.uniform(-2, 2, (3, n))
     mus = [0.0 if m is None else 10.0 ** m for m in log_mus]
     solver = LassoSolver(system)
-    solver.solve(y0, LassoConfig(mu=10.0 ** log_anchor))
-    solver._pin()
-    assert solver._frame is not None
+    assert solver.pin(y0, LassoConfig(mu=10.0 ** log_anchor)).converged
     for y in ys + [y0]:
         fits = solver.sweep(y, mus)
         assert list(fits) == list(dict.fromkeys(mus))
@@ -383,12 +395,9 @@ def test_lasso_anchor_on_tied_data_moves_to_noisy_data(n, bridge):
         system, y0 = build_system(exponential(), x), target_function(x)
     mus = DEFAULT_MU_GRID[2:]
     solver = LassoSolver(system)
-    solver.solve(y0, LassoConfig(mu=mus[0]))
-    solver._pin()
-    assert solver._anchor[0][2] > 1
+    assert solver.pin(y0, LassoConfig(mu=mus[0])).sparsity > 1
     for seed in range(3):
         y = y0 + 0.1 * np.random.default_rng(seed).standard_normal(n)
-        solver._stop = None
         for mu in mus:
             assert_same_fit(solver.solve(y, LassoConfig(mu=mu)), LassoSolver(system).solve(y, LassoConfig(mu=mu)))
 
@@ -405,35 +414,82 @@ def test_lasso_anchor_serves_only_weights_below_its_own(monkeypatch):
         assert fit.iterations == cold.iterations
 
     solver = LassoSolver(system)
-    solver.solve(y0, low)
-    solver._pin()
+    anchor = solver.pin(y0, low)
     # above the anchor's weight the path cannot start from it
     assert_cold(solver.solve(y1, high), y1, high)
-    # below it the data moves from the anchor, on one line and in fewer steps
-    # than a cold path from the top takes to the same fit; with the stop of
-    # the solve above cleared and the top forced, no start other than the
-    # anchor lies below the top (the interpolant would take 1 step here)
-    solver._stop = None
-    lines, follow = [], solver._follow
-
-    def traced_follow(*args, **kwargs):
-        lines.append(kwargs.get("h"))
-        return follow(*args, **kwargs)
-
+    # below it, with the top forced, no start other than the anchor lies
+    # below the top (the interpolant would take 1 step here), and each solve
+    # switches data, so none resumes a stop.  On the anchor's own data the
+    # move has length zero: one step to the anchor's own fit.  On other data
+    # the data moves on one line, in fewer steps than a cold path from the
+    # top takes to the same fit
     with monkeypatch.context() as patch:
         start_at(patch, "top")
-        patch.setattr(solver, "_follow", traced_follow)
+        lines = trace_lines(patch)
+        own = solver.solve(y0, low)
         moved = solver.solve(y1, LassoConfig(mu=1e-4))
+        assert lines == ["M", "M"]
         top = LassoSolver(system).solve(y1, LassoConfig(mu=1e-4))
-    assert lines == [0.0]
+    assert own.iterations == 1
+    assert np.array_equal(own.coefficients.values, anchor.coefficients.values)
     assert_same_fit(moved, top)
     assert moved.iterations < top.iterations
-    # on the anchor's own data the path resumes in place, with no step
-    assert solver.solve(y0, low).iterations == 0
-    # a solver pins nothing unless its last solve left a stop
-    fresh = LassoSolver(system)
-    fresh._pin()
-    assert fresh._anchor is None
+
+
+@pytest.mark.parametrize("short", ["capped", "unregularized"])
+def test_lasso_pin_that_stops_short_keeps_nothing(short, monkeypatch):
+    # a pin whose solve is cut short by MAX_PATH_STEPS, or runs at mu = 0,
+    # reaches no path point: it keeps none, and drops the anchor before it
+    rng = np.random.default_rng(43)
+    system = build_system(*well_spaced(rng, False, 30))
+    y0, y1, y2 = rng.uniform(-2, 2, (3, system.n))
+    solver = LassoSolver(system)
+    assert solver.pin(y0, LassoConfig(mu=1e-3)).converged
+    with monkeypatch.context() as patch:
+        start_at(patch, "top")
+        if short == "capped":
+            patch.setattr(solvers, "MAX_PATH_STEPS", 3)
+            assert not solver.pin(y1, LassoConfig(mu=1e-3)).converged
+        else:
+            assert solver.pin(y1, LassoConfig(mu=0.0)).converged
+        # below the dropped anchor's weight, a solve forced to the top starts
+        # from c = 0, as a fresh solver's does
+        lines = trace_lines(patch)
+        fit = solver.solve(y2, LassoConfig(mu=1e-4))
+        assert lines == ["T"]
+        cold = LassoSolver(system).solve(y2, LassoConfig(mu=1e-4))
+    assert np.array_equal(fit.coefficients.values, cold.coefficients.values)
+    assert fit.iterations == cold.iterations
+    for y in (y0, y2):
+        for mu, swept in solver.sweep(y, DEFAULT_MU_GRID).items():
+            assert_same_fit(swept, LassoSolver(system).solve(y, LassoConfig(mu=mu)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bridge=st.booleans(),
+    n=st.integers(1, 40),
+    log_mus=st.lists(st.floats(-9.0, 3.0), max_size=8),
+)
+def test_split_agrees_with_the_crossing_count_at_every_weight(seed, bridge, n, log_mus):
+    # the rule is defined by the count of coordinates that cross zero by each
+    # weight; the split reduces it to one number.  The two must agree wherever
+    # round-off cannot tell a weight from a crossing weight
+    rng = np.random.default_rng(seed)
+    system = build_system(*well_spaced(rng, bridge, n))
+    y = rng.uniform(-2, 2, n)
+    c0 = system.solve(y)
+    d = system.solve(system.solve(np.sign(c0)))
+    split = min(solvers._bottom_split(c0, d), zero_mu_threshold(system, y))
+    rate = np.sign(c0) * d
+    crossings = 2.0 * np.abs(c0[rate > 0.0]) / rate[rate > 0.0]
+    probes = [0.0, split, *(10.0 ** m for m in log_mus)]
+    probes += [w * f for w in crossings for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+    for mu in probes:
+        if np.any(np.abs(mu - crossings) <= 1e-12 * crossings):
+            continue
+        assert (mu < split) == bottom_by_crossings(system, y, mu), mu
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,8 +546,9 @@ def test_lasso_resumes_below_a_stop_reached_from_the_bottom(monkeypatch):
     start_at(monkeypatch, "bottom")
     solver = LassoSolver(system)
     assert solver.solve(y, LassoConfig(mu=1e-2)).converged
-    # the stop holds the weight it reached, not the line's parameter
-    assert solver._stop[1] == 1e-2 and solver._stop[3] is None
+    # the stop holds the weight it reached, not the line's parameter, so the
+    # same weight resumes in place
+    assert solver.solve(y, LassoConfig(mu=1e-2)).iterations == 0
     resumed = solver.solve(y, LassoConfig(mu=1e-3))
     start_at(monkeypatch, "top")
     assert_same_fit(resumed, LassoSolver(system).solve(y, LassoConfig(mu=1e-3)))
@@ -506,10 +563,10 @@ def test_lasso_interpolant_with_an_exact_zero_starts_at_the_top(monkeypatch):
     system = GramSystem(base.kernel, base.points, gram, scipy.linalg.lu_factor(gram), 1.0)
     y, mu = np.array([1.0, 0.0, -3.0]), 1e-3
     assert system.solve(y)[1] == 0.0
-    assert not LassoSolver(system)._starts_at_bottom(y, mu)
     with monkeypatch.context() as patch:
-        start_at(patch, "top")
+        lines = trace_lines(patch)
         top = LassoSolver(system).solve(y, LassoConfig(mu=mu))
+    assert lines == ["T"]
     start_at(monkeypatch, "bottom")
     fit = LassoSolver(system).solve(y, LassoConfig(mu=mu))
     assert fit.converged and fit.iterations == top.iterations
@@ -545,7 +602,7 @@ def test_lasso_bottom_path_restarts_from_the_top_within_one_solve(monkeypatch):
     rng = np.random.default_rng(358)
     system = build_system(gaussian(), np.sort(rng.uniform(-1, 1, 6)))
     y = rng.uniform(-2, 2, 6)
-    assert LassoSolver(system)._starts_at_bottom(y, 1e-7)
+    assert bottom_by_crossings(system, y, 1e-7)
     fit, top = lasso_gram(system, y, LassoConfig(mu=1e-7)), top_fit(system, y, 1e-7)
     assert fit.converged and fit.iterations == top.iterations + 1
     assert np.array_equal(fit.coefficients.values, top.coefficients.values)
@@ -553,7 +610,7 @@ def test_lasso_bottom_path_restarts_from_the_top_within_one_solve(monkeypatch):
     # the bottom path falls to half support after 100 steps and gives up
     x = np.linspace(-1.0, 1.0, 200)
     system, y = build_system(exponential(), x), 1.0 + np.cos(3.0 * x)
-    assert LassoSolver(system)._starts_at_bottom(y, 10.0)
+    assert bottom_by_crossings(system, y, 10.0)
     fit, top = lasso_gram(system, y, LassoConfig(mu=10.0)), top_fit(system, y, 10.0)
     assert fit.converged and (fit.iterations, top.iterations) == (105, 5)
     assert np.array_equal(fit.coefficients.values, top.coefficients.values)
@@ -585,14 +642,7 @@ def test_cold_path_steps_and_ends_are_pinned(monkeypatch):
     # [-1, 1], over the default grid; then the smooth tie data, the rule's
     # worst case.  "T" is a solve from the top, "B" one from the bottom,
     # "BT" one that gave the bottom up and started again at the top
-    follow = LassoSolver._follow
-    lines = []
-
-    def traced(self, *args, h=1.0, **kwargs):
-        lines.append("B" if h < 0.0 else "T")
-        return follow(self, *args, h=h, **kwargs)
-
-    monkeypatch.setattr(LassoSolver, "_follow", traced)
+    lines = trace_lines(monkeypatch)
 
     def cold_path(system, y):
         ends, steps = [], 0

@@ -18,9 +18,10 @@ grid supremum (always a lower bound of the true constant) and never FAILed.
 The sampled audits (A1, A4, relaxed A4) share one trial loop: per-trial
 Philox streams, Gram construction, skipped singular Grams and worst-value
 tracking are the same for all three, which differ only in what they measure
-per trial and whether they FAIL.  A failed point draw or Gram construction
-makes any of them INCONCLUSIVE.  A4 FAILs only above 1 + A4_TOL + eps/rcond,
-so the solve round-off of an ill-conditioned Gram is not read as a violation.
+per trial and whether they FAIL.  A numerically singular Gram is skipped by
+all three, since round-off refutes nothing: A1, like relaxed A4, never FAILs.
+A failed point draw or Gram construction makes any of them INCONCLUSIVE.  A4
+FAILs only above 1 + A4_TOL + eps/rcond, for the same reason.
 """
 
 from __future__ import annotations
@@ -91,13 +92,14 @@ class Witness:
     """Concrete configuration substantiating a FAIL verdict."""
 
     points: tuple
-    t: float | None
+    t: float
     value: float
 
 
 @dataclass(frozen=True)
 class AuditStats:
-    """Trials run, the worst value and its location, and the singular-Gram skips."""
+    """Trials run, the worst value and its location {"points": [...], "t": t}
+    (t None for A1's rcond), and the singular-Gram skips."""
 
     n_trials: int
     worst_value: float | None
@@ -238,11 +240,11 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
 
     Trial i draws a point set from the stream (master_seed, i, label) and
     builds its Gram system; a failed draw or construction ends the audit
-    INCONCLUSIVE.  A numerically singular Gram is the A1 violation itself;
-    the Lebesgue audits skip it, count it in stats.skipped, and are
-    INCONCLUSIVE when every trial was skipped.  measure(ps, system) gives the
-    trial's (value, t): the rcond estimate for A1, where lower is worse, or
-    the grid supremum of L and its location, where higher is worse.
+    INCONCLUSIVE.  A numerically singular Gram is skipped and counted in
+    stats.skipped; the audit is INCONCLUSIVE when every trial was skipped.
+    measure(ps, system) gives the trial's (value, t): the rcond estimate and
+    None for A1, where lower is worse, or the grid supremum of L and its
+    location, where higher is worse.
     fails(ps, system, value, t) returns a FAIL message that stops the audit
     at that trial, or None.
     """
@@ -259,26 +261,19 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
             return _inconclusive(condition, i, f"point sampling failed on trial {i}: {exc}", skipped)
         try:
             system = build_system(kernel, ps)
-        except SingularGram as exc:
-            if condition is Condition.A1:
-                points = ps.points.tolist()
-                witness = Witness(tuple(points), None, exc.rcond)
-                stats = AuditStats(i + 1, exc.rcond, points)
-                return AuditReport(condition, Verdict.FAIL, witness, stats, message=str(exc))
+        except SingularGram:
             skipped += 1
             continue
         except (DomainError, DuplicatePoints) as exc:
             return _inconclusive(condition, i, f"system construction failed on trial {i}: {exc}", skipped)
         value, t = measure(ps, system)
-        points = ps.points.tolist()
-        loc = points if t is None else {"points": points, "t": t}
+        loc = {"points": ps.points.tolist(), "t": t}
         if worst is None or (value < worst if lower_is_worse else value > worst):
             worst, worst_loc = value, loc
         message = fails(ps, system, value, t) if fails is not None else None
         if message is not None:
-            witness = Witness(tuple(points), t, value)
-            stats = AuditStats(i + 1, value, loc, skipped)
-            return AuditReport(condition, Verdict.FAIL, witness, stats, message)
+            witness = Witness(tuple(loc["points"]), t, value)
+            return AuditReport(condition, Verdict.FAIL, witness, AuditStats(i + 1, value, loc, skipped), message)
     if skipped == trials:
         return _inconclusive(condition, trials, "every sampled Gram matrix was numerically singular", skipped)
     message = f"{skipped} of {trials} trials skipped (singular Gram)" if skipped else None
@@ -303,7 +298,8 @@ def audit_a1(
     trials: int,
     master_seed: int = 0,
 ) -> AuditReport:
-    """Sample point sets and check every Gram matrix is numerically nonsingular."""
+    """The worst rcond of the sampled Gram matrices; never a FAIL, since the
+    rcond gate cannot tell a numerically singular Gram from a singular one."""
     return _sampled_audit(
         Condition.A1, "audit-a1", kernel, generator, trials, master_seed,
         lambda ps, system: (system.rcond_estimate, None),
@@ -319,7 +315,7 @@ def audit_a2(kernel: KernelSpec, grid) -> AuditReport:
     i = int(np.argmax(values))
     worst = float(values[i])
     s, t = float(pairs[i, 0]), float(pairs[i, 1])
-    stats = AuditStats(int(pairs.shape[0]), worst, [s, t])
+    stats = AuditStats(int(pairs.shape[0]), worst, {"points": [s], "t": t})
     if worst > kernel.bound + 1e-12:
         witness = Witness((s,), t, worst)
         return AuditReport(

@@ -169,6 +169,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
         if len(self.mu_grid) == 0 or not all(0 <= m < math.inf for m in self.mu_grid):
             raise ValueError("mu_grid must be nonempty with finite nonnegative entries")
+        if len(set(self.mu_grid)) < len(self.mu_grid):
+            raise ValueError(f"mu_grid must not repeat a weight, got {self.mu_grid}")
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,11 @@ same solve starts again from above, when its active set falls to half of
 n or fewer, when it has taken n steps, or when its fit fails its
 certificate; the split of that data then drops to that weight.
 
-Every solution is certified by its KKT residual, not by trusting the path:
+Every solution is certified by its KKT residual, not by trusting the path,
+against tol = KKT_TOL * max(1, ||y||_inf), the bound a ridge fit meets too:
 
-    c_j != 0:  | 2 (K^T (K c - y))_j + mu sign(c_j) | <= KKT_TOL
-    c_j  = 0:  | 2 (K^T (K c - y))_j |               <= mu + KKT_TOL
+    c_j != 0:  | 2 (K^T (K c - y))_j + mu sign(c_j) | <= tol
+    c_j  = 0:  | 2 (K^T (K c - y))_j |               <= mu + tol
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ from .errors import DimensionMismatch, NegativeMu, SingularShifted
 from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated
 from .interpolation import _reject_broken_l1
 
-# a lasso fit is certified (FitResult.converged) when its KKT residual is at
-# most this, a ridge fit when its linear-system residual is at most this
-# times max(1, ||y||_inf)
+# a fit is certified (FitResult.converged) when its residual, KKT for the
+# lasso and linear-system for the ridge, is at most this times max(1, ||y||_inf)
 KKT_TOL = 1e-8
 
 # path steps one lasso solve may take before it stops uncertified, a guard
@@ -107,7 +107,8 @@ class FitResult:
     solver internals); sparsity counts the nonzero coefficients.  For the
     lasso that is the size of its active set: the path sets every other
     coefficient to exactly zero, and the KKT certificate covers the zeros
-    as it covers the rest.
+    as it covers the rest.  converged: kkt_residual (a linear-system
+    residual for the ridge) is at most KKT_TOL * max(1, ||y||_inf).
     """
 
     coefficients: CoefficientVector
@@ -128,15 +129,15 @@ class FitResult:
         }
 
 
-def _certified(c: np.ndarray, objective: float, residual: float, bound: float, iterations: int) -> FitResult:
-    """The FitResult of coefficients c, certified when residual <= bound."""
+def _certified(c: np.ndarray, objective: float, residual: float, y: np.ndarray, iterations: int) -> FitResult:
+    """The FitResult of c fitted to y, certified when residual <= KKT_TOL * max(1, ||y||_inf)."""
     return FitResult(
         coefficients=CoefficientVector(c, Side.LEFT),
         objective=objective,
         kkt_residual=residual,
         iterations=iterations,
         sparsity=int(np.count_nonzero(c)),
-        converged=residual <= bound,
+        converged=residual <= KKT_TOL * max(1.0, float(np.abs(y).max())),
     )
 
 
@@ -541,7 +542,7 @@ class LassoSolver:
         objective = float(r @ r) + config.mu * float(np.abs(c).sum())
         grad = 2.0 * (system.gram.T @ r)
         kkt = _kkt_from_gradient(grad, config.mu, c)
-        return _certified(c, objective, kkt, KKT_TOL, iterations)
+        return _certified(c, objective, kkt, y, iterations)
 
 
 def lasso_gram(system: GramSystem, y, config: LassoConfig) -> FitResult:
@@ -575,7 +576,7 @@ class RidgeSolver:
         kh = system.gram @ h
         objective = float((kh - y) @ (kh - y)) + mu * float(h @ kh)
         residual = float(np.abs(kh + mu * h - y).max())
-        return _certified(h, objective, residual, KKT_TOL * max(1.0, float(np.abs(y).max())), iterations=0)
+        return _certified(h, objective, residual, y, iterations=0)
 
 
 def ridge_gram(system: GramSystem, y, mu: float) -> FitResult:
@@ -583,7 +584,6 @@ def ridge_gram(system: GramSystem, y, mu: float) -> FitResult:
 
     The reported objective is the kernel ridge value
     ||K h - y||^2 + mu h^T K h, and kkt_residual holds the linear-system
-    residual ||(K + mu I) h - y||_inf; the fit is certified (converged)
-    when that is at most KKT_TOL * max(1, ||y||_inf).
+    residual ||(K + mu I) h - y||_inf, certified as a lasso fit's is.
     """
     return RidgeSolver(system).solve(y, mu)

@@ -182,13 +182,22 @@ def test_audit_a1_inconclusive_on_degenerate_generator():
     assert "trial 0" in report.message
 
 
-def test_audit_a1_fails_on_singular_grams():
-    # clustered Gaussian sets are numerically singular at this scale
-    gen = RandomPointSets(Interval(0.0, 0.05, lo_open=False, hi_open=False), n_range=(20, 25))
-    report = audit_a1(gaussian(1.0), gen, trials=5, master_seed=1)
-    assert report.verdict is Verdict.FAIL
-    assert report.witness is not None
-    assert report.witness.value < 1e-14
+def test_audit_a1_skips_singular_grams():
+    # clustered Gaussian sets: some Grams are numerically singular at n 2-6,
+    # all at n 20-25.  Round-off cannot refute the Gaussian's proven A1, so
+    # the audit skips them as the Lebesgue audits do and never FAILs
+    window = Interval(0.0, 0.05, lo_open=False, hi_open=False)
+    some = audit_a1(gaussian(1.0), RandomPointSets(window, n_range=(2, 6)), trials=6, master_seed=1)
+    assert some.verdict is Verdict.PASS and some.witness is None
+    assert (some.stats.n_trials, some.stats.skipped) == (6, 3)
+    assert some.message == "3 of 6 trials skipped (singular Gram)"
+    assert 1e-14 <= some.stats.worst_value < 1e-12
+    loc = some.stats.argmax_location
+    assert loc["t"] is None and build_system(gaussian(1.0), loc["points"]).rcond_estimate == some.stats.worst_value
+    every = audit_a1(gaussian(1.0), RandomPointSets(window, n_range=(20, 25)), trials=5, master_seed=1)
+    assert every.verdict is Verdict.INCONCLUSIVE and every.witness is None
+    assert every.stats.skipped == every.stats.n_trials == 5
+    assert every.message == "every sampled Gram matrix was numerically singular"
 
 
 BAD_SETTINGS = [
@@ -328,6 +337,16 @@ def test_audit_report_json_shape():
     obj = report.to_json()
     assert set(obj) >= {"condition", "verdict", "witness", "stats"}
     assert obj["stats"].keys() == {"n_trials", "worst_value", "argmax_location", "skipped"}
+    # one location shape for every audit; only A1's worst value has no t
+    for audit in (
+        audit_a1(exponential(), gen, trials=3),
+        audit_a2(exponential(), pair_grid(np.linspace(-1.0, 1.0, 5))),
+        report,
+        audit_relaxed_a4(exponential(), gen, grid_size=101, trials=3),
+    ):
+        loc = audit.to_json()["stats"]["argmax_location"]
+        assert loc.keys() == {"points", "t"}, audit.condition
+        assert (loc["t"] is None) is (audit.condition is Condition.A1)
 
 
 def test_sampled_audits_count_singular_gram_skips():

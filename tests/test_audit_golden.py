@@ -119,7 +119,7 @@ def summarize(report) -> dict:
         "verdict": obj["verdict"],
         "n_trials": obj["stats"]["n_trials"],
         "worst_value": obj["stats"]["worst_value"],
-        "argmax_t": location["t"] if isinstance(location, dict) else None,
+        "argmax_t": location["t"] if location else None,
         "message": obj.get("message"),
         "sha256": digest,
     }
@@ -139,7 +139,7 @@ def changes(old: dict, new: dict) -> list:
         moved = [key for key in keys if key not in before or key not in after or before[key] != after[key]]
         line = f"{case}: {', '.join(moved)}"
         was, now = before.get("worst_value"), after.get("worst_value")
-        if was is not None and now is not None and was != now:
+        if was and now is not None and was != now:
             line += f"; worst_value moved {(now - was) / abs(was):+.2e} relative"
         if before.get("argmax_t") is not None and after.get("argmax_t") is not None:
             line += "; t moved" if "argmax_t" in moved else "; t kept"

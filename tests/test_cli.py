@@ -67,6 +67,21 @@ def test_audit_line_of_a_report_with_no_worst_value(capsys):
     assert line.startswith("a4: pass (3 trials, worst 0.99") and line.endswith(")")
 
 
+def test_audit_a1_skips_the_singular_grams_it_cannot_refute(capsys):
+    # the Gaussian's A1 is proven, so a numerically singular draw is skipped,
+    # not read as a violation: a window where every draw is singular leaves
+    # the audit inconclusive, and the default window passes with its skips
+    code = run_cli("audit", "--kernel", "gaussian", "--window=-0.001,0.001", "--trials", "3", "--condition", "a1")
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a1: inconclusive (3 trials; every sampled Gram matrix was numerically singular)"
+    ]
+    assert run_cli("audit", "--kernel", "gaussian", "--condition", "a1") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a1: pass (100 trials, worst 2.52311e-14; 46 of 100 trials skipped (singular Gram))"
+    ]
+
+
 def test_audit_bad_kernel_is_usage_error(capsys):
     # bspline is a family the zoo no longer has
     for name in ("nonexistent", "bspline"):
@@ -254,6 +269,7 @@ def test_bad_mu_grid_is_usage_error(capsys):
         ("experiment", "--n", "1"),
         ("experiment", "--mu-grid", "nan"),
         ("experiment", "--mu-grid=-1"),
+        ("experiment", "--mu-grid", "1e-2,1e-2"),
         ("experiment", "--pepper-fraction", "2"),
         ("experiment", "--seed", "-1"),
         ("audit", "--kernel", "exponential", "--grid", "-3"),

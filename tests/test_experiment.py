@@ -579,6 +579,9 @@ def test_experiment_config_validation():
         ExperimentConfig(mu_grid=(-0.1, 1.0))
     with pytest.raises(ValueError):
         ExperimentConfig(mu_grid=(math.nan,))
+    # a sweep keys its fits by weight, so a repeated one would count its steps twice
+    with pytest.raises(ValueError, match="must not repeat a weight"):
+        ExperimentConfig(mu_grid=(0.1, 0.1, 1e-3))
     # counts are integers, checked before any work; bools are not counts
     for bad in (dict(trials=2.5), dict(trials=2.0), dict(trials=True), dict(n_points=20.5),
                 dict(n_points=np.float64(20.0)), dict(master_seed=1.5), dict(master_seed=False)):

@@ -3,6 +3,7 @@ fields its solve counter and span descriptions use, and every call its
 workloads make.  perfbench/run.py fails the whole run when one of them is
 missing, so a rename shows here first."""
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from l1kernels import (
     LassoConfig,
     LassoSolver,
     RandomPointSets,
+    audit_a1,
     audit_relaxed_a4,
     build_system,
     exponential,
@@ -69,10 +71,18 @@ def test_every_workload_runs_and_checks_one_operation(name, monkeypatch):
     assert workload.counts([record]) is not None
 
 
-def test_skipped_trials_of_a_partly_skipped_audit_match_its_stats():
-    # perfbench/spans.py reads the skip count out of the report's message
+@pytest.mark.parametrize("sizes, wholly", [((2, 6), False), ((20, 25), True)], ids=["partly", "wholly"])
+@pytest.mark.parametrize(
+    "audit",
+    [functools.partial(audit_relaxed_a4, grid_size=101), audit_a1],
+    ids=["audit_relaxed_a4", "audit_a1"],
+)
+def test_skipped_trials_of_an_audit_match_its_stats(audit, sizes, wholly):
+    # perfbench/spans.py reads the skip count out of the report's message, so
+    # every sampled audit must word its skips alike; clustered Gaussian sets
+    # are singular at some draws of 2-6 points and at every draw of 20-25
     window = Interval(0.0, 0.05, lo_open=False, hi_open=False)
-    some = RandomPointSets(window, n_range=(2, 6))
-    report = audit_relaxed_a4(gaussian(1.0), some, grid_size=101, trials=6, master_seed=1)
-    assert 0 < report.stats.skipped < report.stats.n_trials
-    assert load_spans().skipped_trials(report) == report.stats.skipped
+    report = audit(gaussian(1.0), RandomPointSets(window, n_range=sizes), trials=6, master_seed=1)
+    skipped, n_trials = report.stats.skipped, report.stats.n_trials
+    assert skipped == n_trials if wholly else 0 < skipped < n_trials
+    assert load_spans().skipped_trials(report) == skipped

@@ -597,9 +597,10 @@ def test_lasso_bottom_path_restarts_from_the_top_within_one_solve(monkeypatch):
             start_at(patch, "top")
             return LassoSolver(system).solve(y, LassoConfig(mu=mu))
 
-    # a Gaussian Gram with rcond 1.8e-8: the bottom fit at mu = 1e-7, 1 step,
-    # misses its certificate (KKT 1.3e-8); the top's meets it (6.8e-9)
-    rng = np.random.default_rng(358)
+    # a Gaussian Gram with rcond 1.6e-8: the bottom fit at mu = 1e-7, 1 step,
+    # misses its certificate (KKT 4.2e-8 against KKT_TOL * ||y||_inf = 1.45e-8);
+    # the top's meets it (6.3e-9)
+    rng = np.random.default_rng(3678)
     system = build_system(gaussian(), np.sort(rng.uniform(-1, 1, 6)))
     y = rng.uniform(-2, 2, 6)
     assert bottom_by_crossings(system, y, 1e-7)
@@ -692,8 +693,30 @@ def test_lasso_fit_satisfies_its_certificate(seed, bridge, n, log_mu):
     c = fit.coefficients.values
     assert fit.converged
     assert fit.kkt_residual == kkt_residual(system, y, mu, c)
-    assert fit.kkt_residual <= solvers.KKT_TOL
+    assert fit.kkt_residual <= solvers.KKT_TOL * max(1.0, np.abs(y).max())
     assert fit.objective == pytest.approx(lasso_objective(system.gram, y, mu, c), rel=1e-12)
+
+
+def test_lasso_certificate_scales_with_the_data():
+    # (s y, s mu) has the fit s c and the same path, so its certificate must
+    # hold at every s; a bound that does not scale with y would leave the fits
+    # at large s uncertified and send their climbs back to the top
+    x = np.linspace(-1.0, 1.0, 200)
+    system = build_system(exponential(), x)
+    y = target_function(x) + np.random.default_rng(0).normal(0.0, 0.1, x.size)
+
+    def fits(s):
+        cold = [lasso_gram(system, s * y, LassoConfig(mu=s * mu)) for mu in DEFAULT_MU_GRID]
+        swept = LassoSolver(system).sweep(s * y, [s * mu for mu in DEFAULT_MU_GRID])
+        return cold + list(swept.values())
+
+    by_scale = {s: fits(s) for s in (1e-4, 1.0, 1e4, 1e8)}
+    for s, scaled in by_scale.items():
+        for fit, base in zip(scaled, by_scale[1.0]):
+            c, c1 = fit.coefficients.values, base.coefficients.values
+            assert fit.converged, s
+            assert fit.iterations == base.iterations, s
+            assert np.abs(c - s * c1).max() <= 1e-9 * s * np.abs(c1).max(), s
 
 
 def test_fit_above_the_certificate_bound_is_unconverged():

@@ -17,31 +17,31 @@ import time
 from l1kernels import ExperimentConfig, NoiseModel, run_experiment
 from l1kernels.experiment import csv_rows
 
-configs = [
-    ("gaussian", NoiseModel.gaussian(variance=0.01)),
-    ("uniform", NoiseModel.uniform(halfwidth=0.1)),
-    ("pepper", NoiseModel.pepper_sauce(magnitude=0.1)),
+noises = [
+    NoiseModel.gaussian(variance=0.01),
+    NoiseModel.uniform(halfwidth=0.1),
+    NoiseModel.pepper_sauce(magnitude=0.1),
 ]
 
-labeled = []
+summaries = []
 t0 = time.perf_counter()
-for label, noise in configs:
+for noise in noises:
     config = ExperimentConfig(n_points=120, trials=10, noise=noise, master_seed=12345)
     summary = run_experiment(config)
-    labeled.append((label, summary))
+    summaries.append(summary)
     print(
-        f"{label:9s} ridge: err {summary.rkhs.mean_error:.2e}, all {summary.rkhs.max_sparsity} "
+        f"{noise.label:9s} ridge: err {summary.rkhs.mean_error:.2e}, all {summary.rkhs.max_sparsity} "
         f"coefficients active | l1: err {summary.rkbs.mean_error:.2e}, "
         f"{summary.rkbs.mean_sparsity:.1f} active on average (max {summary.rkbs.max_sparsity})"
     )
 print(f"\n{time.perf_counter() - t0:.1f}s for 30 trials at n=120")
 
 print("\nCSV emitted by the command-line runner:")
-for line in csv_rows(labeled):
+for line in csv_rows(summaries):
     print(" ", line)
 
 print("\nPer-trial detail (first two gaussian trials):")
-for record in labeled[0][1].records[:2]:
+for record in summaries[0].records[:2]:
     print(
         f"  trial {record.trial_index}: l1 error {record.rkbs.l2_error:.2e} with "
         f"{record.rkbs.sparsity} terms at mu={record.rkbs.chosen_mu:g}; "

@@ -307,14 +307,17 @@ def audit_a1(
 
 
 def audit_a2(kernel: KernelSpec, grid) -> AuditReport:
-    """Compare sup |K| over sampled (s, t) pairs against the declared bound."""
+    """Compare sup |K| over sampled (s, t) pairs against the declared bound;
+    INCONCLUSIVE at the first pair whose |K| is not finite."""
     pairs = np.asarray(grid, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise ValueError("grid must be a nonempty (m, 2) array of (s, t) pairs")
     values = np.abs(kernel.eval(pairs[:, 0], pairs[:, 1]))
-    i = int(np.argmax(values))
+    i = int(np.argmax(values))  # the first nan, if any
     worst = float(values[i])
     s, t = float(pairs[i, 0]), float(pairs[i, 1])
+    if not np.isfinite(worst):
+        return _inconclusive(Condition.A2, int(pairs.shape[0]), f"|K| is {worst} at (s, t) = ({s:g}, {t:g})", 0)
     stats = AuditStats(int(pairs.shape[0]), worst, {"points": [s], "t": t})
     if worst > kernel.bound + 1e-12:
         witness = Witness((s,), t, worst)

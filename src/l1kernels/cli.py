@@ -84,8 +84,8 @@ def _parse_mu_grid(text: str) -> tuple[float, ...]:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError as exc:
             raise _UsageError(f"bad --mu-grid range: {exc}")
-        if not (lo > 0 and hi >= lo):
-            raise _UsageError("--mu-grid range needs 0 < A <= B")
+        if not 0 < lo <= hi < math.inf:
+            raise _UsageError("--mu-grid range needs 0 < A <= B < inf")
         e_lo, e_hi = math.log10(lo), math.log10(hi)
         if abs(e_lo - round(e_lo)) > 1e-9 or abs(e_hi - round(e_hi)) > 1e-9:
             raise _UsageError("--mu-grid range endpoints must be powers of ten, e.g. 1e-7..1e1")
@@ -108,7 +108,8 @@ def _audit_window(kernel: KernelSpec, window: str | None) -> Interval:
             raise _UsageError(f"bad --window, expected 'A,B': {exc}")
         if not (interval.bounded and kernel.domain.contains([interval.lo, interval.hi])):
             raise _UsageError(
-                f"--window {interval} must lie inside the {kernel.name} kernel domain {kernel.domain}"
+                f"--window {interval} must have a finite length and lie inside the "
+                f"{kernel.name} kernel domain {kernel.domain}"
             )
         return interval
     if kernel.domain.bounded:
@@ -188,7 +189,10 @@ def _cmd_fit(args) -> int:
         raise _UsageError(f"{points.size} points but {values.size} values")
     if not (0 <= args.mu < math.inf):
         raise _UsageError(f"--mu must be finite and >= 0, got {args.mu}")
-    system = build_system(kernel, points)
+    try:
+        system = build_system(kernel, points)
+    except ValueError as exc:  # points whose span overflows
+        raise _UsageError(f"bad --points: {exc}")
     if args.method == "rkbs":
         result = lasso_gram(system, values, LassoConfig(mu=args.mu))
     else:
@@ -211,28 +215,20 @@ def _cmd_experiment(args) -> int:
             "uniform": NoiseModel.uniform(),
             "pepper": NoiseModel.pepper_sauce(corrupt_fraction=args.pepper_fraction),
         }
-        labels = list(kinds) if args.noise == "all" else [args.noise]
-        configs = [
-            ExperimentConfig(
-                n_points=args.n,
-                noise=kinds[label],
-                trials=args.trials,
-                mu_grid=mu_grid,
-                master_seed=args.seed,
-            )
-            for label in labels
-        ]
+        settings = dict(n_points=args.n, trials=args.trials, mu_grid=mu_grid, master_seed=args.seed)
+        noises = kinds.values() if args.noise == "all" else [kinds[args.noise]]
+        configs = [ExperimentConfig(noise=noise, **settings) for noise in noises]
     except ValueError as exc:
         raise _UsageError(str(exc))
 
-    labeled = [(label, run_experiment(config)) for label, config in zip(labels, configs)]
+    summaries = [run_experiment(config) for config in configs]
 
-    for line in csv_rows(labeled):
+    for line in csv_rows(summaries):
         print(line)
     if args.out:
-        write_csv(labeled, args.out)
+        write_csv(summaries, args.out)
     if args.json:
-        _write_json([summary_to_json(s) for _, s in labeled], args.json)
+        _write_json([summary_to_json(s) for s in summaries], args.json)
     return 0
 
 

@@ -18,17 +18,13 @@ is certified, with the count per method.
 A thread keeps what its trials share until n_points or the mu grid change
 (about 8 MB at n = 200): Gram system, quadrature matrix, ridge factors and
 a lasso solver pinned (LassoSolver.pin) at the anchor, the noiseless
-target's path point at the largest weight, which also keeps the QR of the
-whole Gram (the bottom frame).  Each trial sweeps its lasso grid from both
-ends (LassoSolver.sweep): it climbs from the interpolant through the
-weights below the cold-start rule's split, then moves the data from the
-anchor to its own at the largest weight and goes on down through the rest,
-and starts nowhere else.  So run_trial(config,
-k) is a pure function of (config, k), its noise drawn from the stream
-(master_seed, k, "noise"), and the CSV is byte-identical across runs at a
-fixed BLAS thread count (another count sums in another order, which can
-move the last digits).  A selected fit that fails its certificate is
-logged as a warning with structured fields.
+target's path point at the largest weight.  Each trial sweeps its lasso
+grid from both ends (LassoSolver.sweep) and starts nowhere else, so
+run_trial(config, k) is a pure function of (config, k), its noise drawn
+from the stream (master_seed, k, "noise"), and the CSV is byte-identical
+across runs at a fixed BLAS thread count (another count sums in another
+order).  A selected fit that fails its certificate is logged as a warning
+with structured fields.
 """
 
 from __future__ import annotations
@@ -94,60 +90,61 @@ class NoiseKind(enum.Enum):
     PEPPER_SAUCE = "pepper"
 
 
+# what a noise model's scale is for each kind, and its name in params()
+_SCALES = {NoiseKind.GAUSSIAN: "variance", NoiseKind.UNIFORM: "halfwidth", NoiseKind.PEPPER_SAUCE: "magnitude"}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive noise: centered normal, centered uniform, or two-point.
-
-    Pepper-sauce noise flips every sample by +/- magnitude; corrupt_fraction
-    below 1 switches to the sparse-corruption reading where each sample is
-    hit independently with that probability and left clean otherwise.
+    """Additive noise of one kind and one scale: a centered normal with
+    variance scale, a centered uniform on [-scale, scale], or two-point
+    noise, +/- scale on every sample; corrupt_fraction below 1 switches the
+    last to the sparse-corruption reading, where each sample is hit
+    independently with that probability and left clean otherwise.  The
+    classmethods and params() name the scale for its kind.
     """
 
     kind: NoiseKind
-    variance: float = 0.01
-    halfwidth: float = 0.1
-    magnitude: float = 0.1
+    scale: float
     corrupt_fraction: float = 1.0
 
     def __post_init__(self):
-        for name in ("variance", "halfwidth", "magnitude"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"{_SCALES[self.kind]} must be finite and positive")
         if not 0.0 < self.corrupt_fraction <= 1.0:
             raise ValueError("corrupt_fraction must be in (0, 1]")
 
     @classmethod
     def gaussian(cls, variance: float = 0.01) -> "NoiseModel":
-        return cls(NoiseKind.GAUSSIAN, variance=variance)
+        return cls(NoiseKind.GAUSSIAN, variance)
 
     @classmethod
     def uniform(cls, halfwidth: float = 0.1) -> "NoiseModel":
-        return cls(NoiseKind.UNIFORM, halfwidth=halfwidth)
+        return cls(NoiseKind.UNIFORM, halfwidth)
 
     @classmethod
     def pepper_sauce(cls, magnitude: float = 0.1, corrupt_fraction: float = 1.0) -> "NoiseModel":
-        return cls(NoiseKind.PEPPER_SAUCE, magnitude=magnitude, corrupt_fraction=corrupt_fraction)
+        return cls(NoiseKind.PEPPER_SAUCE, magnitude, corrupt_fraction)
 
     @property
     def label(self) -> str:
         return self.kind.value
 
     def params(self) -> dict:
-        if self.kind is NoiseKind.GAUSSIAN:
-            return {"variance": self.variance}
-        if self.kind is NoiseKind.UNIFORM:
-            return {"halfwidth": self.halfwidth}
-        return {"magnitude": self.magnitude, "corrupt_fraction": self.corrupt_fraction}
+        params = {_SCALES[self.kind]: self.scale}
+        if self.kind is NoiseKind.PEPPER_SAUCE:
+            params["corrupt_fraction"] = self.corrupt_fraction
+        return params
 
 
 def generate_noise(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an n-vector of i.i.d. noise from the model's distribution."""
     if model.kind is NoiseKind.GAUSSIAN:
-        return rng.normal(0.0, np.sqrt(model.variance), size=n)
+        return rng.normal(0.0, np.sqrt(model.scale), size=n)
     if model.kind is NoiseKind.UNIFORM:
-        return rng.uniform(-model.halfwidth, model.halfwidth, size=n)
+        return rng.uniform(-model.scale, model.scale, size=n)
     signs = 2.0 * rng.integers(0, 2, size=n) - 1.0
-    hits = signs * model.magnitude
+    hits = signs * model.scale
     if model.corrupt_fraction < 1.0:
         hits = np.where(rng.random(n) < model.corrupt_fraction, hits, 0.0)
     return hits
@@ -407,19 +404,19 @@ def summary_to_json(summary: TrialSummary) -> dict:
     }
 
 
-def csv_rows(labeled_summaries: list[tuple[str, TrialSummary]]) -> list[str]:
-    """CSV lines (header first) for a list of (noise label, summary) pairs."""
+def csv_rows(summaries: list[TrialSummary]) -> list[str]:
+    """CSV lines (header first) for a list of summaries, each labeled by its noise."""
     rows = [CSV_HEADER]
-    for label, summary in labeled_summaries:
+    for summary in summaries:
         for method, agg in (("rkhs", summary.rkhs), ("rkbs", summary.rkbs)):
             rows.append(
-                f"{label},{method},{agg.mean_error!r},{agg.mean_sparsity!r},"
+                f"{summary.config.noise.label},{method},{agg.mean_error!r},{agg.mean_sparsity!r},"
                 f"{agg.max_sparsity},{summary.config.trials},{summary.config.master_seed}"
             )
     return rows
 
 
-def write_csv(labeled_summaries: list[tuple[str, TrialSummary]], path) -> None:
+def write_csv(summaries: list[TrialSummary], path) -> None:
     """Write the aggregate table; output is byte-identical for equal configs."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(csv_rows(labeled_summaries)) + "\n")
+        fh.write("\n".join(csv_rows(summaries)) + "\n")

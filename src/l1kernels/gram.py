@@ -67,9 +67,10 @@ class PointSet:
         pts = np.array(points, dtype=float, copy=True).reshape(-1)
         if pts.size == 0:
             raise ValueError("a point set needs at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        spacing = np.diff(np.sort(pts))
+        ordered = np.sort(pts)
+        if not np.isfinite(float(ordered[-1]) - float(ordered[0])):
+            raise ValueError("points must be finite and span a finite length")
+        spacing = np.diff(ordered)
         if pts.size > 1 and not np.all(spacing > 0.0):
             raise DuplicatePoints("point set contains coincident points")
         pts.flags.writeable = False

@@ -88,7 +88,7 @@ class Interval:
 
     @property
     def bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
+        return math.isfinite(self.length)
 
     def contains(self, t) -> bool:
         t = np.asarray(t, dtype=float)
@@ -159,12 +159,15 @@ def _eval_gaussian(spec, s, t):
 
 
 def _eval_wendland_d3_k1(spec, s, t):
-    r = np.abs(s - t)
-    return np.maximum(1.0 - r, 0.0) ** 4 * (1.0 + 4.0 * r)
+    # r clipped at the support's edge, so a far pair is 0, never 0 * inf
+    r = np.minimum(np.abs(s - t), 1.0)
+    return (1.0 - r) ** 4 * (1.0 + 4.0 * r)
 
 
 def _eval_sinc(spec, s, t):
-    return np.sinc(s - t)
+    # |s - t| >= 2**52 is an integer, a zero, where pi (s - t) may overflow
+    far = np.abs(s - t) >= 2.0**52
+    return np.where(far, 0.0, np.sinc(np.where(far, 0.0, s - t)))
 
 
 _EVALUATORS = {

@@ -40,14 +40,16 @@ one leave per zero and the top one join per nonzero, so the path starts at
 the bottom exactly when mu is below the split: the ceil(n/2)-th smallest
 crossing weight, capped at the top's weight, and 0 when c0 has an exact
 zero.  A path from the bottom climbs in lam: from the stop of an earlier
-solve on the same data at a smaller weight, else from the QR of all of K
-(LAPACK geqrf and orgqr, kept by a pinned solver).  It gives up, and the
-same solve starts again from above, when its active set falls to half of
-n or fewer, when it has taken n steps, or when its fit fails its
-certificate; the split of that data then drops to that weight.
+solve on the same data at a smaller weight, else from the signs of c0 and
+the QR of all of K (LAPACK geqrf and orgqr, kept by a pinned solver).  It
+gives up, and the same solve starts again from above, when its active set
+falls to half of n or fewer, when it has taken n steps, or when its fit
+fails its certificate; the split of that data then drops to that weight.
 
 Every solution is certified by its KKT residual, not by trusting the path,
-against tol = KKT_TOL * max(1, ||y||_inf), the bound a ridge fit meets too:
+against tol = KKT_TOL * ||y||_inf, the bound a ridge fit meets too.  It
+scales with the data as the fit does, and at y = 0 both solvers return an
+exact c = 0, whose residual is 0:
 
     c_j != 0:  | 2 (K^T (K c - y))_j + mu sign(c_j) | <= tol
     c_j  = 0:  | 2 (K^T (K c - y))_j |               <= mu + tol
@@ -70,7 +72,7 @@ from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated
 from .interpolation import _reject_broken_l1
 
 # a fit is certified (FitResult.converged) when its residual, KKT for the
-# lasso and linear-system for the ridge, is at most this times max(1, ||y||_inf)
+# lasso and linear-system for the ridge, is at most this times ||y||_inf
 KKT_TOL = 1e-8
 
 # path steps one lasso solve may take before it stops uncertified, a guard
@@ -103,12 +105,10 @@ class LassoConfig:
 class FitResult:
     """Coefficients plus the certificates that qualify them.
 
-    objective is recomputed from the final coefficients (not carried from
-    solver internals); sparsity counts the nonzero coefficients.  For the
-    lasso that is the size of its active set: the path sets every other
-    coefficient to exactly zero, and the KKT certificate covers the zeros
-    as it covers the rest.  converged: kkt_residual (a linear-system
-    residual for the ridge) is at most KKT_TOL * max(1, ||y||_inf).
+    objective is recomputed from the final coefficients; sparsity counts the
+    nonzero coefficients, exact zeros off the lasso's active set and covered
+    by its KKT certificate.  converged: kkt_residual (a linear-system
+    residual for the ridge) is at most KKT_TOL * ||y||_inf.
     """
 
     coefficients: CoefficientVector
@@ -130,14 +130,14 @@ class FitResult:
 
 
 def _certified(c: np.ndarray, objective: float, residual: float, y: np.ndarray, iterations: int) -> FitResult:
-    """The FitResult of c fitted to y, certified when residual <= KKT_TOL * max(1, ||y||_inf)."""
+    """The FitResult of c fitted to y, certified when residual <= KKT_TOL * ||y||_inf."""
     return FitResult(
         coefficients=CoefficientVector(c, Side.LEFT),
         objective=objective,
         kkt_residual=residual,
         iterations=iterations,
         sparsity=int(np.count_nonzero(c)),
-        converged=residual <= KKT_TOL * max(1.0, float(np.abs(y).max())),
+        converged=residual <= KKT_TOL * float(np.abs(y).max()),
     )
 
 
@@ -263,26 +263,22 @@ _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_dele
 
 @dataclass(eq=False)
 class _Data:
-    """A solver's own copy of its last data y, y's top weight 2 ||K^T y||_inf
-    and split, and the stop (lam, m, blocked) of the last solve on y, or None."""
+    """A solver's own copy of its last data y, y's top weight 2 ||K^T y||_inf,
+    split and interpolant signs sign(K^-1 y), and the stop (lam, m, blocked)
+    of the last solve on y, or None."""
 
     y: np.ndarray
     top: float
     split: float
+    signs: np.ndarray
     stop: tuple | None = None
 
 
 class LassoSolver:
     """Exact lasso homotopy path on one Gram system (see module docs).
 
-    The solver allocates its path buffers once, and the thin QR of K[:, A]
-    changes in them by one column per event, so a step costs O(n |A|) plus
-    one K^T product over two vectors.  The least-squares residual
-    y - Q Q^T y is projected off span(Q) a second time (Daniel, Gragg,
-    Kaufman & Stewart 1976): an updated thin Q is orthogonal only up to
-    round-off, and what one projection leaves of span(Q) in the residual is
-    enough to derail exactly tied paths.  The Gram matrix must be finite,
-    since the updates scan nothing.
+    A step costs O(n |A|) plus one K^T product over two vectors.  The Gram
+    matrix must be finite, since the updates scan nothing.
 
     Between calls the solver keeps two records: _data, of the last data
     vector with the stop whose path point the buffers hold, and _pinned, the
@@ -295,9 +291,10 @@ class LassoSolver:
     which then lies below config.mu, else from the interpolant; a climb that
     gives up starts again from above and lowers the split to its weight.
     From above, the path moves the data from the anchor at its weight when
-    config.mu is no larger, else starts from c = 0.  Either way the result is
-    the exact path point at mu, certified by _finish, and its iterations
-    count this solve's steps, data moves and a climb given up included.
+    config.mu is no larger and below y's top weight, else starts from c = 0.
+    Either way the result is the exact path point at mu, certified by
+    _finish, and its iterations count this solve's steps, data moves and a
+    climb given up included.
     sweep() orders a grid of weights so that each solve finds its start.
     The buffers make a solver stateful: one must not be shared between
     threads.
@@ -322,7 +319,7 @@ class LassoSolver:
         # the last data's record (at first one that matches no data), and the
         # anchor pin() keeps: its data and weight, copies of its active set,
         # signs, Q and R, and the QR of all of K (the bottom frame)
-        self._data = _Data(np.empty(0), 0.0, 0.0)
+        self._data = _Data(np.empty(0), 0.0, 0.0, np.empty(0))
         self._pinned: tuple | None = None
 
     def solve(self, y, config: LassoConfig) -> FitResult:
@@ -347,16 +344,16 @@ class LassoSolver:
             if stop is not None:
                 s, m = mu - stop[0], stop[1]
             else:
-                s, m = (mu if self._load_bottom(y) else None), system.n
-            if s is not None:
-                c, steps = self._follow(y, mu, m, None, s, lam0=mu, h=-1.0, end=0.0)
-                fit = self._finish(c, y, config, iterations=steps)
-                if fit.converged or steps == MAX_PATH_STEPS:
-                    return fit
-                # the climb fell to half support or ran n steps short of mu, or
-                # its fit failed the certificate: start again from above
-                data.stop, data.split = None, mu
-        if self._pinned is not None and mu <= self._pinned[1]:
+                s, m = mu, system.n
+                self._load_bottom()
+            c, steps = self._follow(y, mu, m, None, s, lam0=mu, h=-1.0, end=0.0)
+            fit = self._finish(c, y, config, iterations=steps)
+            if fit.converged or steps == MAX_PATH_STEPS:
+                return fit
+            # the climb fell to half support or ran n steps short of mu, or
+            # its fit failed the certificate: start again from above
+            data.stop, data.split = None, mu
+        if self._pinned is not None and mu <= self._pinned[1] and mu < data.top:
             # move the data from the anchor's to y at the anchor's weight
             y_anchor, lam, point, _ = self._pinned
             m = point[0].size
@@ -370,9 +367,10 @@ class LassoSolver:
     def pin(self, y, config: LassoConfig) -> FitResult:
         """solve(y, config), then keep the path point it reached as the anchor
         and the QR of all of K as the bottom frame.  Later solves on any data
-        at a weight no larger than the anchor's move the data from it.  A
-        solve that stops short of config.mu, or runs at mu = 0, keeps
-        nothing, not even an earlier anchor."""
+        at a weight no larger than the anchor's and below the data's top
+        weight (from which up c = 0) move the data from it.  A solve that
+        stops short of config.mu, or runs at mu = 0, keeps nothing, not even
+        an earlier anchor."""
         fit = self.solve(y, config)
         data, self._pinned = self._data, None
         if data.stop is not None:
@@ -408,24 +406,24 @@ class LassoSolver:
         """Keep a new record of data y, with no stop."""
         system = self.system
         c0 = system.solve(y)
-        d = system.solve(system.solve(np.sign(c0)))
+        signs = np.sign(c0)
+        d = system.solve(system.solve(signs))
         top = zero_mu_threshold(system, y)
-        self._data = _Data(y.copy(), top, min(_bottom_split(c0, d), top))
+        self._data = _Data(y.copy(), top, min(_bottom_split(c0, d), top), signs)
         return self._data
 
-    def _load_bottom(self, y: np.ndarray) -> bool:
-        """Make every coordinate active, with the QR of the whole Gram in the
-        buffers, copied from the pinned frame or else factored in place, and
-        the signs of the interpolant R^-1 Q^T y; False when the interpolant
-        has an exact zero, whose sign the path cannot take."""
+    def _load_bottom(self) -> None:
+        """Make every coordinate active, with the interpolant's signs that the
+        record keeps (whose split is 0 at an exact zero, so no climb starts
+        from one) and the QR of the whole Gram in the buffers, copied from the
+        pinned frame or else factored in place."""
         qb, rb = self._qb, self._rb
         if self._pinned is None:
             _factor_qr(self.system.gram, qb, rb)
         else:
             qb[:], rb[:] = self._pinned[3]
         self._active[:] = np.arange(self.system.n)
-        np.sign(_solve_r(rb, qb.T @ y), out=self._signs)
-        return bool(self._signs.all())
+        self._signs[:] = self._data.signs
 
     def _follow(self, y, mu, m, blocked, s, lam0=0.0, h=1.0, e=None, end=None, steps=0):
         """Follow the path from the point in the buffers (m active columns;
@@ -584,6 +582,7 @@ def ridge_gram(system: GramSystem, y, mu: float) -> FitResult:
 
     The reported objective is the kernel ridge value
     ||K h - y||^2 + mu h^T K h, and kkt_residual holds the linear-system
-    residual ||(K + mu I) h - y||_inf, certified as a lasso fit's is.
+    residual ||(K + mu I) h - y||_inf, certified as a lasso fit's is: at
+    most KKT_TOL * ||y||_inf.
     """
     return RidgeSolver(system).solve(y, mu)

@@ -31,6 +31,7 @@ from l1kernels import (
     profile_grid,
     sinc,
 )
+from l1kernels import Family, kernels
 from l1kernels.admissibility import A4_TOL
 from _oracles import draw_points
 
@@ -250,6 +251,24 @@ def test_audit_a2_detects_bound_violation():
     report = audit_a2(shrunk, pair_grid(np.linspace(-1, 1, 21)))
     assert report.verdict is Verdict.FAIL
     assert report.witness.value == pytest.approx(1.0)
+
+
+def test_audit_a2_is_inconclusive_on_a_value_that_is_not_finite(monkeypatch):
+    # no zoo kernel evaluates to nan or inf on its domain; a kernel that did
+    # is named at its first such pair, never passed
+    monkeypatch.setitem(kernels._EVALUATORS, Family.EXPONENTIAL, lambda spec, s, t: np.where(s > t, np.nan, 1.0))
+    report = audit_a2(exponential(), [[0.0, 0.0], [0.5, 0.25], [1.0, 0.0]])
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.message == "|K| is nan at (s, t) = (0.5, 0.25)"
+    assert report.stats.n_trials == 3 and report.witness is None
+
+
+def test_sampling_needs_a_window_of_finite_length():
+    window = Interval(-1e308, 1e308, lo_open=False, hi_open=False)
+    with pytest.raises(ValueError, match="bounded"):
+        RandomPointSets(window)
+    with pytest.raises(ValueError, match="bounded"):
+        profile_grid(window)
 
 
 def test_audit_a4_passes_for_admissible_kernels():

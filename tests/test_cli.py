@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import logging
 import os
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1kernels import Family
 from l1kernels.cli import main, _parse_mu_grid, _UsageError
@@ -278,12 +282,62 @@ def test_bad_mu_grid_is_usage_error(capsys):
          "--method", "rkbs"),
         ("fit", "--kernel", "exponential", "--points", "0,1", "--values", "1,2", "--mu", "-1",
          "--method", "rkhs"),
+        ("experiment", "--trials", "1", "--n", "20", "--mu-grid", "1e400..1e401"),
+        ("experiment", "--trials", "1", "--n", "20", "--mu-grid", "1..1e400"),
+        # spans that overflow: s - t would be infinite
+        ("fit", "--kernel", "wendland_d3_k1", "--points=-1e308,1e308", "--values", "1,1", "--mu", "1",
+         "--method", "rkhs"),
+        ("fit", "--kernel", "sinc", "--points=-1e308,1e308", "--values", "1,1", "--mu", "1", "--method", "rkhs"),
+        ("audit", "--kernel", "exponential", "--window=-1e308,1e308", "--trials", "2"),
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+def test_audit_a2_of_a_far_window_reads_no_nan(capsys):
+    # pairs a finite 1.1e308 apart: Wendland's K is exactly 0 there, not 0 * inf
+    argv = ("audit", "--kernel", "wendland_d3_k1", "--window=-1e308,1e307", "--trials", "2", "--condition", "a2")
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["a2: pass (1936 trials, worst 1)"]
+    assert captured.err == ""
+
+
+# extreme numeric strings: at the edge of the double range, past it, not a
+# number, and a signed zero
+EXTREMES = ("1e308", "-1e308", "1e400", "inf", "nan", "-0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    option=st.sampled_from(["--mu", "--points", "--values", "--window", "--mu-grid", "--pepper-fraction"]),
+    value=st.sampled_from(EXTREMES),
+    other=st.sampled_from(EXTREMES + ("0.5", "1")),
+    kernel=st.sampled_from([family.value for family in Family]),
+    variant=st.integers(0, 2),
+)
+def test_extreme_numbers_end_in_a_documented_exit_code(option, value, other, kernel, variant):
+    # every call is small (n <= 20, one trial), and whatever its outcome, the
+    # CLI ends with 0, 1 or 2 and prints no traceback
+    fit = ["fit", "--kernel", kernel, "--method", ("rkbs", "rkhs")[variant % 2]]
+    argv = {
+        "--mu": fit + ["--points", "0.2,0.7", "--values", "1,2", f"--mu={value}"],
+        "--points": fit + [f"--points={value},{other}", "--values", "1,2", "--mu", "0.1"],
+        "--values": fit + ["--points", "0.2,0.7", f"--values={value},{other}", "--mu", "0.1"],
+        "--window": ["audit", "--kernel", kernel, f"--window={value},{other}", "--trials", "1", "--grid", "20",
+                     "--condition", ("a1", "a2", "a4")[variant]],
+        "--mu-grid": ["experiment", "--noise", "gaussian", "--trials", "1", "--n", "20",
+                      f"--mu-grid={value}{('..', ',', '..')[variant]}{other}"],
+        "--pepper-fraction": ["experiment", "--noise", "pepper", "--trials", "1", "--n", "20", "--mu-grid", "1e-2",
+                              f"--pepper-fraction={value}"],
+    }[option]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run_cli(*argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_missing_subcommand_is_usage_error():

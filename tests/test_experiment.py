@@ -223,7 +223,7 @@ def test_run_trial_warns_on_uncertified_selected_fit(monkeypatch, caplog):
     methods = summary_to_json(summary)["methods"]
     assert (methods["rkbs"]["uncertified"], methods["rkhs"]["uncertified"]) == (cfg.trials, 0)
     # and the CSV does not show them
-    assert csv_rows([("gaussian", summary)]) == csv_rows([("gaussian", clean)])
+    assert csv_rows([summary]) == csv_rows([clean])
 
 
 def test_run_trial_warns_on_uncertified_selected_ridge_fit(monkeypatch, caplog):
@@ -510,12 +510,12 @@ def test_run_experiment_deterministic_and_aggregates():
     assert s1 == s2
     assert s1.rkbs.max_sparsity >= s1.rkbs.mean_sparsity
     assert s1.rkhs.mean_sparsity == cfg.n_points
-    assert csv_rows([("gaussian", s1)]) == csv_rows([("gaussian", s2)])
+    assert csv_rows([s1]) == csv_rows([s2])
 
 
 def test_csv_schema():
     cfg = small_config(trials=1)
-    rows = csv_rows([("gaussian", run_experiment(cfg))])
+    rows = csv_rows([run_experiment(cfg)])
     assert rows[0] == CSV_HEADER
     assert rows[0] == "noise,method,mean_error,mean_sparsity,max_sparsity,trials,seed"
     assert len(rows) == 3  # header + rkhs + rkbs
@@ -616,3 +616,19 @@ def test_noise_kinds_have_expected_labels():
     assert NoiseModel.uniform().label == "uniform"
     assert NoiseModel.pepper_sauce().label == "pepper"
     assert NoiseModel.pepper_sauce().kind is NoiseKind.PEPPER_SAUCE
+
+
+def test_noise_model_keeps_one_scale_under_its_kinds_name():
+    assert NoiseModel.gaussian(0.01).params() == {"variance": 0.01}
+    assert NoiseModel.uniform(0.2).params() == {"halfwidth": 0.2}
+    assert NoiseModel.pepper_sauce(0.3, 0.4).params() == {"magnitude": 0.3, "corrupt_fraction": 0.4}
+    assert NoiseModel.uniform(0.2) == NoiseModel(NoiseKind.UNIFORM, 0.2)
+    assert [f.name for f in dataclasses.fields(NoiseModel)] == ["kind", "scale", "corrupt_fraction"]
+
+
+def test_csv_rows_label_each_summary_by_its_noise():
+    noises = (NoiseModel.uniform(), NoiseModel.pepper_sauce())
+    rows = csv_rows([run_experiment(small_config(trials=1, noise=noise)) for noise in noises])
+    assert [row.split(",", 2)[:2] for row in rows[1:]] == [
+        ["uniform", "rkhs"], ["uniform", "rkbs"], ["pepper", "rkhs"], ["pepper", "rkbs"],
+    ]

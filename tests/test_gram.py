@@ -39,6 +39,16 @@ def test_point_set_validation():
         PointSet([0.1, np.nan])
 
 
+def test_points_whose_span_overflows_are_rejected():
+    # s - t would be infinite for the two outer points
+    for points in ([-1e308, 1e308], [1e308, 0.0, -1e308], [np.inf]):
+        with pytest.raises(ValueError, match="span a finite length"):
+            PointSet(points)
+    with pytest.raises(ValueError, match="span a finite length"):
+        build_system(sinc(), [-1e308, 1e308])
+    assert PointSet([-1e308, 1e307]).n == 2
+
+
 def test_point_set_immutable():
     ps = PointSet([0.0, 1.0])
     with pytest.raises(ValueError):

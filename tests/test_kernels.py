@@ -133,6 +133,20 @@ def test_domain_errors():
     assert k.eval(-1.0, 1.0) == pytest.approx(math.exp(-2))
 
 
+def test_far_pairs_evaluate_to_zero_not_nan():
+    # differences past 2**52, near the double range and past it: every
+    # translation kernel reads its limit 0 there, never nan (Wendland's
+    # 0 * inf, sinc's sin(inf)), and an interval whose length overflows is
+    # not bounded
+    s = np.array([0.0, -1e308, -1e308, 1e300])
+    t = np.array([2.0**52, 1e307, 1e308, -1e300])
+    for kernel in (exponential(), gaussian(1.0), wendland_d3_k1(), sinc()):
+        with np.errstate(over="ignore"):
+            assert np.array_equal(kernel.eval(s, t), np.zeros(4)), kernel.name
+    assert Interval(-1e308, 1e307).bounded
+    assert not Interval(-1e308, 1e308).bounded
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         gaussian(0.0)

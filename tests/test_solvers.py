@@ -555,25 +555,26 @@ def test_lasso_resumes_below_a_stop_reached_from_the_bottom(monkeypatch):
 
 
 def test_lasso_interpolant_with_an_exact_zero_starts_at_the_top(monkeypatch):
-    # the bottom's signs are those of K^-1 y, and a zero has none: the rule
-    # keeps the top, and so does the solver when the start is forced, from
-    # the zero in R^-1 Q^T y.  On a diagonal Gram the fit is closed-form.
+    # the bottom's signs are those of K^-1 y, and a zero has none: its split
+    # is 0, so the rule keeps the top.  Forced to the bottom, the climb keeps
+    # the zero coordinate at 0 with sign 0 and reaches mu in one step.  On a
+    # diagonal Gram the fit is closed-form
     base = build_system(exponential(), [0.0, 1.0, 2.0])
     gram = np.diag([1.0, 2.0, 4.0])
     system = GramSystem(base.kernel, base.points, gram, scipy.linalg.lu_factor(gram), 1.0)
     y, mu = np.array([1.0, 0.0, -3.0]), 1e-3
     assert system.solve(y)[1] == 0.0
-    with monkeypatch.context() as patch:
-        lines = trace_lines(patch)
-        top = LassoSolver(system).solve(y, LassoConfig(mu=mu))
-    assert lines == ["T"]
-    start_at(monkeypatch, "bottom")
-    fit = LassoSolver(system).solve(y, LassoConfig(mu=mu))
-    assert fit.converged and fit.iterations == top.iterations
-    assert np.array_equal(fit.coefficients.values, top.coefficients.values)
     k = np.diag(gram)
     expected = np.sign(y) * np.maximum(k * np.abs(y) - mu / 2.0, 0.0) / k**2
-    assert fit.coefficients.values == pytest.approx(expected, rel=1e-12)
+    for end, line, steps in ((None, "T", 3), ("bottom", "B", 1)):
+        with monkeypatch.context() as patch:
+            if end is not None:
+                start_at(patch, end)
+            lines = trace_lines(patch)
+            fit = LassoSolver(system).solve(y, LassoConfig(mu=mu))
+        assert lines == [line]
+        assert fit.converged and fit.iterations == steps
+        assert fit.coefficients.values == pytest.approx(expected, rel=1e-12)
 
 
 def test_lasso_zero_solution_in_no_steps_from_either_end(monkeypatch):
@@ -693,30 +694,83 @@ def test_lasso_fit_satisfies_its_certificate(seed, bridge, n, log_mu):
     c = fit.coefficients.values
     assert fit.converged
     assert fit.kkt_residual == kkt_residual(system, y, mu, c)
-    assert fit.kkt_residual <= solvers.KKT_TOL * max(1.0, np.abs(y).max())
+    assert fit.kkt_residual <= solvers.KKT_TOL * np.abs(y).max()
     assert fit.objective == pytest.approx(lasso_objective(system.gram, y, mu, c), rel=1e-12)
+
+
+def scale_test_data():
+    """The exponential Gram on 200 equispaced points of [-1, 1] and noisy
+    samples of the benchmark's target there."""
+    x = np.linspace(-1.0, 1.0, 200)
+    return build_system(exponential(), x), target_function(x) + np.random.default_rng(0).normal(0.0, 0.1, x.size)
 
 
 def test_lasso_certificate_scales_with_the_data():
     # (s y, s mu) has the fit s c and the same path, so its certificate must
     # hold at every s; a bound that does not scale with y would leave the fits
     # at large s uncertified and send their climbs back to the top
-    x = np.linspace(-1.0, 1.0, 200)
-    system = build_system(exponential(), x)
-    y = target_function(x) + np.random.default_rng(0).normal(0.0, 0.1, x.size)
+    system, y = scale_test_data()
 
     def fits(s):
         cold = [lasso_gram(system, s * y, LassoConfig(mu=s * mu)) for mu in DEFAULT_MU_GRID]
         swept = LassoSolver(system).sweep(s * y, [s * mu for mu in DEFAULT_MU_GRID])
         return cold + list(swept.values())
 
-    by_scale = {s: fits(s) for s in (1e-4, 1.0, 1e4, 1e8)}
+    by_scale = {s: fits(s) for s in (1e-11, 1e-8, 1e-4, 1.0, 1e4, 1e8)}
     for s, scaled in by_scale.items():
         for fit, base in zip(scaled, by_scale[1.0]):
             c, c1 = fit.coefficients.values, base.coefficients.values
             assert fit.converged, s
             assert fit.iterations == base.iterations, s
             assert np.abs(c - s * c1).max() <= 1e-9 * s * np.abs(c1).max(), s
+
+
+def test_certificate_has_no_floor_below_unit_data(monkeypatch):
+    # c = 0 on the scale test's data times 1e-11 is far from the fit at
+    # mu = 1e-18, nearly the interpolant: its KKT residual 6.3e-9 passed the
+    # bound 1e-8 that max(1, ||y||_inf) once set, not KKT_TOL * ||y||_inf
+    system, y = scale_test_data()
+    start_at(monkeypatch, "top")
+    monkeypatch.setattr(solvers, "MAX_PATH_STEPS", 0)
+    fit = LassoSolver(system).solve(1e-11 * y, LassoConfig(mu=1e-18))
+    assert fit.iterations == 0 and not fit.coefficients.values.any()
+    assert 6e-9 < fit.kkt_residual < solvers.KKT_TOL
+    assert not fit.converged
+
+
+def test_zero_data_has_the_exact_zero_fit_certified():
+    # the bound KKT_TOL * ||y||_inf is 0 at y = 0, which only an exact c = 0
+    # with residual 0 meets: cold, swept, from a pinned solver and as the
+    # anchor itself, and for the ridge
+    x = np.linspace(-1.0, 1.0, 20)
+    system, zero = build_system(exponential(), x), np.zeros(20)
+    mus = (0.0, *DEFAULT_MU_GRID)
+    pinned = LassoSolver(system)
+    pinned.pin(target_function(x), LassoConfig(mu=10.0))
+    fits = [lasso_gram(system, zero, LassoConfig(mu=mu)) for mu in mus]
+    fits += LassoSolver(system).sweep(zero, mus).values()
+    fits += pinned.sweep(zero, mus).values()
+    fits += [pinned.solve(zero, LassoConfig(mu=mu)) for mu in mus]
+    fits.append(LassoSolver(system).pin(zero, LassoConfig(mu=1.0)))
+    fits += [ridge_gram(system, zero, mu) for mu in mus]
+    for fit in fits:
+        assert fit.converged and fit.kkt_residual == 0.0 and fit.iterations == 0
+        assert not fit.coefficients.values.any()
+
+
+def test_pinned_solver_starts_at_the_top_above_the_datas_top_weight():
+    # the anchor serves only weights below the data's top weight: above it
+    # c = 0, reached in no steps from the top, where a move from the anchor
+    # (the benchmark's, at mu = 10) took 327
+    x = np.linspace(-1.0, 1.0, 200)
+    system, target = build_system(exponential(), x), target_function(x)
+    solver = LassoSolver(system)
+    solver.pin(target, LassoConfig(mu=10.0))
+    for y in (np.zeros(x.size), 1e-3 * target):
+        assert zero_mu_threshold(system, y) < 10.0
+        fit = solver.solve(y, LassoConfig(mu=10.0))
+        assert fit.converged and fit.iterations == 0
+        assert not fit.coefficients.values.any()
 
 
 def test_fit_above_the_certificate_bound_is_unconverged():

@@ -25,94 +25,14 @@ application configures logging.
 
 import logging
 
-from .errors import (
-    DegenerateSchur,
-    DimensionMismatch,
-    DomainError,
-    DuplicatePoints,
-    FormulaUnavailable,
-    KernelMismatch,
-    L1KernelsError,
-    NegativeMu,
-    SingularGram,
-    SingularShifted,
-    UnsupportedKernel,
-)
-from .kernels import (
-    AdmissibilityFlags,
-    Family,
-    Interval,
-    KernelSpec,
-    Status,
-    brownian_bridge,
-    closed_form_cardinal,
-    exponential,
-    gaussian,
-    kernel_from_json,
-    kernel_to_json,
-    sinc,
-    wendland_d3_k1,
-)
-from .gram import (
-    CoefficientVector,
-    GramSystem,
-    PointSet,
-    Side,
-    build_system,
-)
-from .admissibility import (
-    AuditReport,
-    AuditStats,
-    Condition,
-    LebesgueProfile,
-    RandomPointSets,
-    Verdict,
-    Witness,
-    audit_a1,
-    audit_a2,
-    audit_a4,
-    audit_relaxed_a4,
-    extension_norm,
-    lebesgue_constant,
-    lebesgue_function,
-    pair_grid,
-    profile_grid,
-)
-from .interpolation import (
-    ExpansionFunction,
-    bilinear_form,
-    expansion,
-    min_norm_interpolant_b,
-    min_norm_interpolant_bsharp,
-    section,
-)
-from .solvers import (
-    FitResult,
-    LassoConfig,
-    LassoSolver,
-    RidgeSolver,
-    kkt_residual,
-    lasso_gram,
-    ridge_gram,
-    zero_mu_threshold,
-)
-from .experiment import (
-    ExperimentConfig,
-    LassoPathStats,
-    MethodAggregate,
-    MethodOutcome,
-    NoiseKind,
-    NoiseModel,
-    TrialRecord,
-    TrialSummary,
-    generate_noise,
-    l2_error,
-    run_experiment,
-    run_trial,
-    summary_to_json,
-    target_function,
-    write_csv,
-)
+# each module's __all__ is its public surface, and errors' is its classes
+from .errors import *
+from .kernels import *
+from .gram import *
+from .admissibility import *
+from .interpolation import *
+from .solvers import *
+from .experiment import *
 
 __version__ = "0.1.0"
 

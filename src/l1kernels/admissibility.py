@@ -73,6 +73,9 @@ SCHUR_FLOOR = 1e-14
 # draws RandomPointSets makes for one point set before it gives up
 MAX_POINT_DRAWS = 10_000
 
+# uniform nodes of a Lebesgue grid (profile_grid) unless a caller asks otherwise
+GRID_SIZE = 2001
+
 
 class Condition(enum.Enum):
     A1 = "a1"
@@ -157,7 +160,7 @@ def lebesgue_constant(system: GramSystem, grid) -> LebesgueProfile:
     return LebesgueProfile(grid=grid, values=values, max_value=float(values[i]), argmax=float(grid[i]))
 
 
-def profile_grid(domain: Interval, num: int = 2001, points=None) -> np.ndarray:
+def profile_grid(domain: Interval, num: int = GRID_SIZE, points=None) -> np.ndarray:
     """Uniform grid over a bounded domain plus midpoints of adjacent points.
 
     Midpoints are included because the closed-form cardinal functions show
@@ -172,7 +175,9 @@ def profile_grid(domain: Interval, num: int = 2001, points=None) -> np.ndarray:
     if points is not None:
         x = np.sort(np.asarray(getattr(points, "points", points), dtype=float))
         if x.size > 1:
-            ts = np.unique(np.concatenate([ts, 0.5 * (x[1:] + x[:-1])]))
+            # halved before the sum, which then cannot overflow: the same bits
+            # as 0.5 * (a + b) wherever that is finite, off the subnormal range
+            ts = np.unique(np.concatenate([ts, 0.5 * x[1:] + 0.5 * x[:-1]]))
     return ts
 
 
@@ -235,13 +240,14 @@ def _inconclusive(condition: Condition, n_trials: int, message: str, skipped: in
     return AuditReport(condition, Verdict.INCONCLUSIVE, None, stats, message)
 
 
-def _sampled_audit(condition, label, kernel, generator, trials, master_seed, measure, fails=None):
+def _sampled_audit(condition, kernel, generator, trials, master_seed, measure, fails=None):
     """The sampled-trial loop of audit_a1, audit_a4 and audit_relaxed_a4.
 
-    Trial i draws a point set from the stream (master_seed, i, label) and
-    builds its Gram system; a failed draw or construction ends the audit
-    INCONCLUSIVE.  A numerically singular Gram is skipped and counted in
-    stats.skipped; the audit is INCONCLUSIVE when every trial was skipped.
+    Trial i draws a point set from the stream (master_seed, i, label), label
+    "audit-" and the condition's value with "-" for "_", and builds its Gram
+    system; a failed draw or construction ends the audit INCONCLUSIVE.  A
+    numerically singular Gram is skipped and counted in stats.skipped; the
+    audit is INCONCLUSIVE when every trial was skipped.
     measure(ps, system) gives the trial's (value, t): the rcond estimate and
     None for A1, where lower is worse, or the grid supremum of L and its
     location, where higher is worse.
@@ -250,6 +256,7 @@ def _sampled_audit(condition, label, kernel, generator, trials, master_seed, mea
     """
     trials = _check_count("trials", trials, 1)
     master_seed = _check_count("master_seed", master_seed, 0)
+    label = "audit-" + condition.value.replace("_", "-")
     lower_is_worse = condition is Condition.A1
     worst = worst_loc = None
     skipped = 0
@@ -301,7 +308,7 @@ def audit_a1(
     """The worst rcond of the sampled Gram matrices; never a FAIL, since the
     rcond gate cannot tell a numerically singular Gram from a singular one."""
     return _sampled_audit(
-        Condition.A1, "audit-a1", kernel, generator, trials, master_seed,
+        Condition.A1, kernel, generator, trials, master_seed,
         lambda ps, system: (system.rcond_estimate, None),
     )
 
@@ -334,7 +341,7 @@ def audit_a2(kernel: KernelSpec, grid) -> AuditReport:
 def audit_a4(
     kernel: KernelSpec,
     generator: Callable[[np.random.Generator], PointSet],
-    grid_size: int = 2001,
+    grid_size: int = GRID_SIZE,
     trials: int = 50,
     master_seed: int = 0,
     domain: Interval | None = None,
@@ -353,13 +360,13 @@ def audit_a4(
         return None
 
     measure = _lebesgue_measure(kernel, generator, domain, grid_size)
-    return _sampled_audit(Condition.A4, "audit-a4", kernel, generator, trials, master_seed, measure, fails)
+    return _sampled_audit(Condition.A4, kernel, generator, trials, master_seed, measure, fails)
 
 
 def audit_relaxed_a4(
     kernel: KernelSpec,
     generator: Callable[[np.random.Generator], PointSet],
-    grid_size: int = 2001,
+    grid_size: int = GRID_SIZE,
     trials: int = 50,
     master_seed: int = 0,
     domain: Interval | None = None,
@@ -370,9 +377,7 @@ def audit_relaxed_a4(
     seen and its location, or is INCONCLUSIVE.
     """
     measure = _lebesgue_measure(kernel, generator, domain, grid_size)
-    return _sampled_audit(
-        Condition.RELAXED_A4, "audit-relaxed-a4", kernel, generator, trials, master_seed, measure
-    )
+    return _sampled_audit(Condition.RELAXED_A4, kernel, generator, trials, master_seed, measure)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ import sys
 import numpy as np
 
 from . import admissibility as adm
-from .errors import L1KernelsError
+from .errors import DomainError, L1KernelsError
 from .gram import build_system
 from .interpolation import ExpansionFunction
 from .kernels import Interval, KernelSpec, Status, kernel_from_json, kernel_to_json
 from .solvers import LassoConfig, lasso_gram, ridge_gram
 from .experiment import (
+    PEPPER_FRACTION,
     ExperimentConfig,
     NoiseModel,
     csv_rows,
@@ -191,12 +192,15 @@ def _cmd_fit(args) -> int:
         raise _UsageError(f"--mu must be finite and >= 0, got {args.mu}")
     try:
         system = build_system(kernel, points)
-    except ValueError as exc:  # points whose span overflows
+    except (ValueError, DomainError) as exc:  # a span that overflows, a point off the domain
         raise _UsageError(f"bad --points: {exc}")
-    if args.method == "rkbs":
-        result = lasso_gram(system, values, LassoConfig(mu=args.mu))
-    else:
-        result = ridge_gram(system, values, args.mu)
+    try:
+        if args.method == "rkbs":
+            result = lasso_gram(system, values, LassoConfig(mu=args.mu))
+        else:
+            result = ridge_gram(system, values, args.mu)
+    except ValueError as exc:  # data whose sum of squares overflows
+        raise _UsageError(f"bad --values: {exc}")
     payload = result.to_json()
     payload["method"] = args.method
     payload["mu"] = args.mu
@@ -208,7 +212,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    mu_grid = _parse_mu_grid(args.mu_grid) if args.mu_grid else ExperimentConfig().mu_grid
+    mu_grid = _parse_mu_grid(args.mu_grid) if args.mu_grid else ExperimentConfig.mu_grid
     try:
         kinds = {
             "gaussian": NoiseModel.gaussian(),
@@ -250,7 +254,7 @@ def _build_parser() -> _Parser:
     p_audit.add_argument("--kernel", required=True, help="family name or JSON spec")
     p_audit.add_argument("--condition", choices=["a1", "a2", "a4", "all"], default="all")
     p_audit.add_argument("--trials", type=int, default=100)
-    p_audit.add_argument("--grid", type=int, default=2001, help="Lebesgue grid size")
+    p_audit.add_argument("--grid", type=int, default=adm.GRID_SIZE, help="Lebesgue grid size")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument(
         "--window", default=None,
@@ -273,11 +277,11 @@ def _build_parser() -> _Parser:
 
     p_exp = sub.add_parser("experiment", help="run the sparse regression benchmark")
     p_exp.add_argument("--noise", choices=["gaussian", "uniform", "pepper", "all"], default="all")
-    p_exp.add_argument("--trials", type=int, default=50)
-    p_exp.add_argument("--n", type=int, default=200)
-    p_exp.add_argument("--seed", type=int, default=12345)
+    p_exp.add_argument("--trials", type=int, default=ExperimentConfig.trials)
+    p_exp.add_argument("--n", type=int, default=ExperimentConfig.n_points)
+    p_exp.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     p_exp.add_argument("--mu-grid", default=None, help="'1e-7..1e1' (decades) or comma list")
-    p_exp.add_argument("--pepper-fraction", type=float, default=1.0)
+    p_exp.add_argument("--pepper-fraction", type=float, default=PEPPER_FRACTION)
     p_exp.add_argument("--out", default=None, help="write CSV summary here")
     p_exp.add_argument("--json", default=None, help="write full JSON results here")
 

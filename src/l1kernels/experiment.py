@@ -18,13 +18,13 @@ is certified, with the count per method.
 A thread keeps what its trials share until n_points or the mu grid change
 (about 8 MB at n = 200): Gram system, quadrature matrix, ridge factors and
 a lasso solver pinned (LassoSolver.pin) at the anchor, the noiseless
-target's path point at the largest weight.  Each trial sweeps its lasso
-grid from both ends (LassoSolver.sweep) and starts nowhere else, so
-run_trial(config, k) is a pure function of (config, k), its noise drawn
-from the stream (master_seed, k, "noise"), and the CSV is byte-identical
-across runs at a fixed BLAS thread count (another count sums in another
-order).  A selected fit that fails its certificate is logged as a warning
-with structured fields.
+target's path point at the largest weight.  Each trial fits its lasso grid
+by one LassoSolver.sweep, whose start rule the solvers module states, and
+starts nowhere else, so run_trial(config, k) is a pure function of
+(config, k), its noise drawn from the stream (master_seed, k, "noise"), and
+the CSV is byte-identical across runs at a fixed BLAS thread count (another
+count sums in another order).  A selected fit that fails its certificate
+is logged as a warning with structured fields.
 """
 
 from __future__ import annotations
@@ -84,6 +84,10 @@ def target_function(t):
     return float(out) if out.ndim == 0 else out
 
 
+# the share of samples pepper noise hits unless a caller asks otherwise
+PEPPER_FRACTION = 1.0
+
+
 class NoiseKind(enum.Enum):
     GAUSSIAN = "gaussian"
     UNIFORM = "uniform"
@@ -123,7 +127,7 @@ class NoiseModel:
         return cls(NoiseKind.UNIFORM, halfwidth)
 
     @classmethod
-    def pepper_sauce(cls, magnitude: float = 0.1, corrupt_fraction: float = 1.0) -> "NoiseModel":
+    def pepper_sauce(cls, magnitude: float = 0.1, corrupt_fraction: float = PEPPER_FRACTION) -> "NoiseModel":
         return cls(NoiseKind.PEPPER_SAUCE, magnitude, corrupt_fraction)
 
     @property

@@ -155,7 +155,9 @@ def _eval_brownian_bridge(spec, s, t):
 
 
 def _eval_gaussian(spec, s, t):
-    return np.exp(-((s - t) ** 2) / spec.sigma)
+    # a far pair's square overflows to inf, and exp(-inf) = 0 is its value
+    with np.errstate(over="ignore"):
+        return np.exp(-((s - t) ** 2) / spec.sigma)
 
 
 def _eval_wendland_d3_k1(spec, s, t):

@@ -23,33 +23,46 @@ per step call LAPACK's dtrtrs on R.  The least-squares residual of y is
 reorthogonalized against Q once; K^T K, whose condition number is
 cond(K)^2, is never formed.
 
-A solver holds its path in buffers it allocates once.  A solve on the
-same data, at a weight mu no larger than the last one, resumes the path
-where the last solve stopped, in place.  At fixed lam the solution is
-piecewise linear in y too (Garrigues & El Ghaoui 2008), so one step engine
-follows any line in (y, lam).
+A solver holds its path in buffers it allocates once.  At fixed lam the
+solution is piecewise linear in y too (Garrigues & El Ghaoui 2008), so one
+step engine follows any line in (y, lam).
 
-K[x] is nonsingular, so the path is unique and has two known ends: c = 0
-from lam = 2 ||K^T y||_inf up (the top), and the interpolant K^-1 y, every
-coordinate active with its sign, as lam -> 0 (the bottom).  A solve picks
-its end by one split weight per data vector.  On the full-support line
-c0 - (lam / 2) d, c0 = K^-1 y and d = K^-1 K^-1 sign(c0) (from the Gram's
-LU), coordinate j crosses zero at lam = 2 |c0_j| / (sign(c0_j) d_j), and
-the crossings by lam = mu predict the zeros at mu.  The bottom pays about
-one leave per zero and the top one join per nonzero, so the path starts at
-the bottom exactly when mu is below the split: the ceil(n/2)-th smallest
-crossing weight, capped at the top's weight, and 0 when c0 has an exact
-zero.  A path from the bottom climbs in lam: from the stop of an earlier
-solve on the same data at a smaller weight, else from the signs of c0 and
-the QR of all of K (LAPACK geqrf and orgqr, kept by a pinned solver).  It
-gives up, and the same solve starts again from above, when its active set
-falls to half of n or fewer, when it has taken n steps, or when its fit
-fails its certificate; the split of that data then drops to that weight.
+The start rule.  A solve on the same data as the last, at a weight mu no
+larger than where the last solve stopped, resumes the path there, in place.
+Otherwise it starts at one of two known ends: K[x] is nonsingular, so the
+path is unique, with c = 0 from lam = 2 ||K^T y||_inf up (the top), and the
+interpolant K^-1 y, every coordinate active with its sign, as lam -> 0 (the
+bottom).  It picks its end by one split weight per data vector.  On the
+full-support line c0 - (lam / 2) d, with c0 = K^-1 y and
+d = K^-1 K^-1 sign(c0) from the Gram's LU, coordinate j crosses zero at
+lam = 2 |c0_j| / (sign(c0_j) d_j), and the crossings by lam = mu predict
+the zeros at mu.  The bottom pays about one leave per zero and the top one
+join per nonzero, so the path starts at the bottom exactly when mu is below
+the split: the ceil(n/2)-th smallest crossing weight, capped at the top's
+weight, and 0 when c0 has an exact zero.  A path from the bottom climbs in lam: from the
+stop of an earlier solve on the same data at a smaller weight, else from
+the signs of c0 and the QR of all of K (LAPACK geqrf and orgqr, kept by a
+pinned solver).  It gives up, and the same solve starts again from above,
+when its active set falls to half of n or fewer, when it has taken n steps,
+or when its fit fails its certificate; the split of that data then drops to
+that weight.  From above, a solver pinned at an anchor (LassoSolver.pin:
+the path point of some data at its weight, kept with the QR of all of K as
+the bottom frame) first moves the data from the anchor's to y at the
+anchor's weight, when mu is no larger than that weight and below y's top
+weight, and then goes on down; any other path from above starts from c = 0
+at the top's weight.  LassoSolver.sweep orders a grid so that each solve
+finds its start: the weights below the split in increasing order, each
+climb resuming the last, then the rest in decreasing order, each path down
+resuming the last.
 
-Every solution is certified by its KKT residual, not by trusting the path,
-against tol = KKT_TOL * ||y||_inf, the bound a ridge fit meets too.  It
+The certificate.  Every lasso fit is certified by its KKT residual, not by
+trusting the path, and every ridge fit by its linear-system residual
+||(K + mu I) h - y||_inf, against one bound tol = KKT_TOL * ||y||_inf.  It
 scales with the data as the fit does, and at y = 0 both solvers return an
-exact c = 0, whose residual is 0:
+exact c = 0, whose residual is 0.  Every optimal objective, lasso or
+ridge, is at most its value y . y at c = 0, so data whose y . y overflows
+is rejected with a ValueError, as data that is not finite is.  The lasso's
+conditions:
 
     c_j != 0:  | 2 (K^T (K c - y))_j + mu sign(c_j) | <= tol
     c_j  = 0:  | 2 (K^T (K c - y))_j |               <= mu + tol
@@ -71,8 +84,7 @@ from .errors import DimensionMismatch, NegativeMu, SingularShifted
 from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated
 from .interpolation import _reject_broken_l1
 
-# a fit is certified (FitResult.converged) when its residual, KKT for the
-# lasso and linear-system for the ridge, is at most this times ||y||_inf
+# the certificate's relative tolerance (see the module docs)
 KKT_TOL = 1e-8
 
 # path steps one lasso solve may take before it stops uncertified, a guard
@@ -108,7 +120,7 @@ class FitResult:
     objective is recomputed from the final coefficients; sparsity counts the
     nonzero coefficients, exact zeros off the lasso's active set and covered
     by its KKT certificate.  converged: kkt_residual (a linear-system
-    residual for the ridge) is at most KKT_TOL * ||y||_inf.
+    residual for the ridge) passes the certificate of the module docs.
     """
 
     coefficients: CoefficientVector
@@ -130,7 +142,7 @@ class FitResult:
 
 
 def _certified(c: np.ndarray, objective: float, residual: float, y: np.ndarray, iterations: int) -> FitResult:
-    """The FitResult of c fitted to y, certified when residual <= KKT_TOL * ||y||_inf."""
+    """The FitResult of c fitted to y, with the module docs' certificate."""
     return FitResult(
         coefficients=CoefficientVector(c, Side.LEFT),
         objective=objective,
@@ -173,6 +185,9 @@ def _data_vector(y, n: int, name: str = "data") -> np.ndarray:
         raise DimensionMismatch(f"expected {name} of length {n}, got {y.size}")
     if not np.isfinite(y).all():
         raise ValueError(f"{name} must be finite")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(y @ y):
+            raise ValueError(f"{name} too large: its sum of squares overflows")
     return y
 
 
@@ -275,7 +290,8 @@ class _Data:
 
 
 class LassoSolver:
-    """Exact lasso homotopy path on one Gram system (see module docs).
+    """Exact lasso homotopy path on one Gram system, started by the start
+    rule of the module docs.
 
     A step costs O(n |A|) plus one K^T product over two vectors.  The Gram
     matrix must be finite, since the updates scan nothing.
@@ -285,19 +301,10 @@ class LassoSolver:
     anchor that pin() keeps with the bottom frame.  solve() clears the stop
     before it reads anything and sets it only when the path reaches mu, so a
     solve cut short by MAX_PATH_STEPS, one at mu = 0 or one that raises
-    leaves none.  A solve on the stop's data goes on down from the stop, in
-    place, when config.mu is no larger than its weight.  Otherwise the path
-    starts at the bottom when config.mu is below the split: from the stop,
-    which then lies below config.mu, else from the interpolant; a climb that
-    gives up starts again from above and lowers the split to its weight.
-    From above, the path moves the data from the anchor at its weight when
-    config.mu is no larger and below y's top weight, else starts from c = 0.
-    Either way the result is the exact path point at mu, certified by
-    _finish, and its iterations count this solve's steps, data moves and a
-    climb given up included.
-    sweep() orders a grid of weights so that each solve finds its start.
-    The buffers make a solver stateful: one must not be shared between
-    threads.
+    leaves none.  Every solve returns the exact path point at mu, certified
+    by _finish, and its iterations count this solve's steps, data moves and
+    a climb given up included.  The buffers make a solver stateful: one must
+    not be shared between threads.
     """
 
     def __init__(self, system: GramSystem):
@@ -366,11 +373,10 @@ class LassoSolver:
 
     def pin(self, y, config: LassoConfig) -> FitResult:
         """solve(y, config), then keep the path point it reached as the anchor
-        and the QR of all of K as the bottom frame.  Later solves on any data
-        at a weight no larger than the anchor's and below the data's top
-        weight (from which up c = 0) move the data from it.  A solve that
-        stops short of config.mu, or runs at mu = 0, keeps nothing, not even
-        an earlier anchor."""
+        and the QR of all of K as the bottom frame, from which later solves
+        on any data start (module docs).  A solve that stops short of
+        config.mu, or runs at mu = 0, keeps nothing, not even an earlier
+        anchor."""
         fit = self.solve(y, config)
         data, self._pinned = self._data, None
         if data.stop is not None:
@@ -382,15 +388,11 @@ class LassoSolver:
         return fit
 
     def sweep(self, y, mus) -> dict[float, FitResult]:
-        """Fits of y at every weight of mus, keyed in the order of mus.
-
-        The weights below the split, a run of the smallest, are solved in
-        increasing order, each climb resuming the last; the rest in
-        decreasing order, each path down resuming the last and the first
-        starting from the anchor or the top.  A climb that gives up starts
-        its own weight again from above, and the weights above it go down
-        with the rest.  Of earlier calls only the anchor carries over: the
-        record of y is made afresh."""
+        """Fits of y at every weight of mus, keyed in the order of mus and
+        solved in the module docs' order.  A climb that gives up starts its
+        own weight again from above, and the weights above it go down with
+        the rest.  Of earlier calls only the anchor carries over: the record
+        of y is made afresh."""
         configs = {mu: LassoConfig(mu=mu) for mu in mus}
         y = _data_vector(y, self.system.n)
         data, fits = self._record(y), {}
@@ -545,8 +547,7 @@ class LassoSolver:
 
 def lasso_gram(system: GramSystem, y, config: LassoConfig) -> FitResult:
     """Solve the l1-regularized Gram least-squares problem (see module docs):
-    one cold solve on a fresh LassoSolver, from c = 0 or from the
-    interpolant K^-1 y, whichever end of the path is predicted nearer."""
+    one cold solve on a fresh LassoSolver."""
     return LassoSolver(system).solve(y, config)
 
 
@@ -572,7 +573,8 @@ class RidgeSolver:
             self._factorizations[mu] = factorization
         h = scipy.linalg.lu_solve(factorization, y)
         kh = system.gram @ h
-        objective = float((kh - y) @ (kh - y)) + mu * float(h @ kh)
+        # mu h = y - K h is as small as the data, where h alone may be far larger
+        objective = float((kh - y) @ (kh - y)) + float((mu * h) @ kh)
         residual = float(np.abs(kh + mu * h - y).max())
         return _certified(h, objective, residual, y, iterations=0)
 
@@ -582,7 +584,6 @@ def ridge_gram(system: GramSystem, y, mu: float) -> FitResult:
 
     The reported objective is the kernel ridge value
     ||K h - y||^2 + mu h^T K h, and kkt_residual holds the linear-system
-    residual ||(K + mu I) h - y||_inf, certified as a lasso fit's is: at
-    most KKT_TOL * ||y||_inf.
+    residual of the module docs' certificate.
     """
     return RidgeSolver(system).solve(y, mu)

@@ -14,6 +14,7 @@ from l1kernels import (
     Interval,
     PointSet,
     RandomPointSets,
+    Side,
     Verdict,
     audit_a1,
     audit_a2,
@@ -29,6 +30,7 @@ from l1kernels import (
     lebesgue_function,
     pair_grid,
     profile_grid,
+    section,
     sinc,
 )
 from l1kernels import Family, kernels
@@ -261,6 +263,20 @@ def test_audit_a2_is_inconclusive_on_a_value_that_is_not_finite(monkeypatch):
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.message == "|K| is nan at (s, t) = (0.5, 0.25)"
     assert report.stats.n_trials == 3 and report.witness is None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: audit_a2(exponential(), np.zeros((3, 3))), r"nonempty \(m, 2\) array"),
+        (lambda: section(exponential(), 0.0, Side.LEFT).grid_sup_norm([]), "grid must be nonempty"),
+        (lambda: closed_form_cardinal(exponential(), [], 0.0), "nonempty 1-D sequence"),
+    ],
+    ids=["audit_a2-grid-shape", "grid_sup_norm-empty", "closed_form_cardinal-no-points"],
+)
+def test_empty_or_misshapen_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_sampling_needs_a_window_of_finite_length():

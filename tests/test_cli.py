@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import logging
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1kernels import Family
-from l1kernels.cli import main, _parse_mu_grid, _UsageError
+from l1kernels import ExperimentConfig, Family, Interval, NoiseModel, audit_a4, audit_relaxed_a4, profile_grid
+from l1kernels.cli import main, _build_parser, _parse_mu_grid, _UsageError
 
 
 def run_cli(*argv):
@@ -289,12 +290,40 @@ def test_bad_mu_grid_is_usage_error(capsys):
          "--method", "rkhs"),
         ("fit", "--kernel", "sinc", "--points=-1e308,1e308", "--values", "1,1", "--mu", "1", "--method", "rkhs"),
         ("audit", "--kernel", "exponential", "--window=-1e308,1e308", "--trials", "2"),
+        # data whose sum of squares overflows, for both solvers
+        ("fit", "--kernel", "exponential", "--points", "0.2,0.7", "--values=1e308,1e308", "--mu", "0.1",
+         "--method", "rkbs"),
+        ("fit", "--kernel", "exponential", "--points", "0.2,0.7", "--values=1e308,-1e308", "--mu", "0.1",
+         "--method", "rkbs"),
+        ("fit", "--kernel", "exponential", "--points", "0.2,0.7", "--values=1e308,-1e308", "--mu", "0.1",
+         "--method", "rkhs"),
+        # a point outside the kernel's domain
+        ("fit", "--kernel", "brownian_bridge", "--points", "0.5,1.5", "--values", "1,2", "--mu", "0.1",
+         "--method", "rkbs"),
+        ("fit", "--kernel", "exponential", "--points", "0,x", "--values", "1,2", "--mu", "0.1", "--method", "rkbs"),
+        ("fit", "--kernel", "exponential", "--points=,", "--values", "1,2", "--mu", "0.1", "--method", "rkbs"),
+        ("experiment", "--mu-grid", "a..1e1"),
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Lebesgue grid midpoints of points 1e307 apart, whose sum overflows
+        ("audit", "--kernel", "exponential", "--window=0.5,1e308", "--trials", "1", "--grid", "20",
+         "--condition", "a4"),
+        # a Gaussian pair whose squared distance overflows: K is exactly 0 there
+        ("fit", "--kernel", "gaussian", "--points=1e308,-0", "--values", "1,2", "--mu", "0.1", "--method", "rkbs"),
+    ],
+)
+def test_numbers_near_the_double_range_run_without_a_warning(argv, capsys):
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_audit_a2_of_a_far_window_reads_no_nan(capsys):
@@ -321,7 +350,8 @@ EXTREMES = ("1e308", "-1e308", "1e400", "inf", "nan", "-0")
 )
 def test_extreme_numbers_end_in_a_documented_exit_code(option, value, other, kernel, variant):
     # every call is small (n <= 20, one trial), and whatever its outcome, the
-    # CLI ends with 0, 1 or 2 and prints no traceback
+    # CLI ends with 0, 1 or 2, prints no traceback and writes no NaN or
+    # Infinity, which are not JSON
     fit = ["fit", "--kernel", kernel, "--method", ("rkbs", "rkhs")[variant % 2]]
     argv = {
         "--mu": fit + ["--points", "0.2,0.7", "--values", "1,2", f"--mu={value}"],
@@ -334,10 +364,25 @@ def test_extreme_numbers_end_in_a_documented_exit_code(option, value, other, ker
         "--pepper-fraction": ["experiment", "--noise", "pepper", "--trials", "1", "--n", "20", "--mu-grid", "1e-2",
                               f"--pepper-fraction={value}"],
     }[option]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
         code = run_cli(*argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), argv
+
+
+def test_defaults_are_the_librarys_except_the_audit_trials():
+    experiment = _build_parser().parse_args(["experiment"])
+    config = ExperimentConfig()
+    assert (experiment.trials, experiment.n, experiment.seed) == (config.trials, config.n_points, config.master_seed)
+    assert experiment.pepper_fraction == NoiseModel.pepper_sauce().corrupt_fraction
+    audit = _build_parser().parse_args(["audit", "--kernel", "exponential"])
+    window = Interval(0.0, 1.0, lo_open=False, hi_open=False)
+    assert audit.grid == profile_grid(window).size
+    for audit_fn in (audit_a4, audit_relaxed_a4):
+        assert audit.grid == inspect.signature(audit_fn).parameters["grid_size"].default
+    # the CLI's own choice, not the library's
+    assert audit.trials == 100
 
 
 def test_missing_subcommand_is_usage_error():

@@ -144,6 +144,32 @@ def test_lasso_validation_errors():
         lasso_gram(build_system(sinc(), [0.2, 3.7]), [1.0, 2.0], LassoConfig(mu=0.1))
 
 
+@pytest.mark.parametrize("y", [(1e308, 1e308), (1e308, -1e308), (1.4e154, 0.0)])
+def test_data_whose_sum_of_squares_overflows_is_rejected(y):
+    # every optimal objective is at most its value y . y at c = 0, so data
+    # beyond it is refused before any solve, and without a warning
+    system = build_system(exponential(), [0.2, 0.7])
+    fits = (
+        lambda: lasso_gram(system, y, LassoConfig(mu=0.1)),
+        lambda: LassoSolver(system).sweep(y, (0.1, 1.0)),
+        lambda: ridge_gram(system, y, 0.1),
+    )
+    for fit in fits:
+        with pytest.raises(ValueError, match="sum of squares overflows"):
+            fit()
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-10, 0.1, 1e150, 1e300])
+def test_data_just_inside_the_double_range_fits_certified(mu):
+    # y . y = 8.1e307: both fits stay finite, certified and below y . y,
+    # the ridge's objective included, whose h . K h alone overflows at small mu
+    system = build_system(exponential(), np.linspace(-1.0, 1.0, 50))
+    y = 1.8e153 * np.cos(np.arange(50))
+    for fit in (lasso_gram(system, y, LassoConfig(mu=mu)), ridge_gram(system, y, mu)):
+        assert fit.converged
+        assert fit.objective <= float(y @ y) * (1.0 + 1e-12)
+
+
 def solve_path(solver, y, mus):
     """Fits of one solver along mus, in the order given: each one resumes
     the fit before it where mu decreases."""

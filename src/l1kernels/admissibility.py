@@ -38,7 +38,7 @@ from .errors import (
     DuplicatePoints,
     SingularGram,
 )
-from .gram import GramSystem, PointSet, build_system
+from .gram import GramSystem, PointSet, _scratch, build_system
 from .kernels import Interval, KernelSpec
 from .streams import _check_count, stream
 
@@ -75,6 +75,11 @@ MAX_POINT_DRAWS = 10_000
 
 # uniform nodes of a Lebesgue grid (profile_grid) unless a caller asks otherwise
 GRID_SIZE = 2001
+
+# trials of audit_a4 and audit_relaxed_a4, and master seed of every sampled
+# audit's trial streams, unless a caller asks otherwise
+AUDIT_TRIALS = 50
+MASTER_SEED = 0
 
 
 class Condition(enum.Enum):
@@ -150,12 +155,18 @@ def lebesgue_function(system: GramSystem, t: float) -> float:
 
 
 def lebesgue_constant(system: GramSystem, grid) -> LebesgueProfile:
-    """Profile of L(t) over a grid; the max is a lower bound of beta_n."""
+    """Profile of L(t) over a grid; the max is a lower bound of beta_n.
+
+    The (n, m) cardinal matrix, and the kernel section under it, live in
+    the calling thread's workspace (gram._scratch: kept per thread up to
+    gram.WORKSPACE_ENTRIES entries each, allocated per call above), so a
+    profile allocates about its m values; the returned arrays are its own.
+    """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    coeffs = system.cardinal_matrix(grid)
-    values = np.abs(coeffs).sum(axis=0)
+    coeffs = system.cardinal_matrix(grid, out=_scratch("cardinal", (system.n, grid.size)))
+    values = np.abs(coeffs, out=coeffs).sum(axis=0)
     i = int(np.argmax(values))
     return LebesgueProfile(grid=grid, values=values, max_value=float(values[i]), argmax=float(grid[i]))
 
@@ -303,7 +314,7 @@ def audit_a1(
     kernel: KernelSpec,
     generator: Callable[[np.random.Generator], PointSet],
     trials: int,
-    master_seed: int = 0,
+    master_seed: int = MASTER_SEED,
 ) -> AuditReport:
     """The worst rcond of the sampled Gram matrices; never a FAIL, since the
     rcond gate cannot tell a numerically singular Gram from a singular one."""
@@ -342,8 +353,8 @@ def audit_a4(
     kernel: KernelSpec,
     generator: Callable[[np.random.Generator], PointSet],
     grid_size: int = GRID_SIZE,
-    trials: int = 50,
-    master_seed: int = 0,
+    trials: int = AUDIT_TRIALS,
+    master_seed: int = MASTER_SEED,
     domain: Interval | None = None,
 ) -> AuditReport:
     """Grid-search the Lebesgue function for a value above 1 on sampled point sets.
@@ -367,8 +378,8 @@ def audit_relaxed_a4(
     kernel: KernelSpec,
     generator: Callable[[np.random.Generator], PointSet],
     grid_size: int = GRID_SIZE,
-    trials: int = 50,
-    master_seed: int = 0,
+    trials: int = AUDIT_TRIALS,
+    master_seed: int = MASTER_SEED,
     domain: Interval | None = None,
 ) -> AuditReport:
     """Estimate the relaxed constant beta_n as the worst grid supremum of L.

@@ -255,7 +255,7 @@ def _build_parser() -> _Parser:
     p_audit.add_argument("--condition", choices=["a1", "a2", "a4", "all"], default="all")
     p_audit.add_argument("--trials", type=int, default=100)
     p_audit.add_argument("--grid", type=int, default=adm.GRID_SIZE, help="Lebesgue grid size")
-    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--seed", type=int, default=adm.MASTER_SEED)
     p_audit.add_argument(
         "--window", default=None,
         help="audit window for unbounded domains; write --window=-3,3 (the '=' form "

@@ -132,44 +132,92 @@ class KernelSpec:
                     f"point outside the {self.name} kernel domain {self.domain}"
                 )
 
-    def eval(self, s, t):
+    def eval(self, s, t, out=None):
         """Evaluate K(s, t); broadcasts over array arguments.
 
-        Raises DomainError when any argument falls outside the domain.
+        out, when given, is a float64 array of the broadcast shape, sharing
+        no memory with s or t; the values are written into it and it is
+        returned.  Raises DomainError when any argument falls outside the
+        domain, ValueError for any other out.
         """
         self._check_domain(s, t)
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
-        out = _EVALUATORS[self.family](self, s, t)
+        shape = np.broadcast(s, t).shape
+        if out is None:
+            out = np.empty(shape)
+        else:
+            _check_out(out, shape)
+            if np.may_share_memory(out, s) or np.may_share_memory(out, t):
+                raise ValueError("out must not share memory with the kernel's arguments")
+        _EVALUATORS[self.family](self, s, t, out)
         if out.ndim == 0:
             return float(out)
         return out
 
 
-def _eval_exponential(spec, s, t):
-    return np.exp(-np.abs(s - t))
+def _check_out(out, shape) -> None:
+    """Reject an output buffer that is not a float64 array of this shape."""
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != tuple(shape):
+        got = (getattr(out, "shape", None), getattr(out, "dtype", type(out).__name__))
+        raise ValueError(f"out must be a float64 array of shape {tuple(shape)}, got {got}")
 
 
-def _eval_brownian_bridge(spec, s, t):
-    return np.minimum(s, t) - s * t
+# Each evaluator writes K(s, t) into out, a float64 array of the broadcast
+# shape, with the ufuncs running in place: elementwise, so the bits are those
+# of the one-expression form, without its full-size temporaries.
 
 
-def _eval_gaussian(spec, s, t):
-    # a far pair's square overflows to inf, and exp(-inf) = 0 is its value
+def _eval_exponential(spec, s, t, out):
+    # exp(-|s - t|)
+    np.subtract(s, t, out=out)
+    np.abs(out, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+
+
+def _eval_brownian_bridge(spec, s, t, out):
+    # min(s, t) - s t, as s - s t where s <= t and t - s t elsewhere
+    np.multiply(s, t, out=out)
+    left = s <= t
+    np.subtract(s, out, out=out, where=left)
+    np.subtract(t, out, out=out, where=~left)
+
+
+def _eval_gaussian(spec, s, t, out):
+    # exp(-(s - t)^2 / sigma); a far pair's square overflows to inf, and
+    # exp(-inf) = 0 is its value
     with np.errstate(over="ignore"):
-        return np.exp(-((s - t) ** 2) / spec.sigma)
+        np.subtract(s, t, out=out)
+        np.square(out, out=out)
+        np.negative(out, out=out)
+        np.divide(out, spec.sigma, out=out)
+        np.exp(out, out=out)
 
 
-def _eval_wendland_d3_k1(spec, s, t):
-    # r clipped at the support's edge, so a far pair is 0, never 0 * inf
-    r = np.minimum(np.abs(s - t), 1.0)
-    return (1.0 - r) ** 4 * (1.0 + 4.0 * r)
+def _eval_wendland_d3_k1(spec, s, t, out):
+    # (1 - r)^4 (1 + 4 r), r clipped at the support's edge, so a far pair is
+    # 0, never 0 * inf; pow skips the tail's exact zeros, where it is slow
+    np.subtract(s, t, out=out)
+    np.abs(out, out=out)
+    np.minimum(out, 1.0, out=out)
+    u = np.subtract(1.0, out, out=np.empty_like(out))
+    np.multiply(out, 4.0, out=out)
+    np.add(out, 1.0, out=out)
+    np.power(u, 4, out=u, where=u > 0.0)
+    np.multiply(u, out, out=out)
 
 
-def _eval_sinc(spec, s, t):
+def _eval_sinc(spec, s, t, out):
+    # np.sinc(s - t): sin(y) / y for y = pi (s - t), with y = 0 read as eps.
     # |s - t| >= 2**52 is an integer, a zero, where pi (s - t) may overflow
-    far = np.abs(s - t) >= 2.0**52
-    return np.where(far, 0.0, np.sinc(np.where(far, 0.0, s - t)))
+    np.subtract(s, t, out=out)
+    far = np.abs(out) >= 2.0**52
+    np.copyto(out, 0.0, where=far)
+    np.multiply(out, np.pi, out=out)
+    np.copyto(out, np.finfo(float).eps, where=out == 0.0)
+    np.divide(np.sin(out), out, out=out)
+    np.copyto(out, 0.0, where=far)
 
 
 _EVALUATORS = {

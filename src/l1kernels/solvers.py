@@ -81,7 +81,7 @@ from scipy.linalg.lapack import dorgqr as _orgqr
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, NegativeMu, SingularShifted
-from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated
+from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated, _lu_solve
 from .interpolation import _reject_broken_l1
 
 # the certificate's relative tolerance (see the module docs)
@@ -571,7 +571,7 @@ class RidgeSolver:
                 ),
             )
             self._factorizations[mu] = factorization
-        h = scipy.linalg.lu_solve(factorization, y)
+        h = _lu_solve(factorization, y)
         kh = system.gram @ h
         # mu h = y - K h is as small as the data, where h alone may be far larger
         objective = float((kh - y) @ (kh - y)) + float((mu * h) @ kh)

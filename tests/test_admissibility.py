@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +35,9 @@ from l1kernels import (
     profile_grid,
     section,
     sinc,
+    wendland_d3_k1,
 )
-from l1kernels import Family, kernels
+from l1kernels import Family, gram, kernels
 from l1kernels.admissibility import A4_TOL
 from _oracles import draw_points
 
@@ -130,6 +134,86 @@ def test_lebesgue_constant_empty_grid():
     system = build_system(exponential(), [0.0, 1.0])
     with pytest.raises(ValueError):
         lebesgue_constant(system, [])
+
+
+def profiled_system(kernel, window, n, seed):
+    ps = RandomPointSets(window, (n, n), 1e-4)(np.random.default_rng(seed))
+    return build_system(kernel, ps), profile_grid(window, 2001, ps)
+
+
+def test_a_warm_lebesgue_profile_allocates_less_than_one_cardinal_matrix():
+    system, grid = profiled_system(exponential(), EXP_WINDOW, 200, 4)
+    first = lebesgue_constant(system, grid)  # fills this thread's workspace
+    kept = first.values.copy()
+    tracemalloc.start()
+    try:
+        second = lebesgue_constant(system, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n, m) array is 3.4 MB; the one-expression profile peaked at two
+    assert peak < system.n * grid.size * 8
+    assert np.array_equal(second.values, kept) and np.array_equal(first.values, kept)
+    assert not np.shares_memory(first.values, second.values)
+
+
+def test_threads_profiling_at_once_get_the_serial_values():
+    bb = brownian_bridge()
+    cases = [
+        profiled_system(exponential(), EXP_WINDOW, 150, 1),
+        profiled_system(bb, bb.domain, 120, 2),
+        profiled_system(wendland_d3_k1(), Interval(-1.0, 1.0, lo_open=False, hi_open=False), 80, 3),
+        profiled_system(exponential(), EXP_WINDOW, 40, 4),
+    ]
+    serial = [lebesgue_constant(system, grid).values for system, grid in cases]
+    results = {i: [] for i in range(len(cases))}
+    errors = []
+
+    def profile(i):
+        try:
+            for _ in range(6):
+                results[i].append(lebesgue_constant(*cases[i]).values)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=profile, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    for i, expected in enumerate(serial):
+        assert len(results[i]) == 6
+        assert all(np.array_equal(values, expected) for values in results[i]), i
+
+
+def test_a_profile_above_the_workspace_cap_is_right_and_not_kept(monkeypatch):
+    system, grid = profiled_system(exponential(), EXP_WINDOW, 30, 5)
+    small, small_grid = profiled_system(exponential(), EXP_WINDOW, 2, 6)
+    expected = lebesgue_constant(system, grid).values
+    small_grid = small_grid[:100]
+    monkeypatch.setattr(gram, "WORKSPACE_ENTRIES", 1000)
+    seen = {}
+
+    def profile():
+        # a fresh thread starts with an empty workspace
+        seen["values"] = lebesgue_constant(system, grid).values
+        seen["after_large"] = {name: buf.size for name, buf in vars(gram._workspace).items()}
+        lebesgue_constant(small, small_grid)
+        seen["after_small"] = {name: buf.size for name, buf in vars(gram._workspace).items()}
+
+    thread = threading.Thread(target=profile)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert np.array_equal(seen["values"], expected)
+    assert system.n * grid.size > 1000 and seen["after_large"] == {}
+    assert seen["after_small"] == {"section": 2 * 100, "cardinal": 2 * 100}
 
 
 def test_gaussian_witness_regression():
@@ -258,7 +342,10 @@ def test_audit_a2_detects_bound_violation():
 def test_audit_a2_is_inconclusive_on_a_value_that_is_not_finite(monkeypatch):
     # no zoo kernel evaluates to nan or inf on its domain; a kernel that did
     # is named at its first such pair, never passed
-    monkeypatch.setitem(kernels._EVALUATORS, Family.EXPONENTIAL, lambda spec, s, t: np.where(s > t, np.nan, 1.0))
+    def evaluate(spec, s, t, out):
+        np.copyto(out, np.where(s > t, np.nan, 1.0))
+
+    monkeypatch.setitem(kernels._EVALUATORS, Family.EXPONENTIAL, evaluate)
     report = audit_a2(exponential(), [[0.0, 0.0], [0.5, 0.25], [1.0, 0.0]])
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.message == "|K| is nan at (s, t) = (0.5, 0.25)"

@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1kernels import ExperimentConfig, Family, Interval, NoiseModel, audit_a4, audit_relaxed_a4, profile_grid
+from l1kernels import (
+    ExperimentConfig,
+    Family,
+    Interval,
+    NoiseModel,
+    audit_a1,
+    audit_a4,
+    audit_relaxed_a4,
+    profile_grid,
+)
 from l1kernels.cli import main, _build_parser, _parse_mu_grid, _UsageError
 
 
@@ -381,6 +390,8 @@ def test_defaults_are_the_librarys_except_the_audit_trials():
     assert audit.grid == profile_grid(window).size
     for audit_fn in (audit_a4, audit_relaxed_a4):
         assert audit.grid == inspect.signature(audit_fn).parameters["grid_size"].default
+    for audit_fn in (audit_a1, audit_a4, audit_relaxed_a4):
+        assert audit.seed == inspect.signature(audit_fn).parameters["master_seed"].default
     # the CLI's own choice, not the library's
     assert audit.trials == 100
 

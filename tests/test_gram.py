@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from l1kernels import (
     CoefficientVector,
@@ -22,6 +24,8 @@ from l1kernels import (
     sinc,
     wendland_d3_k1,
 )
+
+from l1kernels.gram import _lu_factor_gated
 
 EPS = float(np.finfo(float).eps)
 
@@ -262,3 +266,43 @@ def test_cardinal_matrix_matches_columnwise_solves(kernel, window, sizes, spacin
         assert gap <= 16 * EPS / system.rcond_estimate * max(1.0, np.abs(columns).max())
         checked += 1
     assert checked >= 4
+
+
+def test_cardinal_matrix_into_a_callers_array_keeps_the_bits():
+    ps = RandomPointSets(closed(-3.0, 3.0), (115, 115), 1e-4)(np.random.default_rng(5))
+    system = build_system(exponential(), ps)
+    grid = profile_grid(closed(-3.0, 3.0), 2001, ps)
+    fresh = system.cardinal_matrix(grid)
+    buffer = np.full(fresh.shape, np.nan)
+    assert system.cardinal_matrix(grid, out=buffer) is buffer
+    assert np.array_equal(buffer.view(np.int64), fresh.view(np.int64))
+    # the kernel section went to the workspace, not to either result
+    assert np.array_equal(system.cardinal_matrix(grid[:5]), fresh[:, :5])
+    assert np.array_equal(buffer, fresh)
+    for bad in (np.empty((115, 7)), np.empty(fresh.shape, dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be a float64 array"):
+            system.cardinal_matrix(grid, out=bad)
+
+
+def test_solves_keep_rejecting_a_right_hand_side_that_is_not_finite():
+    system = build_system(exponential(), [0.0, 1.0])
+    for y in ([1.0, np.nan], [[1.0, 0.0], [np.inf, 1.0]]):
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            system.solve(y)
+
+
+def test_an_exactly_singular_matrix_is_rejected_by_the_rcond_gate():
+    # the zero pivot's LinAlgWarning stays inside; gecon reads rcond 0, and the gate rejects it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularGram) as caught:
+            _lu_factor_gated(np.ones((3, 3)), lambda rcond: SingularGram("singular", rcond=rcond))
+    assert caught.value.rcond == 0.0
+
+
+def test_getrs_solves_match_scipys_lu_solve():
+    rng = np.random.default_rng(9)
+    for n in (1, 5, 30, 115, 200):
+        system = build_system(exponential(), np.sort(rng.uniform(-3.0, 3.0, n)))
+        for y in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            assert np.array_equal(system.solve(y), scipy.linalg.lu_solve(system.factorization, y))

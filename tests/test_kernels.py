@@ -147,6 +147,82 @@ def test_far_pairs_evaluate_to_zero_not_nan():
     assert not Interval(-1e308, 1e308).bounded
 
 
+def one_expression(kernel, s, t):
+    """K(s, t) as one numpy expression per family: the reference whose bits
+    the in-place evaluators keep."""
+    with np.errstate(over="ignore"):
+        if kernel.family is Family.EXPONENTIAL:
+            return np.exp(-np.abs(s - t))
+        if kernel.family is Family.BROWNIAN_BRIDGE:
+            return np.minimum(s, t) - s * t
+        if kernel.family is Family.GAUSSIAN:
+            return np.exp(-((s - t) ** 2) / kernel.sigma)
+        if kernel.family is Family.WENDLAND_D3_K1:
+            r = np.minimum(np.abs(s - t), 1.0)
+            return (1.0 - r) ** 4 * (1.0 + 4.0 * r)
+        far = np.abs(s - t) >= 2.0**52
+        return np.where(far, 0.0, np.sinc(np.where(far, 0.0, s - t)))
+
+
+def evaluation_pairs(kernel):
+    """(s, t) argument pairs: a grid row against a point column, each with
+    the other's values among its own, a 1-D array against a scalar, and for
+    the translation kernels far pairs (Wendland's zero tail and the edge of
+    its support, squares that overflow, sinc differences past 2**52)."""
+    rng = np.random.default_rng(23)
+    lo, hi = (0.0, 1.0) if kernel.domain.bounded else (-3.0, 3.0)
+    points = np.sort(rng.uniform(lo, hi, 40))
+    grid = np.concatenate([np.linspace(lo, hi, 303)[1:-1], points])
+    pairs = [(grid[None, :], points[:, None]), (grid, points[7])]
+    if not kernel.domain.bounded:
+        far = np.array([1.0, -1.0, 1e200, -1e200, 1e308, -1e308, 2.0**52, 2.0**52 - 0.5, -(2.0**53) - 2.0, 4.5e15])
+        pairs.append((far[None, :], np.array([0.0, 0.25, -1.5])[:, None]))
+    return pairs
+
+
+@pytest.mark.parametrize("kernel", ZOO, ids=lambda k: f"{k.name}-{k.sigma}")
+def test_evaluators_keep_the_bits_of_the_one_expression_form(kernel):
+    for s, t in evaluation_pairs(kernel):
+        expected = one_expression(kernel, s, t)
+        got = kernel.eval(s, t)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), kernel
+        buffer = np.full(expected.shape, np.nan)
+        assert kernel.eval(s, t, out=buffer) is buffer
+        assert np.array_equal(buffer.view(np.int64), expected.view(np.int64)), kernel
+    if kernel.family is Family.WENDLAND_D3_K1:
+        # the zero tail and the support's edge are in the pairs above
+        s, t = evaluation_pairs(kernel)[0]
+        assert (kernel.eval(s, t) == 0.0).mean() > 0.2 and kernel.eval(1.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("kernel", ZOO, ids=lambda k: f"{k.name}-{k.sigma}")
+def test_scalar_inputs_evaluate_to_a_float(kernel):
+    s, t = (0.3, 0.7) if kernel.domain.bounded else (0.3, -1.9)
+    for a, b in ((s, t), (s, s)):
+        expected = np.float64(one_expression(kernel, np.float64(a), np.float64(b)))
+        for value in (kernel.eval(a, b), kernel.eval(a, b, out=np.empty(()))):
+            assert type(value) is float
+            assert np.float64(value).view(np.int64) == expected.view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty(4), np.empty((5, 1)), np.empty(5, dtype=np.float32), np.empty(5, dtype=int), [0.0] * 5],
+    ids=["short", "two-dimensional", "float32", "int", "list"],
+)
+def test_an_out_of_another_shape_or_dtype_is_rejected(out):
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        exponential().eval(np.linspace(-1.0, 1.0, 5), 0.0, out=out)
+
+
+def test_an_out_that_overlaps_the_arguments_is_rejected():
+    s = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="share memory"):
+        exponential().eval(s, 0.0, out=s)
+    assert np.array_equal(s, np.linspace(-1.0, 1.0, 5))
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         gaussian(0.0)

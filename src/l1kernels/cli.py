@@ -1,7 +1,10 @@
 """Command-line front end: `l1kernels audit|fit|experiment`.
 
-Exit codes: 0 on success (a FAIL audit verdict is still a successful
-audit), 1 on usage errors, 2 on numerical failure (diagnostic on stderr).
+The CLI parses arguments and the library validates them. Exit codes: 0 on
+success (a FAIL audit verdict is still a successful audit); 1 on any input
+the CLI or the library rejects, which is a ValueError; 2 on any other
+library error: a singular or degenerate system, coincident points, or a
+refused kernel operation. Either error is one line on stderr.
 Log records of the library go to stderr at the level of -v/--log-level
 (warnings by default).
 """
@@ -18,11 +21,12 @@ import sys
 import numpy as np
 
 from . import admissibility as adm
-from .errors import DomainError, L1KernelsError
+from .errors import L1KernelsError
 from .gram import build_system
 from .interpolation import ExpansionFunction
 from .kernels import Interval, KernelSpec, Status, kernel_from_json, kernel_to_json
 from .solvers import LassoConfig, lasso_gram, ridge_gram
+from .streams import _check_count
 from .experiment import (
     PEPPER_FRACTION,
     ExperimentConfig,
@@ -47,8 +51,9 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_USAGE_EXIT)
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """An argument the CLI itself rejects: its syntax, or a value only the CLI
+    gives a meaning."""
 
 
 def _parse_kernel(text: str) -> KernelSpec:
@@ -57,7 +62,7 @@ def _parse_kernel(text: str) -> KernelSpec:
         if text.startswith("{"):
             return kernel_from_json(json.loads(text))
         return kernel_from_json({"family": text, "params": {}})
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise _UsageError(f"bad --kernel value: {exc}")
 
 
@@ -70,10 +75,6 @@ def _parse_floats(text: str) -> np.ndarray:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad numeric list: {exc}")
-    if not values:
-        raise _UsageError("empty numeric list")
-    if not all(math.isfinite(v) for v in values):
-        raise _UsageError(f"non-finite value in numeric list: {text.strip()}")
     return np.asarray(values)
 
 
@@ -133,12 +134,10 @@ def _write_json(obj, path: str | None) -> None:
 
 def _cmd_audit(args) -> int:
     kernel = _parse_kernel(args.kernel)
-    if args.trials < 1:
-        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.grid < 2:
-        raise _UsageError(f"--grid must be >= 2, got {args.grid}")
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
+    # checked before any report prints: a2 never passes --trials or --seed on
+    _check_count("--trials", args.trials, 1)
+    _check_count("--grid", args.grid, 2)
+    _check_count("--seed", args.seed, 0)
     window = _audit_window(kernel, args.window)
     generator = adm.RandomPointSets(domain=window)
     wanted = ["a1", "a2", "a4"] if args.condition == "all" else [args.condition]
@@ -186,21 +185,11 @@ def _cmd_fit(args) -> int:
     kernel = _parse_kernel(args.kernel)
     points = _parse_floats(args.points)
     values = _parse_floats(args.values)
-    if points.size != values.size:
-        raise _UsageError(f"{points.size} points but {values.size} values")
-    if not (0 <= args.mu < math.inf):
-        raise _UsageError(f"--mu must be finite and >= 0, got {args.mu}")
-    try:
-        system = build_system(kernel, points)
-    except (ValueError, DomainError) as exc:  # a span that overflows, a point off the domain
-        raise _UsageError(f"bad --points: {exc}")
-    try:
-        if args.method == "rkbs":
-            result = lasso_gram(system, values, LassoConfig(mu=args.mu))
-        else:
-            result = ridge_gram(system, values, args.mu)
-    except ValueError as exc:  # data whose sum of squares overflows
-        raise _UsageError(f"bad --values: {exc}")
+    system = build_system(kernel, points)
+    if args.method == "rkbs":
+        result = lasso_gram(system, values, LassoConfig(mu=args.mu))
+    else:
+        result = ridge_gram(system, values, args.mu)
     payload = result.to_json()
     payload["method"] = args.method
     payload["mu"] = args.mu
@@ -213,18 +202,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_experiment(args) -> int:
     mu_grid = _parse_mu_grid(args.mu_grid) if args.mu_grid else ExperimentConfig.mu_grid
-    try:
-        kinds = {
-            "gaussian": NoiseModel.gaussian(),
-            "uniform": NoiseModel.uniform(),
-            "pepper": NoiseModel.pepper_sauce(corrupt_fraction=args.pepper_fraction),
-        }
-        settings = dict(n_points=args.n, trials=args.trials, mu_grid=mu_grid, master_seed=args.seed)
-        noises = kinds.values() if args.noise == "all" else [kinds[args.noise]]
-        configs = [ExperimentConfig(noise=noise, **settings) for noise in noises]
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-
+    kinds = {
+        "gaussian": NoiseModel.gaussian(),
+        "uniform": NoiseModel.uniform(),
+        "pepper": NoiseModel.pepper_sauce(corrupt_fraction=args.pepper_fraction),
+    }
+    settings = dict(n_points=args.n, trials=args.trials, mu_grid=mu_grid, master_seed=args.seed)
+    noises = kinds.values() if args.noise == "all" else [kinds[args.noise]]
+    configs = [ExperimentConfig(noise=noise, **settings) for noise in noises]
     summaries = [run_experiment(config) for config in configs]
 
     for line in csv_rows(summaries):
@@ -299,7 +284,7 @@ def main(argv=None) -> int:
     log.setLevel(args.log_level)
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
+    except ValueError as exc:  # first: the library's input errors are ValueErrors too
         print(f"l1kernels {args.command}: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except L1KernelsError as exc:

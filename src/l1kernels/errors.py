@@ -1,12 +1,19 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Input errors, a caller's argument the library rejects, are ValueErrors as
+well as L1KernelsErrors: DomainError, DimensionMismatch and NegativeMu.
+The other classes report a numerical failure (a singular or degenerate
+system, coincident points) or a refused operation (a kernel without the
+property it needs, expansions on different kernels).
+"""
 
 
 class L1KernelsError(Exception):
     """Base class for all library errors."""
 
 
-class DomainError(L1KernelsError):
-    """An evaluation point lies outside the kernel's domain."""
+class DomainError(L1KernelsError, ValueError):
+    """Input error: an evaluation point lies outside the kernel's domain."""
 
 
 class UnsupportedKernel(L1KernelsError):
@@ -37,12 +44,12 @@ class KernelMismatch(L1KernelsError):
     """Two expansions built on different kernels were combined."""
 
 
-class DimensionMismatch(L1KernelsError):
-    """Vector length does not match the associated point set."""
+class DimensionMismatch(L1KernelsError, ValueError):
+    """Input error: a vector's length does not match the associated point set."""
 
 
-class NegativeMu(L1KernelsError):
-    """A regularization weight was negative."""
+class NegativeMu(L1KernelsError, ValueError):
+    """Input error: a regularization weight was negative."""
 
 
 class SingularShifted(L1KernelsError):

@@ -150,7 +150,9 @@ class KernelSpec:
             _check_out(out, shape)
             if np.may_share_memory(out, s) or np.may_share_memory(out, t):
                 raise ValueError("out must not share memory with the kernel's arguments")
-        _EVALUATORS[self.family](self, s, t, out)
+        # a far pair's difference or square overflows to inf, where K is 0
+        with np.errstate(over="ignore"):
+            _EVALUATORS[self.family](self, s, t, out)
         if out.ndim == 0:
             return float(out)
         return out
@@ -185,14 +187,12 @@ def _eval_brownian_bridge(spec, s, t, out):
 
 
 def _eval_gaussian(spec, s, t, out):
-    # exp(-(s - t)^2 / sigma); a far pair's square overflows to inf, and
-    # exp(-inf) = 0 is its value
-    with np.errstate(over="ignore"):
-        np.subtract(s, t, out=out)
-        np.square(out, out=out)
-        np.negative(out, out=out)
-        np.divide(out, spec.sigma, out=out)
-        np.exp(out, out=out)
+    # exp(-(s - t)^2 / sigma)
+    np.subtract(s, t, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    np.divide(out, spec.sigma, out=out)
+    np.exp(out, out=out)
 
 
 def _eval_wendland_d3_k1(spec, s, t, out):

@@ -22,6 +22,7 @@ from l1kernels import (
     audit_relaxed_a4,
     profile_grid,
 )
+from l1kernels import cli, errors
 from l1kernels.cli import main, _build_parser, _parse_mu_grid, _UsageError
 
 
@@ -195,7 +196,7 @@ def test_fit_length_mismatch_usage_error(capsys):
         "--mu", "0.1", "--method", "rkbs",
     )
     assert code == 1
-    assert "2 points but 3 values" in capsys.readouterr().err
+    assert "expected data of length 2, got 3" in capsys.readouterr().err
     for values, mu, method in (("1,nan,0.5", "0.1", "rkbs"), ("1,2,0.5", "nan", "rkhs")):
         code = run_cli(
             "fit", "--kernel", "exponential", "--points", "0,0.5,1", "--values", values,
@@ -312,6 +313,9 @@ def test_bad_mu_grid_is_usage_error(capsys):
         ("fit", "--kernel", "exponential", "--points", "0,x", "--values", "1,2", "--mu", "0.1", "--method", "rkbs"),
         ("fit", "--kernel", "exponential", "--points=,", "--values", "1,2", "--mu", "0.1", "--method", "rkbs"),
         ("experiment", "--mu-grid", "a..1e1"),
+        # rejected by the library: data of the wrong length, a point that is not finite
+        ("fit", "--kernel", "exponential", "--points", "0,1", "--values", "1,2,3", "--mu", "0.1", "--method", "rkhs"),
+        ("fit", "--kernel", "exponential", "--points=0,inf", "--values", "1,2", "--mu", "0.1", "--method", "rkbs"),
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):
@@ -398,6 +402,54 @@ def test_defaults_are_the_librarys_except_the_audit_trials():
 
 def test_missing_subcommand_is_usage_error():
     assert run_cli() == 1
+
+
+# the exit code main() gives each library error class: 1 for the input
+# errors, which are ValueErrors, and 2 for the rest
+ERROR_EXITS = {
+    "L1KernelsError": 2,
+    "DomainError": 1,
+    "UnsupportedKernel": 2,
+    "DuplicatePoints": 2,
+    "SingularGram": 2,
+    "DegenerateSchur": 2,
+    "FormulaUnavailable": 2,
+    "KernelMismatch": 2,
+    "DimensionMismatch": 1,
+    "NegativeMu": 1,
+    "SingularShifted": 2,
+}
+
+
+def test_every_library_error_has_its_exit_code(monkeypatch, capsys):
+    classes = {name: cls for name, cls in vars(errors).items() if inspect.isclass(cls)}
+    assert classes.keys() == ERROR_EXITS.keys()
+    cases = [(classes[name], code) for name, code in ERROR_EXITS.items()] + [(_UsageError, 1)]
+    for cls, code in cases:
+        def raising(args, cls=cls):
+            raise cls("one line")
+
+        monkeypatch.setattr(cli, "_cmd_experiment", raising)
+        assert issubclass(cls, ValueError) is (code == 1), cls
+        assert run_cli("experiment") == code, cls
+        label = "error" if code == 1 else "numerical failure"
+        assert capsys.readouterr() == ("", f"l1kernels experiment: {label}: one line\n")
+
+
+def test_the_module_entry_point_exits_with_the_documented_codes(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    fit = ["fit", "--kernel", "exponential", "--mu", "0.1", "--method", "rkbs", "--out", str(tmp_path / "f.json")]
+    for code, argv in (
+        (0, fit + ["--points", "0,1", "--values", "1,2"]),
+        (1, fit + ["--points", "0,1", "--values", "1,2,3"]),
+        (2, fit + ["--points", "0,0", "--values", "1,2"]),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "l1kernels.cli", *argv], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == code, run.stderr
+        assert "Traceback" not in run.stderr and len(run.stderr.splitlines()) == min(code, 1)
 
 
 # ---------------------------------------------------------------------------

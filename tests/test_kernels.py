@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,13 +137,20 @@ def test_domain_errors():
 def test_far_pairs_evaluate_to_zero_not_nan():
     # differences past 2**52, near the double range and past it: every
     # translation kernel reads its limit 0 there, never nan (Wendland's
-    # 0 * inf, sinc's sin(inf)), and an interval whose length overflows is
-    # not bounded
+    # 0 * inf, sinc's sin(inf)), and no family warns of an overflow; the
+    # Brownian bridge's farthest pair is its domain's two ends.  An interval
+    # whose length overflows is not bounded
     s = np.array([0.0, -1e308, -1e308, 1e300])
     t = np.array([2.0**52, 1e307, 1e308, -1e300])
-    for kernel in (exponential(), gaussian(1.0), wendland_d3_k1(), sinc()):
-        with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in ZOO:
+            if kernel.domain.bounded:
+                lo, hi = np.nextafter(kernel.domain.lo, 1.0), np.nextafter(kernel.domain.hi, 0.0)
+                assert kernel.eval(lo, hi) == lo - lo * hi, kernel.name
+                continue
             assert np.array_equal(kernel.eval(s, t), np.zeros(4)), kernel.name
+            assert kernel.eval(1e308, -1e308) == 0.0, kernel.name
     assert Interval(-1e308, 1e307).bounded
     assert not Interval(-1e308, 1e308).bounded
 

@@ -5,8 +5,11 @@ admissibility conditions (nonsingular Grams, boundedness, l1-injectivity,
 unit Lebesgue bound) are settled analytically.  Only the exponential and
 Brownian bridge kernels carry all four; the Gaussian, the Wendland kernel
 and sinc have nonsingular Grams and bounded values but break the Lebesgue
-bound, and sinc is also the canonical l1-injectivity counterexample.  The
-table says where each settled flag comes from.
+bound.  l1-injectivity follows from a Fourier transform with no zero: the
+Gaussian's holds on every domain, the Wendland kernel's on the whole line
+only (on [-1, 1] it is unknown), and sinc, whose transform is a box, is the
+canonical counterexample.  The table says where each settled flag comes
+from.
 """
 
 import json
@@ -14,6 +17,7 @@ import json
 import numpy as np
 
 from l1kernels import (
+    Interval,
     brownian_bridge,
     build_system,
     exponential,
@@ -26,13 +30,14 @@ from l1kernels import (
 )
 
 PAPER = "[1] Song, Zhang & Hickernell, arXiv 1101.4388"
-BOOK = "[2] Wendland, Scattered Data Approximation (2005), ch. 6 and 9"
+BOOK = "[2] Wendland, Scattered Data Approximation (2005), ch. 6, 9 and 10"
 zoo = [
     (exponential(), "proof [1]; closed-form cardinal functions"),
     (brownian_bridge(), "proof [1]; closed-form cardinal functions"),
-    (gaussian(sigma=1.0), "A1, A2: reference [2]; A4: reference [1]"),
-    (wendland_d3_k1(), "A1, A2: reference [2]; A4: witness x = (0, 0.2), t = -0.159"),
-    (sinc(), "A1, A2: box transform; A3: reference [1]; A4: witness x = (0, 1), t = 0.5"),
+    (gaussian(sigma=1.0), "A1, A2: reference [2]; A3: transform > 0, sums entire; A4: reference [1]"),
+    (wendland_d3_k1(), "A1, A2: reference [2]; A3: transform > 0 [2]; A4: witness x = (0, 0.2), t = -0.159"),
+    (wendland_d3_k1(Interval(-1.0, 1.0)), "A3: the transform argument needs the whole line"),
+    (sinc(), "A1, A2: box transform; A3: box transform, reference [1]; A4: witness x = (0, 1), t = 0.5"),
 ]
 
 print(f"{'family':16s} {'domain':14s} {'|K|<=':6s} {'a1/a2/a3/a4':12s} source")

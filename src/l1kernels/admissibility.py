@@ -32,12 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateSchur,
-    DomainError,
-    DuplicatePoints,
-    SingularGram,
-)
+from .errors import DomainError, DuplicatePoints, SingularGram
 from .gram import GramSystem, PointSet, _scratch, build_system
 from .kernels import Interval, KernelSpec
 from .streams import _check_count, stream
@@ -407,9 +402,9 @@ def extension_norm(system: GramSystem, y, t_new: float, b: float) -> float:
 
         ( K[x]^(-1) y + (q/p) K[x]^(-1) K_x(t_new),  -q/p ).
 
-    Raises DegenerateSchur when |p| < 1e-14 (extended Gram numerically
-    singular), DuplicatePoints when t_new is a sample point and ValueError
-    when b is not finite.
+    Raises SingularGram when |p| < 1e-14 (extended Gram numerically
+    singular; no rcond is computed, so its rcond stays 0), DuplicatePoints
+    when t_new is a sample point and ValueError when b is not finite.
     """
     t_new, b = float(t_new), float(b)
     if not np.isfinite(b):
@@ -422,7 +417,7 @@ def extension_norm(system: GramSystem, y, t_new: float, b: float) -> float:
     d = system.solve(col)
     p = float(system.kernel.eval(t_new, t_new)) - float(col @ d)
     if abs(p) < SCHUR_FLOOR:
-        raise DegenerateSchur(
+        raise SingularGram(
             f"Schur complement {p:.3e} below {SCHUR_FLOOR:.0e}; "
             "the extended Gram matrix is numerically singular"
         )

@@ -2,9 +2,10 @@
 
 The CLI parses arguments and the library validates them. Exit codes: 0 on
 success (a FAIL audit verdict is still a successful audit); 1 on any input
-the CLI or the library rejects, which is a ValueError; 2 on any other
-library error: a singular or degenerate system, coincident points, or a
-refused kernel operation. Either error is one line on stderr.
+the CLI or the library rejects, which is a ValueError, and on a file the CLI
+cannot read or write (an OSError); 2 on any other library error: a
+numerically singular matrix, coincident points, or a refused kernel
+operation. Either error is one line on stderr.
 Log records of the library go to stderr at the level of -v/--log-level
 (warnings by default).
 """
@@ -51,11 +52,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_USAGE_EXIT)
 
 
-class _UsageError(ValueError):
-    """An argument the CLI itself rejects: its syntax, or a value only the CLI
-    gives a meaning."""
-
-
 def _parse_kernel(text: str) -> KernelSpec:
     text = text.strip()
     try:
@@ -63,7 +59,7 @@ def _parse_kernel(text: str) -> KernelSpec:
             return kernel_from_json(json.loads(text))
         return kernel_from_json({"family": text, "params": {}})
     except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise _UsageError(f"bad --kernel value: {exc}")
+        raise ValueError(f"bad --kernel value: {exc}")
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -74,7 +70,7 @@ def _parse_floats(text: str) -> np.ndarray:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _UsageError(f"bad numeric list: {exc}")
+        raise ValueError(f"bad numeric list: {exc}")
     return np.asarray(values)
 
 
@@ -85,19 +81,19 @@ def _parse_mu_grid(text: str) -> tuple[float, ...]:
         try:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError as exc:
-            raise _UsageError(f"bad --mu-grid range: {exc}")
+            raise ValueError(f"bad --mu-grid range: {exc}")
         if not 0 < lo <= hi < math.inf:
-            raise _UsageError("--mu-grid range needs 0 < A <= B < inf")
+            raise ValueError("--mu-grid range needs 0 < A <= B < inf")
         e_lo, e_hi = math.log10(lo), math.log10(hi)
         if abs(e_lo - round(e_lo)) > 1e-9 or abs(e_hi - round(e_hi)) > 1e-9:
-            raise _UsageError("--mu-grid range endpoints must be powers of ten, e.g. 1e-7..1e1")
+            raise ValueError("--mu-grid range endpoints must be powers of ten, e.g. 1e-7..1e1")
         return tuple(10.0 ** j for j in range(round(e_lo), round(e_hi) + 1))
     try:
         grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise _UsageError(f"bad --mu-grid list: {exc}")
+        raise ValueError(f"bad --mu-grid list: {exc}")
     if not grid:
-        raise _UsageError("empty --mu-grid")
+        raise ValueError("empty --mu-grid")
     return grid
 
 
@@ -107,9 +103,9 @@ def _audit_window(kernel: KernelSpec, window: str | None) -> Interval:
             lo_s, hi_s = window.split(",")
             interval = Interval(float(lo_s), float(hi_s), lo_open=False, hi_open=False)
         except ValueError as exc:
-            raise _UsageError(f"bad --window, expected 'A,B': {exc}")
+            raise ValueError(f"bad --window, expected 'A,B': {exc}")
         if not (interval.bounded and kernel.domain.contains([interval.lo, interval.hi])):
-            raise _UsageError(
+            raise ValueError(
                 f"--window {interval} must have a finite length and lie inside the "
                 f"{kernel.name} kernel domain {kernel.domain}"
             )
@@ -284,7 +280,7 @@ def main(argv=None) -> int:
     log.setLevel(args.log_level)
     try:
         return handlers[args.command](args)
-    except ValueError as exc:  # first: the library's input errors are ValueErrors too
+    except (ValueError, OSError) as exc:  # first: the library's input errors are ValueErrors too
         print(f"l1kernels {args.command}: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except L1KernelsError as exc:

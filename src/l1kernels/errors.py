@@ -1,10 +1,14 @@
 """Exception types shared across the library.
 
-Input errors, a caller's argument the library rejects, are ValueErrors as
-well as L1KernelsErrors: DomainError, DimensionMismatch and NegativeMu.
-The other classes report a numerical failure (a singular or degenerate
-system, coincident points) or a refused operation (a kernel without the
-property it needs, expansions on different kernels).
+Every error is an L1KernelsError of one of three kinds, one for each thing a
+caller does about it:
+
+- input errors, a caller's argument the library rejects, which are also
+  ValueErrors: DomainError, DimensionMismatch and NegativeMu;
+- numerical failures: SingularGram (a Gram, shifted or bordered matrix that
+  is numerically singular) and DuplicatePoints (coincident points);
+- refusals: UnsupportedKernel (the kernel lacks a property or closed form
+  the operation needs) and KernelMismatch (expansions on different kernels).
 """
 
 
@@ -16,34 +20,6 @@ class DomainError(L1KernelsError, ValueError):
     """Input error: an evaluation point lies outside the kernel's domain."""
 
 
-class UnsupportedKernel(L1KernelsError):
-    """The requested operation is not available for this kernel family."""
-
-
-class DuplicatePoints(L1KernelsError):
-    """A point set contains coincident points."""
-
-
-class SingularGram(L1KernelsError):
-    """The Gram matrix is numerically singular (reciprocal condition below threshold)."""
-
-    def __init__(self, message: str, rcond: float = 0.0):
-        super().__init__(message)
-        self.rcond = rcond
-
-
-class DegenerateSchur(L1KernelsError):
-    """The one-point-extension Schur complement is numerically zero."""
-
-
-class FormulaUnavailable(L1KernelsError):
-    """A norm formula requires a kernel property this kernel is not known to have."""
-
-
-class KernelMismatch(L1KernelsError):
-    """Two expansions built on different kernels were combined."""
-
-
 class DimensionMismatch(L1KernelsError, ValueError):
     """Input error: a vector's length does not match the associated point set."""
 
@@ -52,5 +28,22 @@ class NegativeMu(L1KernelsError, ValueError):
     """Input error: a regularization weight was negative."""
 
 
-class SingularShifted(L1KernelsError):
-    """The shifted matrix K + mu*I is numerically singular."""
+class SingularGram(L1KernelsError):
+    """Numerical failure: the matrix its message names is numerically singular;
+    rcond is its reciprocal condition estimate, 0 where none was computed."""
+
+    def __init__(self, message: str, rcond: float = 0.0):
+        super().__init__(message)
+        self.rcond = rcond
+
+
+class DuplicatePoints(L1KernelsError):
+    """Numerical failure: a point set contains coincident points."""
+
+
+class UnsupportedKernel(L1KernelsError):
+    """Refusal: the kernel lacks a property (or closed form) the operation needs."""
+
+
+class KernelMismatch(L1KernelsError):
+    """Refusal: two expansions built on different kernels were combined."""

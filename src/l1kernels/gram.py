@@ -40,7 +40,6 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -206,12 +205,7 @@ def build_system(kernel: KernelSpec, points) -> GramSystem:
     gram.flags.writeable = False
 
     factorization, rcond = _lu_factor_gated(
-        gram,
-        lambda rcond: SingularGram(
-            f"Gram matrix numerically singular: rcond {rcond:.3e} < {RCOND_FLOOR:.0e} "
-            f"(n={points.n}, min spacing {points.min_spacing:.3e})",
-            rcond=rcond,
-        ),
+        gram, f"Gram matrix (n={points.n}, min spacing {points.min_spacing:.3e})"
     )
     return GramSystem(kernel, points, gram, factorization, rcond)
 
@@ -235,11 +229,12 @@ def _scratch(name: str, shape) -> np.ndarray:
     return buffer[:size].reshape(shape)
 
 
-def _lu_factor_gated(matrix: np.ndarray, singular: Callable[[float], Exception]):
+def _lu_factor_gated(matrix: np.ndarray, what: str):
     """Pivoted LU of a square matrix, gated on its 1-norm rcond estimate.
 
-    Returns ((lu, piv), rcond).  Raises singular(rcond), an exception built
-    by the caller, when LAPACK gecon fails or rcond < RCOND_FLOOR.
+    Returns ((lu, piv), rcond).  Raises SingularGram, its message naming the
+    matrix by what and its rcond the estimate, when LAPACK gecon fails or
+    rcond < RCOND_FLOOR.
     """
     # getrf warns (LinAlgWarning) on an exactly zero pivot rather than raising;
     # the rcond floor below is the single singularity gate either way.  The
@@ -249,9 +244,12 @@ def _lu_factor_gated(matrix: np.ndarray, singular: Callable[[float], Exception])
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(matrix)
     rcond, info = dgecon(lu, np.linalg.norm(matrix, 1), norm="1")
+    rcond = float(rcond)
     if info != 0 or not rcond >= RCOND_FLOOR:
-        raise singular(float(rcond))
-    return (lu, piv), float(rcond)
+        raise SingularGram(
+            f"{what} numerically singular: rcond {rcond:.3e} < {RCOND_FLOOR:.0e}", rcond=rcond
+        )
+    return (lu, piv), rcond
 
 
 def _lu_solve(factorization, b: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormulaUnavailable, KernelMismatch, UnsupportedKernel
+from .errors import KernelMismatch, UnsupportedKernel
 from .gram import CoefficientVector, GramSystem, PointSet, Side
 from .kernels import KernelSpec, Status, kernel_to_json
 
@@ -53,7 +53,7 @@ def _reject_broken_l1(kernel: KernelSpec, what: str) -> None:
 
 def _require_unit_lebesgue(kernel: KernelSpec, what: str) -> None:
     if kernel.flags.a4 is not Status.PROVEN:
-        raise FormulaUnavailable(
+        raise UnsupportedKernel(
             f"{what} needs the unit Lebesgue bound, which is {kernel.flags.a4.value} for the "
             f"{kernel.name} kernel; grid_sup_norm gives a lower bound of the sup norm"
         )

@@ -13,6 +13,12 @@ which of the four admissibility conditions
 are settled analytically for it.  The two kernels with all four flags
 proven (exponential and Brownian bridge) also expose closed-form cardinal
 functions, used as oracles against the numeric linear-algebra path.
+
+A3 holds on R for K(s, t) = phi(s - t), phi in L1(R), whose transform has no
+zero: if f = sum_j c_j phi(. - x_j) = 0 on R (c in l1, x_j distinct), then
+f-hat = phi-hat h with h(w) = sum_j c_j exp(-i w x_j) = 0, and the Bohr mean
+lim_T (1/2T) int_{-T}^{T} h(w) exp(i w x_k) dw = c_k gives c = 0.  Sinc's
+transform is a box, zero for |w| > pi, and its A3 fails.
 """
 
 from __future__ import annotations
@@ -263,13 +269,16 @@ def brownian_bridge(domain: Interval | None = None) -> KernelSpec:
 
 
 def gaussian(sigma: float = 1.0, domain: Interval | None = None) -> KernelSpec:
-    """K(s,t) = exp(-(s-t)^2 / sigma).  A1, A2 by reference (Wendland 2005, ch. 6); fails A4."""
-    if not sigma > 0:
-        raise ValueError(f"gaussian sigma must be positive, got {sigma}")
+    """K(s,t) = exp(-(s-t)^2 / sigma), 0 < sigma < inf.  A1, A2 by reference
+    (Wendland 2005, ch. 6); fails A4.  A3 on every domain by the module
+    docstring's transform argument: phi-hat is a Gaussian, and an l1 expansion
+    is entire, so vanishing on an interval forces vanishing on R."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"gaussian sigma must be positive and finite, got {sigma}")
     return KernelSpec(
         family=Family.GAUSSIAN,
         domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, a4=Status.DISPROVEN),
+        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.PROVEN, Status.DISPROVEN),
         bound=1.0,
         sigma=float(sigma),
     )
@@ -279,14 +288,21 @@ def wendland_d3_k1(domain: Interval | None = None) -> KernelSpec:
     """Compactly supported kernel (1-r)_+^4 (1+4r) with r = |s-t|.
 
     A1 and A2 by reference (strictly positive definite on R^3, Wendland 2005,
-    ch. 9).  Fails the unit Lebesgue bound (A4).  Witness: on x = (0, 0.2) at
-    t = -0.159 the cardinal coefficients are (1.1288, -0.4210), so
-    L(t) = 1.54975, with rcond 0.151; 50-digit arithmetic agrees.
+    ch. 9).  A3 on the whole line by the module docstring's transform argument:
+    phi-hat(w) = 240 (w^2 + w sin w + 4 cos w - 4) / w^6, which equals
+    (1/2pi) int_|w|^inf s phi3-hat(s) ds > 0 for the 3-D transform phi3-hat > 0
+    (Wendland 2005, ch. 10); unknown on other domains, where an expansion need
+    vanish only on part of R.  Fails the unit Lebesgue bound (A4).  Witness:
+    on x = (0, 0.2) at t = -0.159 the cardinal coefficients are
+    (1.1288, -0.4210), so L(t) = 1.54975, with rcond 0.151; 50-digit
+    arithmetic agrees.
     """
+    dom = domain or _REAL_LINE
+    a3 = Status.PROVEN if dom.lo == -math.inf and dom.hi == math.inf else Status.UNKNOWN
     return KernelSpec(
         family=Family.WENDLAND_D3_K1,
-        domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, a4=Status.DISPROVEN),
+        domain=dom,
+        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, a3, Status.DISPROVEN),
         bound=1.0,
     )
 

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from l1kernels import (
     Condition,
-    DegenerateSchur,
     DomainError,
     DuplicatePoints,
     Interval,
     PointSet,
     RandomPointSets,
     Side,
+    SingularGram,
     Verdict,
     audit_a1,
     audit_a2,
@@ -576,8 +576,9 @@ def test_extension_norm_errors():
     with pytest.raises(DomainError):
         extension_norm(bb, [1.0, 2.0], 1.5, 0.5)
     # an extension point this close to a node kills the Schur complement
-    with pytest.raises(DegenerateSchur):
+    with pytest.raises(SingularGram, match=r"^Schur complement \S+ below 1e-14; ") as caught:
         extension_norm(system, [1.0, 2.0], 1e-16, 0.5)
+    assert caught.value.rcond == 0.0  # no rcond is computed
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be finite"):
             extension_norm(system, [1.0, 2.0], 0.5, bad)

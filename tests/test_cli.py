@@ -23,7 +23,7 @@ from l1kernels import (
     profile_grid,
 )
 from l1kernels import cli, errors
-from l1kernels.cli import main, _build_parser, _parse_mu_grid, _UsageError
+from l1kernels.cli import main, _build_parser, _parse_mu_grid
 
 
 def run_cli(*argv):
@@ -265,9 +265,9 @@ def test_mu_grid_parsing():
     assert _parse_mu_grid("1e-7..1e1") == tuple(10.0 ** j for j in range(-7, 2))
     assert _parse_mu_grid("1e-3..1e-3") == (1e-3,)
     assert _parse_mu_grid("0.5,1,2") == (0.5, 1.0, 2.0)
-    with pytest.raises(_UsageError):
+    with pytest.raises(ValueError, match="powers of ten"):
         _parse_mu_grid("3e-4..1e0")
-    with pytest.raises(_UsageError):
+    with pytest.raises(ValueError, match="empty --mu-grid"):
         _parse_mu_grid("")
 
 
@@ -316,6 +316,8 @@ def test_bad_mu_grid_is_usage_error(capsys):
         # rejected by the library: data of the wrong length, a point that is not finite
         ("fit", "--kernel", "exponential", "--points", "0,1", "--values", "1,2,3", "--mu", "0.1", "--method", "rkhs"),
         ("fit", "--kernel", "exponential", "--points=0,inf", "--values", "1,2", "--mu", "0.1", "--method", "rkbs"),
+        # json reads 1e999 as inf, a sigma that would make K the constant 1
+        ("audit", "--kernel", '{"family": "gaussian", "params": {"sigma": 1e999}}', "--trials", "1"),
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):
@@ -405,32 +407,30 @@ def test_missing_subcommand_is_usage_error():
 
 
 # the exit code main() gives each library error class: 1 for the input
-# errors, which are ValueErrors, and 2 for the rest
+# errors, which are ValueErrors, and 2 for the rest; the CLI's own rejections
+# are plain ValueErrors, and a file it cannot read or write an OSError, both 1
 ERROR_EXITS = {
     "L1KernelsError": 2,
     "DomainError": 1,
     "UnsupportedKernel": 2,
     "DuplicatePoints": 2,
     "SingularGram": 2,
-    "DegenerateSchur": 2,
-    "FormulaUnavailable": 2,
     "KernelMismatch": 2,
     "DimensionMismatch": 1,
     "NegativeMu": 1,
-    "SingularShifted": 2,
 }
 
 
 def test_every_library_error_has_its_exit_code(monkeypatch, capsys):
     classes = {name: cls for name, cls in vars(errors).items() if inspect.isclass(cls)}
     assert classes.keys() == ERROR_EXITS.keys()
-    cases = [(classes[name], code) for name, code in ERROR_EXITS.items()] + [(_UsageError, 1)]
+    cases = [(classes[name], code) for name, code in ERROR_EXITS.items()] + [(ValueError, 1), (OSError, 1)]
     for cls, code in cases:
         def raising(args, cls=cls):
             raise cls("one line")
 
         monkeypatch.setattr(cli, "_cmd_experiment", raising)
-        assert issubclass(cls, ValueError) is (code == 1), cls
+        assert issubclass(cls, (ValueError, OSError)) is (code == 1), cls
         assert run_cli("experiment") == code, cls
         label = "error" if code == 1 else "numerical failure"
         assert capsys.readouterr() == ("", f"l1kernels experiment: {label}: one line\n")
@@ -438,11 +438,14 @@ def test_every_library_error_has_its_exit_code(monkeypatch, capsys):
 
 def test_the_module_entry_point_exits_with_the_documented_codes(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    fit = ["fit", "--kernel", "exponential", "--mu", "0.1", "--method", "rkbs", "--out", str(tmp_path / "f.json")]
+    fit = ["fit", "--kernel", "exponential", "--mu", "0.1", "--method", "rkbs"]
+    out = ["--out", str(tmp_path / "f.json")]
     for code, argv in (
-        (0, fit + ["--points", "0,1", "--values", "1,2"]),
-        (1, fit + ["--points", "0,1", "--values", "1,2,3"]),
-        (2, fit + ["--points", "0,0", "--values", "1,2"]),
+        (0, fit + out + ["--points", "0,1", "--values", "1,2"]),
+        (1, fit + out + ["--points", "0,1", "--values", "1,2,3"]),
+        # a file the CLI cannot write: an OSError, not a traceback
+        (1, fit + ["--points", "0,1", "--values", "1,2", "--out", str(tmp_path / "missing" / "f.json")]),
+        (2, fit + out + ["--points", "0,0", "--values", "1,2"]),
     ):
         run = subprocess.run(
             [sys.executable, "-m", "l1kernels.cli", *argv], capture_output=True, text=True, timeout=120,
@@ -450,6 +453,23 @@ def test_the_module_entry_point_exits_with_the_documented_codes(tmp_path):
         )
         assert run.returncode == code, run.stderr
         assert "Traceback" not in run.stderr and len(run.stderr.splitlines()) == min(code, 1)
+
+
+def test_files_the_cli_cannot_read_or_write_are_usage_errors(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "f.json")
+    fit = ("fit", "--kernel", "exponential", "--mu", "0.1", "--method", "rkbs")
+    experiment = ("experiment", "--noise", "gaussian", "--trials", "1", "--n", "20", "--mu-grid", "1e-1")
+    for argv in (
+        fit + ("--points", str(tmp_path), "--values", "1,2"),
+        fit + ("--points", "0,1", "--values", str(tmp_path)),
+        fit + ("--points", "0,1", "--values", "1,2", "--dump-gram", missing),
+        experiment + ("--out", missing),
+        experiment + ("--json", missing),
+        ("audit", "--kernel", "exponential", "--trials", "1", "--condition", "a1", "--out", missing),
+    ):
+        assert run_cli(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"l1kernels {argv[0]}: error: [Errno ") and len(err.splitlines()) == 1, err
 
 
 # ---------------------------------------------------------------------------

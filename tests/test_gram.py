@@ -296,8 +296,9 @@ def test_an_exactly_singular_matrix_is_rejected_by_the_rcond_gate():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularGram) as caught:
-            _lu_factor_gated(np.ones((3, 3)), lambda rcond: SingularGram("singular", rcond=rcond))
+            _lu_factor_gated(np.ones((3, 3)), "the ones matrix")
     assert caught.value.rcond == 0.0
+    assert str(caught.value) == "the ones matrix numerically singular: rcond 0.000e+00 < 1e-14"
 
 
 def test_getrs_solves_match_scipys_lu_solve():

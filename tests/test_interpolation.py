@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1kernels import (
-    FormulaUnavailable,
     KernelMismatch,
     Side,
     UnsupportedKernel,
@@ -71,7 +70,7 @@ def test_bsharp_norm_values():
 
 def test_bsharp_norm_guards():
     g = expansion(gaussian(1.0), [0.0, 1.0], [1.0, 1.0], Side.RIGHT)
-    with pytest.raises(FormulaUnavailable):
+    with pytest.raises(UnsupportedKernel, match="which is disproven for the gaussian kernel"):
         g.bsharp_norm()
     left = expansion(exponential(), [0.0], [1.0], Side.LEFT)
     with pytest.raises(ValueError):
@@ -149,7 +148,7 @@ def test_min_norm_interpolant_bsharp_two_points():
 
 def test_min_norm_interpolant_bsharp_requires_a4():
     system = build_system(gaussian(1.0), [0.0, 1.0])
-    with pytest.raises(FormulaUnavailable):
+    with pytest.raises(UnsupportedKernel, match="which is disproven for the gaussian kernel"):
         min_norm_interpolant_bsharp(system, [1.0, 0.0])
 
 

@@ -232,10 +232,9 @@ def test_an_out_that_overlaps_the_arguments_is_rejected():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        gaussian(0.0)
-    with pytest.raises(ValueError):
-        gaussian(-1.0)
+    for sigma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gaussian sigma must be positive and finite"):
+            gaussian(sigma)
     with pytest.raises(ValueError):
         brownian_bridge(Interval(-0.1, 0.5))
     with pytest.raises(ValueError):
@@ -251,8 +250,17 @@ def test_admissibility_metadata():
     for k in (gaussian(1.0), wendland_d3_k1(), sinc()):
         assert k.flags.a1 is Status.PROVEN and k.flags.a2 is Status.PROVEN
         assert k.flags.a4 is Status.DISPROVEN
-    assert gaussian(1.0).flags.a3 is Status.UNKNOWN
     assert sinc().flags.a3 is Status.DISPROVEN
+    # A3 by a transform with no zero: the Gaussian's sums are entire, so it
+    # holds on every domain; the Wendland kernel's argument needs the whole line
+    for domain in (None, Interval(-1.0, 1.0), Interval(0.0, math.inf)):
+        assert gaussian(0.5, domain).flags.a3 is Status.PROVEN
+    assert wendland_d3_k1().flags.a3 is Status.PROVEN
+    assert wendland_d3_k1(Interval(-math.inf, math.inf, lo_open=False, hi_open=False)).flags.a3 is Status.PROVEN
+    for domain in (Interval(-1.0, 1.0), Interval(0.0, math.inf), Interval(-math.inf, 2.0)):
+        kernel = wendland_d3_k1(domain)
+        assert kernel.flags.a3 is Status.UNKNOWN
+        assert kernel_from_json(kernel_to_json(kernel)) == kernel
 
 
 def test_wendland_d3_k1_a4_witness():

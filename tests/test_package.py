@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import logging
+from pathlib import Path
 
 import l1kernels
 
@@ -36,3 +38,17 @@ def test_errors_exports_exactly_its_exception_classes():
         inspect.isclass(errors.__dict__[name]) and issubclass(errors.__dict__[name], l1kernels.L1KernelsError)
         for name in names
     )
+
+
+def test_every_error_class_has_a_raise_site():
+    # a class that nothing raises any more cannot stay in errors.py unnoticed
+    raised = set()
+    for path in Path(l1kernels.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    errors = importlib.import_module("l1kernels.errors")
+    classes = set(exported(errors)) - {"L1KernelsError"}
+    assert classes <= raised, sorted(classes - raised)

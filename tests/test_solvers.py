@@ -16,7 +16,7 @@ from l1kernels import (
     PointSet,
     RidgeSolver,
     Side,
-    SingularShifted,
+    SingularGram,
     UnsupportedKernel,
     brownian_bridge,
     build_system,
@@ -30,6 +30,7 @@ from l1kernels import (
     zero_mu_threshold,
 )
 from l1kernels import solvers
+from l1kernels.gram import RCOND_FLOOR
 from l1kernels.solvers import _append_column, _solve_r
 from _oracles import bottom_by_crossings, cd_lasso, cd_lasso_batch, lasso_objective
 
@@ -1047,8 +1048,9 @@ def test_ridge_singular_shifted():
     doctored = GramSystem(
         base.kernel, PointSet([0.0, 1.0]), rank_one, base.factorization, 1.0
     )
-    with pytest.raises(SingularShifted):
+    with pytest.raises(SingularGram, match=r"^K\[x\] \+ mu I at mu=0 numerically singular: rcond ") as caught:
         ridge_gram(doctored, [1.0, 1.0], 0.0)
+    assert caught.value.rcond < RCOND_FLOOR
 
 
 def test_ridge_solver_cache_consistent():

@@ -4,7 +4,9 @@ The cardinal coefficient vector K[x]^(-1) K_x(t) holds the interpolation
 weights of the kernel basis at an evaluation point t.  For the exponential
 and Brownian bridge kernels these weights have closed forms — at most two
 nonzero entries, supported on the nodes bracketing t — and the numeric
-Gram solve must reproduce them to near machine precision.
+Gram solve must reproduce them to near machine precision.  Both kernels are
+Gauss-Markov, K(s, t) = p(min(s, t)) q(max(s, t)), and one Markov formula
+(derived in the `l1kernels.kernels` docstring) gives both closed forms.
 
 The l1 norm of that vector is the Lebesgue function L(t).  For these two
 kernels L never exceeds 1, which is exactly what makes l1-regularized

@@ -206,6 +206,9 @@ def _cmd_experiment(args) -> int:
     settings = dict(n_points=args.n, trials=args.trials, mu_grid=mu_grid, master_seed=args.seed)
     noises = kinds.values() if args.noise == "all" else [kinds[args.noise]]
     configs = [ExperimentConfig(noise=noise, **settings) for noise in noises]
+    for path in (args.out, args.json):  # an unwritable path fails before the trials
+        if path:
+            open(path, "w").close()
     summaries = [run_experiment(config) for config in configs]
 
     for line in csv_rows(summaries):

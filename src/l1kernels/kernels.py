@@ -14,6 +14,29 @@ are settled analytically for it.  The two kernels with all four flags
 proven (exponential and Brownian bridge) also expose closed-form cardinal
 functions, used as oracles against the numeric linear-algebra path.
 
+A4 holds for both because they are Gauss-Markov covariances (Mehr & McFadden
+1965), K(s, t) = p(min(s, t)) q(max(s, t)) with p, q > 0 and r = p/q
+increasing: p = e^s, q = e^-s for the exponential kernel, p = s, q = 1 - s
+for the Brownian bridge.  Let W(u, v) = p(v) q(u) - p(u) q(v)
+= q(u) q(v) (r(v) - r(u)), positive for u < v.  On sorted nodes x, a node
+x_i <= x_j has K(x_i, .) = p(x_i) q(.) on [x_j, inf) and a node x_i >= x_{j+1}
+has K(x_i, .) = p(.) q(x_i) on (-inf, x_{j+1}] (the Markov property), so for
+x_j <= t < x_{j+1} the vector on those two nodes with
+w_j q(x_j) + w_{j+1} q(x_{j+1}) = q(t) and w_j p(x_j) + w_{j+1} p(x_{j+1}) = p(t)
+solves K[x] w = K_x(t):
+
+    w_j = W(t, x_{j+1}) / W(x_j, x_{j+1}),  w_{j+1} = W(x_j, t) / W(x_j, x_{j+1}),
+
+both >= 0.  Likewise w = (p(t)/p(x_1)) e_1 for t <= x_1 and
+w = (q(t)/q(x_n)) e_n for t >= x_n.  Between nodes, with
+a = (r(t) - r(x_j)) / (r(x_{j+1}) - r(x_j)),
+w_j + w_{j+1} = q(t) ((1 - a) / q(x_j) + a / q(x_{j+1})): q(t) times the
+chord, in r, of 1/q.  So L <= 1 on every point set exactly when p is
+nondecreasing, q is nonincreasing and 1/q is concave in r.  For the
+exponential kernel 1/q = sqrt(r); for the Brownian bridge 1/q = 1 + r, and
+L = 1 between nodes.  closed_form_cardinal evaluates these weights from the
+table _MARKOV.
+
 A3 holds on R for K(s, t) = phi(s - t), phi in L1(R), whose transform has no
 zero: if f = sum_j c_j phi(. - x_j) = 0 on R (c in l1, x_j distinct), then
 f-hat = phi-hat h with h(w) = sum_j c_j exp(-i w x_j) = 0, and the Bohr mean
@@ -29,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedKernel
+from .errors import DomainError, DuplicatePoints, UnsupportedKernel
 
 __all__ = [
     "Family",
@@ -240,7 +263,8 @@ _EVALUATORS = {
 
 
 def exponential(domain: Interval | None = None) -> KernelSpec:
-    """K(s,t) = exp(-|s-t|), all four admissibility conditions proven."""
+    """K(s,t) = exp(-|s-t|), all four admissibility conditions proven; A4 by
+    the module docstring's Markov argument, with p = e^s and q = e^-s."""
     return KernelSpec(
         family=Family.EXPONENTIAL,
         domain=domain or _REAL_LINE,
@@ -250,7 +274,8 @@ def exponential(domain: Interval | None = None) -> KernelSpec:
 
 
 def brownian_bridge(domain: Interval | None = None) -> KernelSpec:
-    """K(s,t) = min(s,t) - s*t on (0,1), all four conditions proven."""
+    """K(s,t) = min(s,t) - s*t on (0,1), all four conditions proven; A4 by the
+    module docstring's Markov argument, with p = s and q = 1 - s."""
     dom = domain or _UNIT_OPEN
     inside = (
         dom.lo >= 0.0
@@ -339,21 +364,70 @@ _CONSTRUCTORS = {
 # closed-form cardinal functions
 
 
+_SINH_TOP = math.asinh(np.finfo(float).max)  # the largest d with a finite sinh(d)
+
+
+def _sinh(d: float) -> tuple[float, float]:
+    """sinh(d) as (m, s), m e^s; past _SINH_TOP, e^-2d is below round-off and
+    sinh(d) = sinh(_SINH_TOP) e^(d - _SINH_TOP)."""
+    if d <= _SINH_TOP:
+        return math.sinh(d), 0.0
+    return math.sinh(_SINH_TOP), d - _SINH_TOP
+
+
+# For each Markov kernel of the module docstring, in forms exact for it and
+# with u <= v: p(u)/p(v), q(v)/q(u), and W(u, v) up to a positive factor as a
+# pair (m, s) meaning m e^s, so that no gap overflows.  A family has a row
+# exactly when its A4 flag is PROVEN.
+_MARKOV = {
+    Family.EXPONENTIAL: (
+        lambda u, v: math.exp(u - v),
+        lambda u, v: math.exp(u - v),
+        lambda u, v: _sinh(v - u),
+    ),
+    Family.BROWNIAN_BRIDGE: (
+        lambda u, v: u / v,
+        lambda u, v: (1.0 - v) / (1.0 - u),
+        lambda u, v: (v - u, 0.0),
+    ),
+}
+
+
+def _markov_cardinal(row, x: np.ndarray, t: float) -> np.ndarray:
+    """The module docstring's cardinal vector at t on sorted, distinct x, from
+    a row (p(u)/p(v), q(v)/q(u), W(u, v) as (m, s)) like those of _MARKOV."""
+    p_ratio, q_ratio, casoratian = row
+    w = np.zeros_like(x)
+    if t <= x[0]:
+        w[0] = p_ratio(t, x[0])
+    elif t >= x[-1]:
+        w[-1] = q_ratio(x[-1], t)
+    else:
+        j = int(np.searchsorted(x, t, side="right")) - 1
+        m, s = casoratian(x[j], x[j + 1])
+        for i, (u, v) in ((j, (t, x[j + 1])), (j + 1, (x[j], t))):
+            m_i, s_i = casoratian(u, v)
+            w[i] = m_i / m * math.exp(s_i - s)
+    return w
+
+
 def closed_form_cardinal(kernel: KernelSpec, points, t: float) -> np.ndarray:
     """Cardinal coefficient vector K[x]^(-1) K_x(t) in closed form.
 
-    Available for the exponential and Brownian bridge kernels, whose
-    cardinal functions are piecewise explicit: one active node when t lies
-    outside the hull of the points, the two bracketing nodes otherwise, and
-    a standard basis vector when t coincides with a node.
+    Available for the exponential and Brownian bridge kernels, from the one
+    Markov formula that the module docstring derives: one active node when t
+    lies outside the hull of the points, the two bracketing nodes otherwise,
+    and a standard basis vector when t coincides with a node.
 
     Parameters
     ----------
     kernel : KernelSpec
-        Exponential or Brownian bridge spec.
+        Exponential or Brownian bridge spec; any other family raises
+        UnsupportedKernel.
     points : PointSet or array_like
-        Pairwise-distinct sample points (any order; the result is returned
-        in the same order).
+        Nonempty 1-D, pairwise-distinct sample points spanning a finite
+        length (any order; the result is returned in the same order).
+        Coincident points raise DuplicatePoints, other bad points ValueError.
     t : float
         Evaluation point inside the kernel domain.
 
@@ -362,7 +436,8 @@ def closed_form_cardinal(kernel: KernelSpec, points, t: float) -> np.ndarray:
     numpy.ndarray, shape (n,)
         Coefficients aligned with the input point order.
     """
-    if kernel.family not in (Family.EXPONENTIAL, Family.BROWNIAN_BRIDGE):
+    row = _MARKOV.get(kernel.family)
+    if row is None:
         raise UnsupportedKernel(
             f"no closed-form cardinal functions for the {kernel.name} kernel"
         )
@@ -372,35 +447,12 @@ def closed_form_cardinal(kernel: KernelSpec, points, t: float) -> np.ndarray:
     kernel._check_domain(x_user, t)
     order = np.argsort(x_user, kind="stable")
     x = x_user[order]
-    t = float(t)
-
-    w = np.zeros_like(x)
-    exact = np.nonzero(x == t)[0]
-    if exact.size:
-        w[exact[0]] = 1.0
-    elif kernel.family is Family.EXPONENTIAL:
-        if t < x[0]:
-            w[0] = math.exp(t - x[0])
-        elif t > x[-1]:
-            w[-1] = math.exp(x[-1] - t)
-        else:
-            j = int(np.searchsorted(x, t)) - 1
-            gap = math.sinh(x[j + 1] - x[j])
-            w[j] = math.sinh(x[j + 1] - t) / gap
-            w[j + 1] = math.sinh(t - x[j]) / gap
-    else:  # Brownian bridge
-        if t < x[0]:
-            w[0] = t / x[0]
-        elif t > x[-1]:
-            w[-1] = (1.0 - t) / (1.0 - x[-1])
-        else:
-            j = int(np.searchsorted(x, t)) - 1
-            gap = x[j + 1] - x[j]
-            w[j] = (x[j + 1] - t) / gap
-            w[j + 1] = (t - x[j]) / gap
-
-    out = np.zeros_like(w)
-    out[order] = w
+    if not math.isfinite(float(x[-1]) - float(x[0])):
+        raise ValueError("points must span a finite length")
+    if not np.all(np.diff(x) > 0.0):
+        raise DuplicatePoints("point set contains coincident points")
+    out = np.zeros_like(x)
+    out[order] = _markov_cardinal(row, x, float(t))
     return out
 
 

@@ -353,16 +353,24 @@ def test_audit_a2_is_inconclusive_on_a_value_that_is_not_finite(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        (lambda: audit_a2(exponential(), np.zeros((3, 3))), r"nonempty \(m, 2\) array"),
-        (lambda: section(exponential(), 0.0, Side.LEFT).grid_sup_norm([]), "grid must be nonempty"),
-        (lambda: closed_form_cardinal(exponential(), [], 0.0), "nonempty 1-D sequence"),
+        (lambda: audit_a2(exponential(), np.zeros((3, 3))), ValueError, r"nonempty \(m, 2\) array"),
+        (lambda: section(exponential(), 0.0, Side.LEFT).grid_sup_norm([]), ValueError, "grid must be nonempty"),
+        (lambda: closed_form_cardinal(exponential(), [], 0.0), ValueError, "nonempty 1-D sequence"),
+        # K[x] is singular on coincident points, as PointSet and build_system say
+        (lambda: closed_form_cardinal(exponential(), [0.3, 0.3, 0.5], 0.4), DuplicatePoints, "coincident"),
+        (lambda: closed_form_cardinal(exponential(), [0.0, 0.0], 0.5), DuplicatePoints, "coincident"),
+        (lambda: closed_form_cardinal(exponential(), [-1e308, 1e308], 0.0), ValueError, "finite length"),
     ],
-    ids=["audit_a2-grid-shape", "grid_sup_norm-empty", "closed_form_cardinal-no-points"],
+    ids=[
+        "audit_a2-grid-shape", "grid_sup_norm-empty", "closed_form_cardinal-no-points",
+        "closed_form_cardinal-coincident-points", "closed_form_cardinal-coincident-pair",
+        "closed_form_cardinal-infinite-span",
+    ],
 )
-def test_empty_or_misshapen_input_is_rejected(call, message):
-    with pytest.raises(ValueError, match=message):
+def test_empty_or_misshapen_input_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 

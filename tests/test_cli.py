@@ -446,12 +446,15 @@ def test_the_module_entry_point_exits_with_the_documented_codes(tmp_path):
         # a file the CLI cannot write: an OSError, not a traceback
         (1, fit + ["--points", "0,1", "--values", "1,2", "--out", str(tmp_path / "missing" / "f.json")]),
         (2, fit + out + ["--points", "0,0", "--values", "1,2"]),
+        # checked before the first trial: no CSV rows, and no time spent on them
+        (1, ["experiment", "--trials", "50", "--n", "200", "--out", str(tmp_path / "missing" / "x.csv")]),
     ):
         run = subprocess.run(
             [sys.executable, "-m", "l1kernels.cli", *argv], capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert run.returncode == code, run.stderr
+        assert run.stdout == ""
         assert "Traceback" not in run.stderr and len(run.stderr.splitlines()) == min(code, 1)
 
 

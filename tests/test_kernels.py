@@ -25,7 +25,7 @@ from l1kernels import (
     wendland_d3_k1,
 )
 from l1kernels.admissibility import A4_TOL
-from l1kernels.kernels import _CONSTRUCTORS, _EVALUATORS
+from l1kernels.kernels import _CONSTRUCTORS, _EVALUATORS, _MARKOV, _markov_cardinal
 
 ZOO = [
     exponential(),
@@ -340,8 +340,24 @@ def test_cardinal_brownian_left_tail():
 
 
 def test_cardinal_unsupported_family():
-    with pytest.raises(UnsupportedKernel):
-        closed_form_cardinal(gaussian(1.0), [0.0, 1.0], 0.5)
+    for kernel in (gaussian(1.0), wendland_d3_k1(), sinc()):
+        with pytest.raises(UnsupportedKernel, match=f"for the {kernel.name} kernel"):
+            closed_form_cardinal(kernel, [0.0, 1.0], 0.5)
+    # the module docstring's A4 proof covers exactly the families with a row
+    proven = {f for f in Family if _CONSTRUCTORS[f]().flags.a4 is Status.PROVEN}
+    assert set(_MARKOV) == proven == {Family.EXPONENTIAL, Family.BROWNIAN_BRIDGE}
+
+
+def test_cardinal_exponential_wide_gaps_stay_finite():
+    # sinh overflows past a gap of about 710.5; the numeric solve is exact
+    # there (rcond 1), and a wide bracket's weights still come out finite
+    for x, t in [([0.0, 800.0], 300.0), ([0.0, 800.0], 799.5), ([-1000.0, 0.0, 1500.0], 1200.0)]:
+        closed = closed_form_cardinal(exponential(), x, t)
+        numeric = build_system(exponential(), x).cardinal_coefficients(t)
+        support = closed != 0.0
+        assert support.any() and np.all(np.isfinite(closed))
+        assert closed[support] == pytest.approx(numeric[support], rel=1e-12, abs=0)
+        assert np.abs(numeric[~support]).max(initial=0.0) < 1e-200
 
 
 def test_cardinal_respects_user_order():
@@ -377,6 +393,65 @@ def test_cardinal_l1_bound():
             t = rng.uniform(lo, hi)
             w = closed_form_cardinal(kernel, x, t)
             assert np.abs(w).sum() <= 1.0 + 1e-12
+
+
+def _row(p, q):
+    """A _markov_cardinal row from the literal generators p and q."""
+    return (
+        lambda u, v: p(u) / p(v),
+        lambda u, v: q(v) / q(u),
+        lambda u, v: (p(v) * q(u) - p(u) * q(v), 0.0),
+    )
+
+
+def _dense_cardinal(p, q, x, t):
+    """K[x]^(-1) K_x(t) for K(s, u) = p(min(s, u)) q(max(s, u)), by a dense solve."""
+    def kernel(s, u):
+        return p(np.minimum(s, u)) * q(np.maximum(s, u))
+
+    return np.linalg.solve(kernel(x[:, None], x[None, :]), kernel(x, t))
+
+
+@st.composite
+def markov_generators(draw):
+    """Generators p, q inside the A4 criterion, with a domain [lo, hi]: affine
+    p nondecreasing and q nonincreasing (the Brownian bridge's class), or the
+    Ornstein-Uhlenbeck process from s0 (p = sinh(theta (s - s0)), q = e^(-theta s))."""
+    if draw(st.booleans()):
+        a, c = draw(st.floats(0.1, 2.0)), draw(st.floats(0.5, 2.0))
+        b, d = draw(st.floats(0.1, 2.0)), c * draw(st.floats(0.0, 0.9))
+        return (lambda s: a + b * s), (lambda s: c - d * s), (0.0, 1.0)
+    theta, s0 = draw(st.floats(0.2, 3.0)), draw(st.floats(-1.0, 0.0))
+    return (lambda s: np.sinh(theta * (s - s0))), (lambda s: np.exp(-theta * s)), (s0 + 0.05, s0 + 1.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(markov_generators(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.data())
+def test_markov_formula_matches_a_dense_solve_inside_the_criterion(generators, fractions, data):
+    p, q, (lo, hi) = generators
+    x = np.unique(lo + (hi - lo) * np.round(np.array(fractions), 2))  # spacing >= 1% of the domain
+    t = data.draw(st.one_of(st.floats(lo, hi), st.sampled_from(x.tolist())))
+    w = _markov_cardinal(_row(p, q), x, t)
+    assert np.abs(w - _dense_cardinal(p, q, x, t)).max() <= 1e-9
+    assert np.abs(w).sum() <= 1.0 + 1e-9
+
+
+def test_markov_formula_exceeds_one_where_q_increases():
+    # p = s, q = 1 + s: r = s / (1 + s) increases, but so does q, so right of
+    # the nodes L = q(t) / q(x_n) > 1; the formula still is the cardinal vector
+    def p(s):
+        return s
+
+    def q(s):
+        return 1.0 + s
+
+    x = np.array([0.2, 0.5])
+    lebesgue = []
+    for t in np.linspace(0.1, 0.9, 17):
+        w = _markov_cardinal(_row(p, q), x, t)
+        assert np.abs(w - _dense_cardinal(p, q, x, t)).max() <= 1e-12
+        lebesgue.append(np.abs(w).sum())
+    assert max(lebesgue) == pytest.approx(1.9 / 1.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

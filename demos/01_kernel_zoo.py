@@ -1,15 +1,15 @@
 """Tour of the kernel zoo: evaluation, bounds, and admissibility metadata.
 
-Each kernel family carries static flags recording which of the four
+Each kernel family carries static flags recording, for each of the four
 admissibility conditions (nonsingular Grams, boundedness, l1-injectivity,
-unit Lebesgue bound) are settled analytically.  Only the exponential and
-Brownian bridge kernels carry all four; the Gaussian, the Wendland kernel
-and sinc have nonsingular Grams and bounded values but break the Lebesgue
-bound.  l1-injectivity follows from a Fourier transform with no zero: the
-Gaussian's holds on every domain, the Wendland kernel's on the whole line
-only (on [-1, 1] it is unknown), and sinc, whose transform is a box, is the
-canonical counterexample.  The table says where each settled flag comes
-from.
+unit Lebesgue bound), whether it is proven or disproven.  Only the
+exponential and Brownian bridge kernels carry all four; the Gaussian, the
+Wendland kernel and sinc have nonsingular Grams and bounded values but
+break the Lebesgue bound.  l1-injectivity holds on every domain for all but
+sinc: for the Gaussian from a Fourier transform with no zero (its sums are
+entire), for the other three because a derivative of the kernel is an atom
+at 0 plus a bounded function.  Sinc, whose transform is a box, is the
+canonical counterexample.  The table says where each flag comes from.
 """
 
 import json
@@ -30,13 +30,13 @@ from l1kernels import (
 )
 
 PAPER = "[1] Song, Zhang & Hickernell, arXiv 1101.4388"
-BOOK = "[2] Wendland, Scattered Data Approximation (2005), ch. 6, 9 and 10"
+BOOK = "[2] Wendland, Scattered Data Approximation (2005), ch. 6 and 9"
 zoo = [
-    (exponential(), "proof [1]; closed-form cardinal functions"),
-    (brownian_bridge(), "proof [1]; closed-form cardinal functions"),
+    (exponential(), "proof [1]; A3: K'' = K - 2 delta; closed-form cardinal functions"),
+    (brownian_bridge(), "proof [1]; A3: K'' = -delta; closed-form cardinal functions"),
     (gaussian(sigma=1.0), "A1, A2: reference [2]; A3: transform > 0, sums entire; A4: reference [1]"),
-    (wendland_d3_k1(), "A1, A2: reference [2]; A3: transform > 0 [2]; A4: witness x = (0, 0.2), t = -0.159"),
-    (wendland_d3_k1(Interval(-1.0, 1.0)), "A3: the transform argument needs the whole line"),
+    (wendland_d3_k1(), "A1, A2: reference [2]; A3: phi^(4) = 240 delta + bounded; A4: witness x = (0, 0.2), t = -0.159"),
+    (wendland_d3_k1(Interval(-1.0, 1.0)), "A3: the same argument holds on any domain"),
     (sinc(), "A1, A2: box transform; A3: box transform, reference [1]; A4: witness x = (0, 1), t = 0.5"),
 ]
 
@@ -44,7 +44,7 @@ print(f"{'family':16s} {'domain':14s} {'|K|<=':6s} {'a1/a2/a3/a4':12s} source")
 for k, source in zoo:
     flags = "/".join(getattr(k.flags, a).value[0] for a in ("a1", "a2", "a3", "a4"))
     print(f"{k.name:16s} {str(k.domain):14s} {k.bound:<6g} {flags:12s} {source}")
-print(f"(p=proven, d=disproven, u=unknown)  {PAPER}; {BOOK}")
+print(f"(p=proven, d=disproven)  {PAPER}; {BOOK}")
 
 witness = build_system(wendland_d3_k1(), [0.0, 0.2])
 print(f"\nWendland witness: L(-0.159) = {lebesgue_function(witness, -0.159):.5f} > 1 "

@@ -3,10 +3,11 @@
 The library is organized around five layers:
 
 - :mod:`l1kernels.kernels` — the kernel zoo with exact evaluation, per-family
-  admissibility metadata, and closed-form cardinal functions for the two
-  kernels where all four admissibility conditions are proven.
-- :mod:`l1kernels.gram` — validated point sets, Gram matrices with pivoted LU
-  factorization, and the cardinal-coefficient solves everything else uses.
+  admissibility metadata, validated point sets, and closed-form cardinal
+  functions for the two kernels where all four admissibility conditions are
+  proven.
+- :mod:`l1kernels.gram` — Gram matrices with pivoted LU factorization, and
+  the cardinal-coefficient solves everything else uses.
 - :mod:`l1kernels.admissibility` — numerical audits of the admissibility
   conditions (nonsingular Grams, boundedness, unit Lebesgue bound), the
   relaxed Lebesgue-constant estimator, and the one-point-extension norm.

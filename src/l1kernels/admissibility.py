@@ -33,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, DuplicatePoints, SingularGram
-from .gram import GramSystem, PointSet, _scratch, build_system
-from .kernels import Interval, KernelSpec
+from .gram import GramSystem, _scratch, build_system
+from .kernels import Interval, KernelSpec, PointSet
 from .streams import _check_count, stream
 
 __all__ = [
@@ -171,6 +171,7 @@ def profile_grid(domain: Interval, num: int = GRID_SIZE, points=None) -> np.ndar
 
     Midpoints are included because the closed-form cardinal functions show
     the Lebesgue extrema landing between nodes; open endpoints are trimmed.
+    points is a PointSet, or an array checked as one.
     """
     if not domain.bounded:
         raise ValueError(f"need a bounded interval to build a grid, got {domain}")
@@ -179,7 +180,9 @@ def profile_grid(domain: Interval, num: int = GRID_SIZE, points=None) -> np.ndar
     else:
         ts = np.linspace(domain.lo, domain.hi, num)
     if points is not None:
-        x = np.sort(np.asarray(getattr(points, "points", points), dtype=float))
+        if not isinstance(points, PointSet):
+            points = PointSet(points)
+        x = points.points[points.order]
         if x.size > 1:
             # halved before the sum, which then cannot overflow: the same bits
             # as 0.5 * (a + b) wherever that is finite, off the subnormal range

@@ -6,6 +6,10 @@ the CLI or the library rejects, which is a ValueError, and on a file the CLI
 cannot read or write (an OSError); 2 on any other library error: a
 numerically singular matrix, coincident points, or a refused kernel
 operation. Either error is one line on stderr.
+Every output file a subcommand names (--out, --json, --dump-gram) is opened,
+or truncated, before any work, as shell redirection would be: an unwritable
+path exits 1 before anything runs, and a command that fails leaves its
+outputs empty.
 Log records of the library go to stderr at the level of -v/--log-level
 (warnings by default).
 """
@@ -13,6 +17,7 @@ Log records of the library go to stderr at the level of -v/--log-level
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -35,7 +40,6 @@ from .experiment import (
     csv_rows,
     run_experiment,
     summary_to_json,
-    write_csv,
 )
 
 _USAGE_EXIT = 1
@@ -43,6 +47,9 @@ _NUMERICAL_EXIT = 2
 
 # Fallback audit window for kernels living on the whole real line.
 _DEFAULT_WINDOW = (-3.0, 3.0)
+
+# The options that name a file a subcommand writes; main opens them.
+_OUTPUTS = ("out", "json", "dump_gram")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,13 +122,9 @@ def _audit_window(kernel: KernelSpec, window: str | None) -> Interval:
     return Interval(*_DEFAULT_WINDOW, lo_open=False, hi_open=False)
 
 
-def _write_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _write_json(obj, fh=None) -> None:
+    """Print obj as indented JSON to fh, an output main opened, or stdout."""
+    print(json.dumps(obj, indent=2), file=fh)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +161,7 @@ def _cmd_audit(args) -> int:
 
     if args.condition == "all":
         a3 = kernel.flags.a3
-        note = {
-            Status.PROVEN: "holds analytically",
-            Status.DISPROVEN: "fails analytically",
-            Status.UNKNOWN: "status unknown",
-        }[a3]
+        note = "holds analytically" if a3 is Status.PROVEN else "fails analytically"
         print(f"a3: {a3.value} ({note}; quantifies over infinite sequences, not numerically testable)")
 
     payload = {
@@ -206,15 +205,12 @@ def _cmd_experiment(args) -> int:
     settings = dict(n_points=args.n, trials=args.trials, mu_grid=mu_grid, master_seed=args.seed)
     noises = kinds.values() if args.noise == "all" else [kinds[args.noise]]
     configs = [ExperimentConfig(noise=noise, **settings) for noise in noises]
-    for path in (args.out, args.json):  # an unwritable path fails before the trials
-        if path:
-            open(path, "w").close()
     summaries = [run_experiment(config) for config in configs]
 
-    for line in csv_rows(summaries):
-        print(line)
+    text = "\n".join(csv_rows(summaries))
+    print(text)
     if args.out:
-        write_csv(summaries, args.out)
+        print(text, file=args.out)
     if args.json:
         _write_json([summary_to_json(s) for s in summaries], args.json)
     return 0
@@ -282,7 +278,13 @@ def main(argv=None) -> int:
     log.addHandler(stream)
     log.setLevel(args.log_level)
     try:
-        return handlers[args.command](args)
+        outputs = {name: getattr(args, name) for name in _OUTPUTS if getattr(args, name, None)}
+        if len({os.path.realpath(path) for path in outputs.values()}) < len(outputs):
+            raise ValueError(f"two outputs name the same file: {', '.join(outputs.values())}")
+        with contextlib.ExitStack() as files:
+            for name, path in outputs.items():  # the handler finds each one open in args
+                setattr(args, name, files.enter_context(open(path, "w", newline="\n")))
+            return handlers[args.command](args)
     except (ValueError, OSError) as exc:  # first: the library's input errors are ValueErrors too
         print(f"l1kernels {args.command}: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

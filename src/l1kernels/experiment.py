@@ -58,7 +58,6 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "summary_to_json",
-    "write_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -72,7 +71,7 @@ KERNEL = exponential()
 INTERVAL = (-1.0, 1.0)
 QUADRATURE_NODES = 2001
 
-# Column order of the CSV emitted by write_csv.
+# Column order of the CSV lines of csv_rows.
 CSV_HEADER = "noise,method,mean_error,mean_sparsity,max_sparsity,trials,seed"
 
 
@@ -418,9 +417,3 @@ def csv_rows(summaries: list[TrialSummary]) -> list[str]:
                 f"{agg.max_sparsity},{summary.config.trials},{summary.config.master_seed}"
             )
     return rows
-
-
-def write_csv(summaries: list[TrialSummary], path) -> None:
-    """Write the aggregate table; output is byte-identical for equal configs."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(csv_rows(summaries)) + "\n")

@@ -1,7 +1,7 @@
 """Gram systems: the dense linear algebra under every higher-level operation.
 
-A :class:`GramSystem` bundles a kernel, a validated point set, the Gram
-matrix K[x], its pivoted LU factorization, and a reciprocal condition
+A :class:`GramSystem` bundles a kernel, a point set (kernels.PointSet), the
+Gram matrix K[x], its pivoted LU factorization, and a reciprocal condition
 estimate.  Every zoo kernel satisfies K(s, t) == K(t, s) exactly in floating
 point, so K[x] is symmetric and one orientation serves both sides.
 
@@ -45,11 +45,10 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgecon, dgetri, dgetrs
 
-from .errors import DimensionMismatch, DuplicatePoints, SingularGram
-from .kernels import KernelSpec, _check_out
+from .errors import DimensionMismatch, SingularGram
+from .kernels import KernelSpec, PointSet, _check_out
 
 __all__ = [
-    "PointSet",
     "Side",
     "CoefficientVector",
     "GramSystem",
@@ -77,33 +76,6 @@ class Side(enum.Enum):
 
     LEFT = "left"
     RIGHT = "right"
-
-
-class PointSet:
-    """Ordered, pairwise-distinct real sample points, kept in user order."""
-
-    __slots__ = ("points", "min_spacing")
-
-    def __init__(self, points):
-        pts = np.array(points, dtype=float, copy=True).reshape(-1)
-        if pts.size == 0:
-            raise ValueError("a point set needs at least one point")
-        ordered = np.sort(pts)
-        if not np.isfinite(float(ordered[-1]) - float(ordered[0])):
-            raise ValueError("points must be finite and span a finite length")
-        spacing = np.diff(ordered)
-        if pts.size > 1 and not np.all(spacing > 0.0):
-            raise DuplicatePoints("point set contains coincident points")
-        pts.flags.writeable = False
-        self.points = pts
-        self.min_spacing = float(spacing.min()) if pts.size > 1 else np.inf
-
-    @property
-    def n(self) -> int:
-        return self.points.size
-
-    def __repr__(self) -> str:
-        return f"PointSet({self.points.tolist()!r})"
 
 
 @dataclass(frozen=True)

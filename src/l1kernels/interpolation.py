@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelMismatch, UnsupportedKernel
-from .gram import CoefficientVector, GramSystem, PointSet, Side
-from .kernels import KernelSpec, Status, kernel_to_json
+from .gram import CoefficientVector, GramSystem, Side
+from .kernels import KernelSpec, PointSet, Status, kernel_to_json
 
 __all__ = [
     "ExpansionFunction",

@@ -1,18 +1,20 @@
-"""Kernel zoo: evaluation, domains, and admissibility metadata.
+"""Kernel zoo: evaluation, domains, sample points and admissibility metadata.
 
 Every kernel is described by an immutable :class:`KernelSpec` (family +
 parameters + domain).  Evaluation is exact up to floating point and
-vectorizes over numpy arrays.  Each family carries static flags recording
-which of the four admissibility conditions
+vectorizes over numpy arrays.  Each family carries static flags recording,
+for each of the four admissibility conditions
 
     (A1) every Gram matrix on pairwise-distinct points is nonsingular,
     (A2) |K(s,t)| <= M for a known bound M,
     (A3) no nontrivial absolutely-summable expansion sums to zero,
     (A4) cardinal coefficient vectors have l1 norm at most 1,
 
-are settled analytically for it.  The two kernels with all four flags
-proven (exponential and Brownian bridge) also expose closed-form cardinal
-functions, used as oracles against the numeric linear-algebra path.
+whether it is proven or disproven for that family on its domain.  The two
+kernels with all four flags proven (exponential and Brownian bridge) also
+expose closed-form cardinal functions, used as oracles against the numeric
+linear-algebra path.  A sample is a :class:`PointSet`, the one place that
+checks sample points and orders them.
 
 A4 holds for both because they are Gauss-Markov covariances (Mehr & McFadden
 1965), K(s, t) = p(min(s, t)) q(max(s, t)) with p, q > 0 and r = p/q
@@ -42,6 +44,27 @@ zero: if f = sum_j c_j phi(. - x_j) = 0 on R (c in l1, x_j distinct), then
 f-hat = phi-hat h with h(w) = sum_j c_j exp(-i w x_j) = 0, and the Bohr mean
 lim_T (1/2T) int_{-T}^{T} h(w) exp(i w x_k) dw = c_k gives c = 0.  Sinc's
 transform is a box, zero for |w| > pi, and its A3 fails.
+
+A3 holds on every domain X, an interval with a nonempty interior, for the
+exponential, Brownian bridge and wendland_d3_k1 kernels, by their
+derivatives as distributions.  Let f = sum_j c_j K(x_j, .), c in l1 and the
+x_j distinct in X, vanish on X, and let mu = sum_j c_j delta_{x_j}, a finite
+atomic measure with mass c_j at x_j.  The sum converges uniformly, so it may
+be differentiated term by term:
+
+    exponential:      f'' = f - 2 mu,
+    Brownian bridge:  f'' = -mu, on (0, 1), which holds X,
+    wendland_d3_k1:   f^(4) = 240 mu + G.
+
+For the last, phi(u) = 1 - 10u^2 + 20|u|^3 - 15u^4 + 4|u|^5 on |u| <= 1 is
+C^3 at |u| = 1, and phi^(4) = 240 delta_0 + g with g = 480|u| - 360 inside
+and 0 outside, so G = sum_j c_j g(. - x_j) is bounded by 360 ||c||_1.  On
+the interior of X, f = 0 leaves mu = 0 in the first two cases, and in the
+third 240 mu = -G, an atomic measure equal to a bounded function, so mu = 0
+there as well.  Every c_j with x_j interior is then 0.  At most the two
+endpoints a < b of X remain, and evaluating f there gives
+K[(a, b)] (c_a, c_b) = 0 with K[(a, b)] nonsingular (A1; for
+wendland_d3_k1, phi(b - a) < 1), so c = 0.
 """
 
 from __future__ import annotations
@@ -59,6 +82,7 @@ __all__ = [
     "Status",
     "AdmissibilityFlags",
     "Interval",
+    "PointSet",
     "KernelSpec",
     "exponential",
     "brownian_bridge",
@@ -84,18 +108,18 @@ class Status(enum.Enum):
 
     PROVEN = "proven"
     DISPROVEN = "disproven"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class AdmissibilityFlags:
-    a1: Status = Status.UNKNOWN
-    a2: Status = Status.UNKNOWN
-    a3: Status = Status.UNKNOWN
-    a4: Status = Status.UNKNOWN
+    a1: Status
+    a2: Status
+    a3: Status
+    a4: Status
 
 
 _ALL_PROVEN = AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.PROVEN, Status.PROVEN)
+_A4_DISPROVEN = AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.PROVEN, Status.DISPROVEN)
 
 
 @dataclass(frozen=True)
@@ -133,6 +157,38 @@ class Interval:
 
 _REAL_LINE = Interval()
 _UNIT_OPEN = Interval(0.0, 1.0, lo_open=True, hi_open=True)
+
+
+class PointSet:
+    """Pairwise-distinct real sample points spanning a finite length, kept in
+    user order; order is the stable argsort that sorts them, so
+    points[order] is the sorted sample.  Both arrays are read-only."""
+
+    __slots__ = ("points", "order", "min_spacing")
+
+    def __init__(self, points):
+        pts = np.array(points, dtype=float, copy=True).reshape(-1)
+        if pts.size == 0:
+            raise ValueError("a point set needs at least one point")
+        order = np.argsort(pts, kind="stable")
+        ordered = pts[order]
+        if not np.isfinite(float(ordered[-1]) - float(ordered[0])):
+            raise ValueError("points must be finite and span a finite length")
+        spacing = np.diff(ordered)
+        if pts.size > 1 and not np.all(spacing > 0.0):
+            raise DuplicatePoints("point set contains coincident points")
+        pts.flags.writeable = False
+        order.flags.writeable = False
+        self.points = pts
+        self.order = order
+        self.min_spacing = float(spacing.min()) if pts.size > 1 else np.inf
+
+    @property
+    def n(self) -> int:
+        return self.points.size
+
+    def __repr__(self) -> str:
+        return f"PointSet({self.points.tolist()!r})"
 
 
 @dataclass(frozen=True)
@@ -263,8 +319,9 @@ _EVALUATORS = {
 
 
 def exponential(domain: Interval | None = None) -> KernelSpec:
-    """K(s,t) = exp(-|s-t|), all four admissibility conditions proven; A4 by
-    the module docstring's Markov argument, with p = e^s and q = e^-s."""
+    """K(s,t) = exp(-|s-t|), all four admissibility conditions proven; A3 and
+    A4 by the module docstring's distributional and Markov arguments, with
+    p = e^s and q = e^-s."""
     return KernelSpec(
         family=Family.EXPONENTIAL,
         domain=domain or _REAL_LINE,
@@ -274,8 +331,9 @@ def exponential(domain: Interval | None = None) -> KernelSpec:
 
 
 def brownian_bridge(domain: Interval | None = None) -> KernelSpec:
-    """K(s,t) = min(s,t) - s*t on (0,1), all four conditions proven; A4 by the
-    module docstring's Markov argument, with p = s and q = 1 - s."""
+    """K(s,t) = min(s,t) - s*t on (0,1), all four conditions proven; A3 and A4
+    by the module docstring's distributional and Markov arguments, with p = s
+    and q = 1 - s."""
     dom = domain or _UNIT_OPEN
     inside = (
         dom.lo >= 0.0
@@ -303,7 +361,7 @@ def gaussian(sigma: float = 1.0, domain: Interval | None = None) -> KernelSpec:
     return KernelSpec(
         family=Family.GAUSSIAN,
         domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.PROVEN, Status.DISPROVEN),
+        flags=_A4_DISPROVEN,
         bound=1.0,
         sigma=float(sigma),
     )
@@ -313,21 +371,16 @@ def wendland_d3_k1(domain: Interval | None = None) -> KernelSpec:
     """Compactly supported kernel (1-r)_+^4 (1+4r) with r = |s-t|.
 
     A1 and A2 by reference (strictly positive definite on R^3, Wendland 2005,
-    ch. 9).  A3 on the whole line by the module docstring's transform argument:
-    phi-hat(w) = 240 (w^2 + w sin w + 4 cos w - 4) / w^6, which equals
-    (1/2pi) int_|w|^inf s phi3-hat(s) ds > 0 for the 3-D transform phi3-hat > 0
-    (Wendland 2005, ch. 10); unknown on other domains, where an expansion need
-    vanish only on part of R.  Fails the unit Lebesgue bound (A4).  Witness:
-    on x = (0, 0.2) at t = -0.159 the cardinal coefficients are
-    (1.1288, -0.4210), so L(t) = 1.54975, with rcond 0.151; 50-digit
-    arithmetic agrees.
+    ch. 9).  A3 on every domain by the module docstring's distributional
+    argument: phi^(4) is 240 delta_0 plus a bounded function.  Fails the unit
+    Lebesgue bound (A4).  Witness: on x = (0, 0.2) at t = -0.159 the cardinal
+    coefficients are (1.1288, -0.4210), so L(t) = 1.54975, with rcond 0.151;
+    50-digit arithmetic agrees.
     """
-    dom = domain or _REAL_LINE
-    a3 = Status.PROVEN if dom.lo == -math.inf and dom.hi == math.inf else Status.UNKNOWN
     return KernelSpec(
         family=Family.WENDLAND_D3_K1,
-        domain=dom,
-        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, a3, Status.DISPROVEN),
+        domain=domain or _REAL_LINE,
+        flags=_A4_DISPROVEN,
         bound=1.0,
     )
 
@@ -425,9 +478,9 @@ def closed_form_cardinal(kernel: KernelSpec, points, t: float) -> np.ndarray:
         Exponential or Brownian bridge spec; any other family raises
         UnsupportedKernel.
     points : PointSet or array_like
-        Nonempty 1-D, pairwise-distinct sample points spanning a finite
-        length (any order; the result is returned in the same order).
-        Coincident points raise DuplicatePoints, other bad points ValueError.
+        Sample points in any order; an array is checked as PointSet checks
+        it, so coincident points raise DuplicatePoints and other bad points
+        ValueError.
     t : float
         Evaluation point inside the kernel domain.
 
@@ -441,18 +494,11 @@ def closed_form_cardinal(kernel: KernelSpec, points, t: float) -> np.ndarray:
         raise UnsupportedKernel(
             f"no closed-form cardinal functions for the {kernel.name} kernel"
         )
-    x_user = np.asarray(getattr(points, "points", points), dtype=float)
-    if x_user.ndim != 1 or x_user.size == 0:
-        raise ValueError("points must be a nonempty 1-D sequence")
-    kernel._check_domain(x_user, t)
-    order = np.argsort(x_user, kind="stable")
-    x = x_user[order]
-    if not math.isfinite(float(x[-1]) - float(x[0])):
-        raise ValueError("points must span a finite length")
-    if not np.all(np.diff(x) > 0.0):
-        raise DuplicatePoints("point set contains coincident points")
-    out = np.zeros_like(x)
-    out[order] = _markov_cardinal(row, x, float(t))
+    if not isinstance(points, PointSet):
+        points = PointSet(points)
+    kernel._check_domain(points.points, t)
+    out = np.zeros(points.n)
+    out[points.order] = _markov_cardinal(row, points.points[points.order], float(t))
     return out
 
 

@@ -239,6 +239,23 @@ def test_profile_grid_open_endpoints_and_midpoints():
         profile_grid(Interval(), 101)
 
 
+def test_a_point_set_and_its_points_give_the_same_bits():
+    # profile_grid and closed_form_cardinal read a PointSet's order, and
+    # build a PointSet from an array: the same checks and the same sample
+    rng = np.random.default_rng(3)
+    window = Interval(0.0, 1.0, lo_open=False, hi_open=True)
+    for n in (1, 2, 7, 40):
+        x = rng.uniform(0.01, 0.99, n)
+        ps = PointSet(x)
+        assert profile_grid(window, 101, ps).tobytes() == profile_grid(window, 101, x).tobytes()
+        for kernel in (exponential(), brownian_bridge()):
+            for t in (0.005, 0.5, 0.995, float(x[-1])):
+                expected = closed_form_cardinal(kernel, x, t)
+                assert closed_form_cardinal(kernel, ps, t).tobytes() == expected.tobytes()
+    with pytest.raises(DuplicatePoints, match="coincident"):
+        profile_grid(window, 101, [0.1, 0.1])
+
+
 # ---------------------------------------------------------------------------
 # audits
 
@@ -357,7 +374,7 @@ def test_audit_a2_is_inconclusive_on_a_value_that_is_not_finite(monkeypatch):
     [
         (lambda: audit_a2(exponential(), np.zeros((3, 3))), ValueError, r"nonempty \(m, 2\) array"),
         (lambda: section(exponential(), 0.0, Side.LEFT).grid_sup_norm([]), ValueError, "grid must be nonempty"),
-        (lambda: closed_form_cardinal(exponential(), [], 0.0), ValueError, "nonempty 1-D sequence"),
+        (lambda: closed_form_cardinal(exponential(), [], 0.0), ValueError, "needs at least one point"),
         # K[x] is singular on coincident points, as PointSet and build_system say
         (lambda: closed_form_cardinal(exponential(), [0.3, 0.3, 0.5], 0.4), DuplicatePoints, "coincident"),
         (lambda: closed_form_cardinal(exponential(), [0.0, 0.0], 0.5), DuplicatePoints, "coincident"),

@@ -471,8 +471,44 @@ def test_files_the_cli_cannot_read_or_write_are_usage_errors(tmp_path, capsys):
         ("audit", "--kernel", "exponential", "--trials", "1", "--condition", "a1", "--out", missing),
     ):
         assert run_cli(*argv) == 1, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "", argv  # no verdict line, CSV row or fit before the error
         assert err.startswith(f"l1kernels {argv[0]}: error: [Errno ") and len(err.splitlines()) == 1, err
+
+
+def test_every_named_output_is_opened_before_any_work(tmp_path, capsys, monkeypatch):
+    # main opens (truncates) each output a subcommand names before its handler
+    # runs, as shell redirection would: one it cannot open stops the command
+    # before any work, and a command that fails leaves its outputs empty
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the outputs were opened")
+
+    for owner, name in ((cli, "build_system"), (cli, "run_experiment"), (cli.adm, "audit_a1"),
+                        (cli.adm, "audit_a2"), (cli.adm, "audit_a4")):
+        monkeypatch.setattr(owner, name, no_work)
+    missing = str(tmp_path / "missing" / "f.json")
+    gram, csv = tmp_path / "g.json", tmp_path / "x.csv"
+    fit = ("fit", "--kernel", "exponential", "--points", "0,1", "--values", "1,2", "--mu", "0.1", "--method", "rkbs")
+    csv.write_text("stale\n")
+    for argv in (
+        fit + ("--dump-gram", str(gram), "--out", missing),
+        ("experiment", "--out", str(csv), "--json", missing),
+        ("audit", "--kernel", "exponential", "--out", missing),
+    ):
+        assert run_cli(*argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"l1kernels {argv[0]}: error: [Errno "), err
+    assert not gram.exists() or gram.read_text() == ""
+    assert csv.read_text() == ""  # opened, so truncated, before --json failed
+    # two options naming one file would interleave their writes
+    assert run_cli("experiment", "--out", str(csv), "--json", str(tmp_path / "." / "x.csv")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "two outputs name the same file" in err
+    # a command that fails after opening its outputs leaves them empty
+    monkeypatch.undo()
+    gram.write_text("stale\n")
+    assert run_cli(*fit[:4], "0,0", *fit[5:], "--dump-gram", str(gram)) == 2
+    assert gram.read_text() == ""
 
 
 # ---------------------------------------------------------------------------

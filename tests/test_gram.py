@@ -34,6 +34,7 @@ def test_point_set_validation():
     ps = PointSet([0.3, 0.1, 0.2])
     assert ps.n == 3
     assert np.array_equal(ps.points, [0.3, 0.1, 0.2])  # user order kept
+    assert np.array_equal(ps.order, [1, 2, 0])  # points[order] is sorted
     assert ps.min_spacing == pytest.approx(0.1)
     with pytest.raises(DuplicatePoints):
         PointSet([0.1, 0.2, 0.1])
@@ -57,6 +58,8 @@ def test_point_set_immutable():
     ps = PointSet([0.0, 1.0])
     with pytest.raises(ValueError):
         ps.points[0] = 5.0
+    with pytest.raises(ValueError):
+        ps.order[0] = 1
 
 
 def test_coefficient_vector():

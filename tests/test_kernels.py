@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1kernels import (
+    AdmissibilityFlags,
     DomainError,
     Family,
     Interval,
@@ -251,16 +252,22 @@ def test_admissibility_metadata():
         assert k.flags.a1 is Status.PROVEN and k.flags.a2 is Status.PROVEN
         assert k.flags.a4 is Status.DISPROVEN
     assert sinc().flags.a3 is Status.DISPROVEN
-    # A3 by a transform with no zero: the Gaussian's sums are entire, so it
-    # holds on every domain; the Wendland kernel's argument needs the whole line
-    for domain in (None, Interval(-1.0, 1.0), Interval(0.0, math.inf)):
+    # A3 on every domain: the Gaussian by a transform with no zero (its sums
+    # are entire), the Wendland kernel by its fourth derivative's atom at 0
+    domains = (
+        None, Interval(-1.0, 1.0), Interval(0.0, math.inf), Interval(-math.inf, 2.0),
+        Interval(-math.inf, math.inf, lo_open=False, hi_open=False),
+    )
+    for domain in domains:
         assert gaussian(0.5, domain).flags.a3 is Status.PROVEN
-    assert wendland_d3_k1().flags.a3 is Status.PROVEN
-    assert wendland_d3_k1(Interval(-math.inf, math.inf, lo_open=False, hi_open=False)).flags.a3 is Status.PROVEN
-    for domain in (Interval(-1.0, 1.0), Interval(0.0, math.inf), Interval(-math.inf, 2.0)):
         kernel = wendland_d3_k1(domain)
-        assert kernel.flags.a3 is Status.UNKNOWN
+        assert kernel.flags == AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.PROVEN, Status.DISPROVEN)
         assert kernel_from_json(kernel_to_json(kernel)) == kernel
+    # the two Markov kernels: A3 by their second derivatives, on any domain
+    closed = Interval(0.2, 0.6, lo_open=False, hi_open=False)
+    for k in (exponential(Interval(-1.0, 1.0)), exponential(closed), brownian_bridge(closed)):
+        assert k.flags == AdmissibilityFlags(*[Status.PROVEN] * 4)
+    assert list(Status) == [Status.PROVEN, Status.DISPROVEN]
 
 
 def test_wendland_d3_k1_a4_witness():
@@ -295,15 +302,14 @@ def test_sinc_a4_witness():
 
 
 def test_every_family_is_registered_and_verdicted():
-    # a family with no constructor, no evaluator, no JSON round trip or no
-    # settled condition cannot join (or stay in) the zoo unnoticed
+    # a family with no constructor, no evaluator or no JSON round trip cannot
+    # join (or stay in) the zoo unnoticed; AdmissibilityFlags has no default
+    # and Status only PROVEN and DISPROVEN, so every condition is verdicted
     for family in Family:
         assert family in _EVALUATORS and family in _CONSTRUCTORS, family
         kernel = _CONSTRUCTORS[family]()
         assert kernel.family is family
         assert kernel_from_json(kernel_to_json(kernel)) == kernel
-        flags = [getattr(kernel.flags, a) for a in ("a1", "a2", "a3", "a4")]
-        assert any(f is not Status.UNKNOWN for f in flags), family
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,17 @@ def test_every_error_class_has_a_raise_site():
     errors = importlib.import_module("l1kernels.errors")
     classes = set(exported(errors)) - {"L1KernelsError"}
     assert classes <= raised, sorted(classes - raised)
+
+
+def test_only_the_cli_opens_files():
+    # the library computes and returns; reading and writing files is the
+    # CLI's, so no other module may call open (builtin or a .open method)
+    openers = []
+    for path in Path(l1kernels.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    openers.append(path.name)
+    assert openers and set(openers) == {"cli.py"}, sorted(openers)

@@ -134,7 +134,6 @@ class AuditReport:
 class LebesgueProfile:
     """L(t) sampled over a grid, with the grid supremum and its location."""
 
-    grid: np.ndarray
     values: np.ndarray
     max_value: float
     argmax: float
@@ -155,7 +154,7 @@ def lebesgue_constant(system: GramSystem, grid) -> LebesgueProfile:
     The (n, m) cardinal matrix, and the kernel section under it, live in
     the calling thread's workspace (gram._scratch: kept per thread up to
     gram.WORKSPACE_ENTRIES entries each, allocated per call above), so a
-    profile allocates about its m values; the returned arrays are its own.
+    profile allocates about its m values, which it returns as its own.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
@@ -163,22 +162,24 @@ def lebesgue_constant(system: GramSystem, grid) -> LebesgueProfile:
     coeffs = system.cardinal_matrix(grid, out=_scratch("cardinal", (system.n, grid.size)))
     values = np.abs(coeffs, out=coeffs).sum(axis=0)
     i = int(np.argmax(values))
-    return LebesgueProfile(grid=grid, values=values, max_value=float(values[i]), argmax=float(grid[i]))
+    return LebesgueProfile(values=values, max_value=float(values[i]), argmax=float(grid[i]))
 
 
-def profile_grid(domain: Interval, num: int = GRID_SIZE, points=None) -> np.ndarray:
-    """Uniform grid over a bounded domain plus midpoints of adjacent points.
+def profile_grid(domain: Interval, grid_size: int = GRID_SIZE, points=None) -> np.ndarray:
+    """Uniform grid of grid_size >= 2 nodes over a bounded domain plus
+    midpoints of adjacent points.
 
     Midpoints are included because the closed-form cardinal functions show
     the Lebesgue extrema landing between nodes; open endpoints are trimmed.
     points is a PointSet, or an array checked as one.
     """
+    grid_size = _check_count("grid_size", grid_size, 2)
     if not domain.bounded:
         raise ValueError(f"need a bounded interval to build a grid, got {domain}")
     if domain.lo_open or domain.hi_open:
-        ts = np.linspace(domain.lo, domain.hi, num + 2)[1:-1]
+        ts = np.linspace(domain.lo, domain.hi, grid_size + 2)[1:-1]
     else:
-        ts = np.linspace(domain.lo, domain.hi, num)
+        ts = np.linspace(domain.lo, domain.hi, grid_size)
     if points is not None:
         if not isinstance(points, PointSet):
             points = PointSet(points)
@@ -297,9 +298,10 @@ def _sampled_audit(condition, kernel, generator, trials, master_seed, measure, f
 
 
 def _lebesgue_measure(kernel: KernelSpec, generator, domain: Interval | None, grid_size: int):
-    """Trial measure of the Lebesgue audits: grid supremum of L and its location."""
-    grid_size = _check_count("grid_size", grid_size, 2)
+    """Trial measure of the Lebesgue audits: grid supremum of L and its
+    location.  The grid's rules are profile_grid's, checked before any trial."""
     domain = domain or getattr(generator, "domain", None) or kernel.domain
+    profile_grid(domain, grid_size)
 
     def measure(ps: PointSet, system: GramSystem):
         prof = lebesgue_constant(system, profile_grid(domain, grid_size, ps))

@@ -40,7 +40,7 @@ import numpy as np
 from .gram import build_system
 from .interpolation import ExpansionFunction
 from .kernels import exponential, kernel_to_json
-from .solvers import FitResult, LassoConfig, LassoSolver, RidgeSolver
+from .solvers import FitResult, LassoConfig, LassoSolver, RidgeSolver, _check_weight
 from .streams import _check_count, stream
 
 __all__ = [
@@ -101,10 +101,10 @@ _SCALES = {NoiseKind.GAUSSIAN: "variance", NoiseKind.UNIFORM: "halfwidth", Noise
 class NoiseModel:
     """Additive noise of one kind and one scale: a centered normal with
     variance scale, a centered uniform on [-scale, scale], or two-point
-    noise, +/- scale on every sample; corrupt_fraction below 1 switches the
-    last to the sparse-corruption reading, where each sample is hit
-    independently with that probability and left clean otherwise.  The
-    classmethods and params() name the scale for its kind.
+    noise, +/- scale on every sample; corrupt_fraction below 1, which only
+    pepper noise takes, switches it to the sparse-corruption reading, where
+    each sample is hit independently with that probability and left clean
+    otherwise.  The classmethods and params() name the scale for its kind.
     """
 
     kind: NoiseKind
@@ -116,6 +116,10 @@ class NoiseModel:
             raise ValueError(f"{_SCALES[self.kind]} must be finite and positive")
         if not 0.0 < self.corrupt_fraction <= 1.0:
             raise ValueError("corrupt_fraction must be in (0, 1]")
+        if self.corrupt_fraction != 1.0 and self.kind is not NoiseKind.PEPPER_SAUCE:
+            raise ValueError(f"corrupt_fraction applies to pepper noise only, not {self.kind.value}")
+        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "corrupt_fraction", float(self.corrupt_fraction))
 
     @classmethod
     def gaussian(cls, variance: float = 0.01) -> "NoiseModel":
@@ -167,10 +171,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, minimum in (("n_points", 2), ("trials", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
-        if len(self.mu_grid) == 0 or not all(0 <= m < math.inf for m in self.mu_grid):
-            raise ValueError("mu_grid must be nonempty with finite nonnegative entries")
-        if len(set(self.mu_grid)) < len(self.mu_grid):
-            raise ValueError(f"mu_grid must not repeat a weight, got {self.mu_grid}")
+        object.__setattr__(self, "mu_grid", tuple(_check_weight(m) for m in self.mu_grid))
+        if not 0 < len(set(self.mu_grid)) == len(self.mu_grid):
+            raise ValueError(f"mu_grid must be nonempty and must not repeat a weight, got {self.mu_grid}")
 
 
 @dataclass(frozen=True)
@@ -251,8 +254,7 @@ def _trapezoid_rms(values: np.ndarray, reference: np.ndarray, dx: float) -> floa
 def l2_error(f: ExpansionFunction, interval: tuple[float, float], nodes: int) -> float:
     """L2([a,b]) distance between an expansion and the target, by the
     composite trapezoid rule on `nodes` uniform quadrature nodes."""
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
+    nodes = _check_count("nodes", nodes, 2)
     a, b = interval
     ts = np.linspace(a, b, nodes)
     return _trapezoid_rms(np.asarray(f.evaluate(ts)), target_function(ts), dx=(b - a) / (nodes - 1))
@@ -334,7 +336,7 @@ _local = threading.local()  # each thread's last workbench: solvers hold state
 
 def _workbench(config: ExperimentConfig) -> _Workbench:
     """This thread's workbench for config's n_points and mu grid."""
-    key = (config.n_points, tuple(float(m) for m in config.mu_grid))
+    key = (config.n_points, config.mu_grid)
     if getattr(_local, "bench", None) is None or _local.bench.key != key:
         _local.bench = _Workbench(*key)
     return _local.bench

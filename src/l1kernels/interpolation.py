@@ -61,13 +61,16 @@ def _require_unit_lebesgue(kernel: KernelSpec, what: str) -> None:
 
 @dataclass(frozen=True)
 class ExpansionFunction:
-    """A finite kernel expansion with side-tagged coefficients."""
+    """A finite kernel expansion with side-tagged coefficients; points is a
+    PointSet, or an array checked as one."""
 
     kernel: KernelSpec
     points: PointSet
     coefficients: CoefficientVector
 
     def __post_init__(self):
+        if not isinstance(self.points, PointSet):
+            object.__setattr__(self, "points", PointSet(self.points))
         if self.coefficients.n != self.points.n:
             raise ValueError(
                 f"{self.coefficients.n} coefficients for {self.points.n} points"
@@ -117,8 +120,6 @@ class ExpansionFunction:
 
 def expansion(kernel: KernelSpec, points, values, side: Side) -> ExpansionFunction:
     """Build an expansion from raw points and coefficients."""
-    if not isinstance(points, PointSet):
-        points = PointSet(points)
     return ExpansionFunction(kernel, points, CoefficientVector(np.asarray(values, float), side))
 
 

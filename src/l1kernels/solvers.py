@@ -110,7 +110,7 @@ class LassoConfig:
     mu: float
 
     def __post_init__(self):
-        _check_weight(self.mu)
+        object.__setattr__(self, "mu", _check_weight(self.mu))
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def kkt_residual(system: GramSystem, y, mu: float, c) -> float:
     """Maximum violation of the subgradient optimality conditions at c."""
     y = _data_vector(y, system.n)
     c = _data_vector(c, system.n, "coefficients")
-    _check_weight(mu)
+    mu = _check_weight(mu)
     a = system.gram
     grad = 2.0 * (a.T @ (a @ c - y))
     return _kkt_from_gradient(grad, mu, c)
@@ -191,11 +191,14 @@ def _data_vector(y, n: int, name: str = "data") -> np.ndarray:
     return y
 
 
-def _check_weight(mu: float) -> None:
+def _check_weight(mu: float) -> float:
+    """Reject a weight that is negative or not finite, before any work.
+    Returns the weight as a Python float, which JSON can write."""
     if mu < 0:
         raise NegativeMu(f"regularization weight must be nonnegative, got {mu}")
     if not math.isfinite(mu):
         raise ValueError(f"regularization weight must be finite, got {mu}")
+    return float(mu)
 
 
 def _append_column(qb: np.ndarray, rb: np.ndarray, m: int, v: np.ndarray) -> None:
@@ -561,7 +564,7 @@ class RidgeSolver:
     def solve(self, y, mu: float) -> FitResult:
         system = self.system
         y = _data_vector(y, system.n)
-        _check_weight(mu)
+        mu = _check_weight(mu)
         factorization = self._factorizations.get(mu)
         if factorization is None:
             factorization, _ = _lu_factor_gated(

@@ -29,6 +29,7 @@ from l1kernels import (
     exponential,
     extension_norm,
     gaussian,
+    l2_error,
     lebesgue_constant,
     lebesgue_function,
     pair_grid,
@@ -85,7 +86,8 @@ def test_lebesgue_constant_profile_invariants():
     assert np.all(prof.values >= 0.0)
     assert prof.max_value == prof.values.max()
     assert prof.max_value <= 1.0 + 1e-9  # admissible kernel
-    assert prof.argmax in prof.grid
+    assert prof.argmax in grid
+    assert not any(np.shares_memory(grid, value) for value in vars(prof).values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,11 +381,18 @@ def test_audit_a2_is_inconclusive_on_a_value_that_is_not_finite(monkeypatch):
         (lambda: closed_form_cardinal(exponential(), [0.3, 0.3, 0.5], 0.4), DuplicatePoints, "coincident"),
         (lambda: closed_form_cardinal(exponential(), [0.0, 0.0], 0.5), DuplicatePoints, "coincident"),
         (lambda: closed_form_cardinal(exponential(), [-1e308, 1e308], 0.0), ValueError, "finite length"),
+        # counts are checked by their owner, which names them, before any work
+        (lambda: profile_grid(EXP_WINDOW, 0), ValueError, "grid_size must be >= 2, got 0"),
+        (lambda: profile_grid(EXP_WINDOW, 1), ValueError, "grid_size must be >= 2, got 1"),
+        (lambda: profile_grid(EXP_WINDOW, 2.5), ValueError, "grid_size must be an integer, got 2.5"),
+        (lambda: l2_error(section(exponential(), 0.0, Side.LEFT), (-1.0, 1.0), 2.5), ValueError,
+         "nodes must be an integer, got 2.5"),
     ],
     ids=[
         "audit_a2-grid-shape", "grid_sup_norm-empty", "closed_form_cardinal-no-points",
         "closed_form_cardinal-coincident-points", "closed_form_cardinal-coincident-pair",
-        "closed_form_cardinal-infinite-span",
+        "closed_form_cardinal-infinite-span", "profile_grid-no-nodes", "profile_grid-one-node",
+        "profile_grid-fractional-size", "l2_error-fractional-nodes",
     ],
 )
 def test_empty_or_misshapen_input_is_rejected(call, error, message):
@@ -397,6 +406,18 @@ def test_sampling_needs_a_window_of_finite_length():
         RandomPointSets(window)
     with pytest.raises(ValueError, match="bounded"):
         profile_grid(window)
+    # a generator with no domain leaves the grid to the kernel's, here all of
+    # R: the audit fails on the grid's rule before it draws a point set
+    draws = []
+
+    def generator(rng):
+        draws.append(rng)
+        return PointSet([0.0, 1.0])
+
+    for audit in (audit_a4, audit_relaxed_a4):
+        with pytest.raises(ValueError, match="bounded"):
+            audit(exponential(), generator, grid_size=11, trials=1)
+    assert draws == []
 
 
 def test_audit_a4_passes_for_admissible_kernels():

@@ -103,6 +103,10 @@ def test_noise_model_validation():
         NoiseModel.pepper_sauce(corrupt_fraction=0.0)
     with pytest.raises(ValueError):
         NoiseModel.pepper_sauce(corrupt_fraction=1.5)
+    # only pepper noise spares samples: a fraction would be reported, not drawn
+    for kind in (NoiseKind.GAUSSIAN, NoiseKind.UNIFORM):
+        with pytest.raises(ValueError, match="pepper noise only"):
+            NoiseModel(kind, 0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +606,13 @@ def test_numpy_integer_counts_reach_the_json_as_ints():
     assert type(cfg.n_points) is type(cfg.trials) is type(cfg.master_seed) is int
     points = RandomPointSets(window, n_range=(np.int32(2), np.int64(4)))
     assert type(points.n_range[0]) is type(points.n_range[1]) is int
+    # and every weight and noise parameter as a Python float
+    for noise in (NoiseModel.gaussian(np.float32(0.01)), NoiseModel.pepper_sauce(0.1, np.float32(0.5))):
+        cfg = ExperimentConfig(n_points=10, trials=1, mu_grid=(np.float32(0.1), np.int64(1)), noise=noise)
+        obj = json.loads(json.dumps(summary_to_json(run_experiment(cfg))))["config"]
+        assert obj["mu_grid"] == [float(np.float32(0.1)), 1.0]
+        assert obj["noise"] == {"kind": noise.label, **noise.params()}
+        assert all(type(v) is float for v in (*cfg.mu_grid, noise.scale, noise.corrupt_fraction))
 
 
 def test_config_to_json_pins_the_benchmark_design():

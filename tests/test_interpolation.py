@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1kernels import (
+    CoefficientVector,
+    ExpansionFunction,
     KernelMismatch,
     Side,
     UnsupportedKernel,
@@ -227,6 +229,18 @@ def test_bilinear_form_errors():
 def test_expansion_length_mismatch():
     with pytest.raises(ValueError):
         expansion(exponential(), [0.0, 1.0], [1.0], Side.LEFT)
+
+
+def test_expansion_function_takes_raw_points_as_expansion_does():
+    points, values = np.array([0.7, -0.2, 1.5]), np.array([1.0, -2.0, 0.5])
+    f = ExpansionFunction(exponential(), points, CoefficientVector(values, Side.RIGHT))
+    g = expansion(exponential(), points, values, Side.RIGHT)
+    assert f.kernel == g.kernel and f.side is g.side
+    assert f.points.min_spacing == g.points.min_spacing
+    for a, b in ((f.points.points, g.points.points), (f.points.order, g.points.order),
+                 (f.coefficients.values, g.coefficients.values)):
+        assert np.array_equal(a, b)
+    assert not np.shares_memory(f.points.points, points)
 
 
 def test_to_json():

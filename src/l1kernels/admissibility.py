@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, DuplicatePoints, SingularGram
-from .gram import GramSystem, _scratch, build_system
+from .gram import GramSystem, _check_grid, _scratch, build_system
 from .kernels import Interval, KernelSpec, PointSet
 from .streams import _check_count, stream
 
@@ -156,9 +156,7 @@ def lebesgue_constant(system: GramSystem, grid) -> LebesgueProfile:
     gram.WORKSPACE_ENTRIES entries each, allocated per call above), so a
     profile allocates about its m values, which it returns as its own.
     """
-    grid = np.asarray(grid, dtype=float).reshape(-1)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
+    grid = _check_grid(grid)
     coeffs = system.cardinal_matrix(grid, out=_scratch("cardinal", (system.n, grid.size)))
     values = np.abs(coeffs, out=coeffs).sum(axis=0)
     i = int(np.argmax(values))

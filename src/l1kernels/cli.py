@@ -65,7 +65,7 @@ def _parse_kernel(text: str) -> KernelSpec:
         if text.startswith("{"):
             return kernel_from_json(json.loads(text))
         return kernel_from_json({"family": text, "params": {}})
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    except ValueError as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"bad --kernel value: {exc}")
 
 

@@ -41,7 +41,7 @@ from .gram import build_system
 from .interpolation import ExpansionFunction
 from .kernels import exponential, kernel_to_json
 from .solvers import FitResult, LassoConfig, LassoSolver, RidgeSolver, _check_weight
-from .streams import _check_count, stream
+from .streams import _check_count, _check_real, stream
 
 __all__ = [
     "NoiseKind",
@@ -112,14 +112,16 @@ class NoiseModel:
     corrupt_fraction: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
+        scale = _check_real(_SCALES[self.kind], self.scale)
+        fraction = _check_real("corrupt_fraction", self.corrupt_fraction)
+        if not 0 < scale < math.inf:
             raise ValueError(f"{_SCALES[self.kind]} must be finite and positive")
-        if not 0.0 < self.corrupt_fraction <= 1.0:
+        if not 0.0 < fraction <= 1.0:
             raise ValueError("corrupt_fraction must be in (0, 1]")
-        if self.corrupt_fraction != 1.0 and self.kind is not NoiseKind.PEPPER_SAUCE:
+        if fraction != 1.0 and self.kind is not NoiseKind.PEPPER_SAUCE:
             raise ValueError(f"corrupt_fraction applies to pepper noise only, not {self.kind.value}")
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "corrupt_fraction", float(self.corrupt_fraction))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "corrupt_fraction", fraction)
 
     @classmethod
     def gaussian(cls, variance: float = 0.01) -> "NoiseModel":
@@ -171,6 +173,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, minimum in (("n_points", 2), ("trials", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
+        if np.ndim(self.mu_grid) != 1:
+            raise ValueError(f"mu_grid must be a sequence of weights, got {self.mu_grid!r}")
         object.__setattr__(self, "mu_grid", tuple(_check_weight(m) for m in self.mu_grid))
         if not 0 < len(set(self.mu_grid)) == len(self.mu_grid):
             raise ValueError(f"mu_grid must be nonempty and must not repeat a weight, got {self.mu_grid}")

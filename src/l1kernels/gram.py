@@ -182,6 +182,15 @@ def build_system(kernel: KernelSpec, points) -> GramSystem:
     return GramSystem(kernel, points, gram, factorization, rcond)
 
 
+def _check_grid(grid) -> np.ndarray:
+    """A grid of evaluation points as a flat float array; an empty one is
+    rejected before any work."""
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    if grid.size == 0:
+        raise ValueError("grid must be nonempty")
+    return grid
+
+
 def _scratch(name: str, shape) -> np.ndarray:
     """A float64 array of the given shape, C-contiguous, from the calling
     thread's workspace buffer `name`: overwritten by the thread's next

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelMismatch, UnsupportedKernel
-from .gram import CoefficientVector, GramSystem, Side
+from .gram import CoefficientVector, GramSystem, Side, _check_grid
 from .kernels import KernelSpec, PointSet, Status, kernel_to_json
 
 __all__ = [
@@ -62,7 +62,8 @@ def _require_unit_lebesgue(kernel: KernelSpec, what: str) -> None:
 @dataclass(frozen=True)
 class ExpansionFunction:
     """A finite kernel expansion with side-tagged coefficients; points is a
-    PointSet, or an array checked as one."""
+    PointSet, or an array checked as one, and coefficients a
+    CoefficientVector (expansion() builds one from raw values)."""
 
     kernel: KernelSpec
     points: PointSet
@@ -71,6 +72,8 @@ class ExpansionFunction:
     def __post_init__(self):
         if not isinstance(self.points, PointSet):
             object.__setattr__(self, "points", PointSet(self.points))
+        if not isinstance(self.coefficients, CoefficientVector):
+            raise ValueError("coefficients must be a CoefficientVector; expansion() takes raw values")
         if self.coefficients.n != self.points.n:
             raise ValueError(
                 f"{self.coefficients.n} coefficients for {self.points.n} points"
@@ -104,10 +107,7 @@ class ExpansionFunction:
 
     def grid_sup_norm(self, grid) -> float:
         """max |f| over a grid: a lower bound of the true sup norm."""
-        grid = np.asarray(grid, dtype=float).reshape(-1)
-        if grid.size == 0:
-            raise ValueError("grid must be nonempty")
-        return float(np.abs(self.evaluate(grid)).max())
+        return float(np.abs(self.evaluate(_check_grid(grid))).max())
 
     def to_json(self) -> dict:
         return {

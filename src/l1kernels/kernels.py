@@ -1,7 +1,8 @@
 """Kernel zoo: evaluation, domains, sample points and admissibility metadata.
 
-Every kernel is described by an immutable :class:`KernelSpec` (family +
-parameters + domain).  Evaluation is exact up to floating point and
+Every kernel is described by an immutable :class:`KernelSpec` (family,
+domain and, for the Gaussian, sigma); every other fact of a family is its
+row in the table _ZOO.  Evaluation is exact up to floating point and
 vectorizes over numpy arrays.  Each family carries static flags recording,
 for each of the four admissibility conditions
 
@@ -37,7 +38,8 @@ chord, in r, of 1/q.  So L <= 1 on every point set exactly when p is
 nondecreasing, q is nonincreasing and 1/q is concave in r.  For the
 exponential kernel 1/q = sqrt(r); for the Brownian bridge 1/q = 1 + r, and
 L = 1 between nodes.  closed_form_cardinal evaluates these weights from the
-table _MARKOV.
+family's Markov row in _ZOO, and a family is A4-proven exactly when it has
+one.
 
 A3 holds on R for K(s, t) = phi(s - t), phi in L1(R), whose transform has no
 zero: if f = sum_j c_j phi(. - x_j) = 0 on R (c in l1, x_j distinct), then
@@ -71,7 +73,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,10 +119,6 @@ class AdmissibilityFlags:
     a2: Status
     a3: Status
     a4: Status
-
-
-_ALL_PROVEN = AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.PROVEN, Status.PROVEN)
-_A4_DISPROVEN = AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.PROVEN, Status.DISPROVEN)
 
 
 @dataclass(frozen=True)
@@ -193,22 +192,48 @@ class PointSet:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Immutable description of one kernel: family, parameters, domain, flags.
+    """Immutable description of one kernel: its family, a domain inside the
+    family's own and, for the Gaussian, sigma.
 
-    Use the module-level constructors (:func:`exponential`, :func:`gaussian`,
-    ...) rather than building instances directly; they validate parameters
-    and fill in the per-family admissibility flags and sup bound.
+    Every other fact of the family (evaluator, admissibility flags, sup
+    bound, default domain and sigma) is read from its row in _ZOO.  A
+    domain or sigma left as None takes the family's default; a domain
+    outside the family's, or a sigma the family does not take or that is
+    not a positive, finite real, raises ValueError.
     """
 
     family: Family
-    domain: Interval
-    flags: AdmissibilityFlags
-    bound: float
+    domain: Interval | None = None
     sigma: float | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.family, Family) or not isinstance(self.domain, (Interval, type(None))):
+            got = f"{self.family!r}, {self.domain!r}"
+            raise ValueError(f"a kernel spec needs a Family and an Interval or None, got {got}")
+        row = _ZOO[self.family]
+        domain = self.domain or row.domain
+        if not _inside(domain, row.domain):
+            raise ValueError(f"{self.name} domain must lie inside {row.domain}; got {domain}")
+        sigma = row.sigma if self.sigma is None else self.sigma
+        if sigma is not None and row.sigma is None:
+            raise ValueError(f"the {self.name} kernel takes no sigma, got {sigma!r}")
+        real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+        if sigma is not None and not (real and 0 < sigma < math.inf):
+            raise ValueError(f"{self.name} sigma must be positive and finite, got {sigma!r}")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "sigma", None if sigma is None else float(sigma))
 
     @property
     def name(self) -> str:
         return self.family.value
+
+    @property
+    def flags(self) -> AdmissibilityFlags:
+        return _ZOO[self.family].flags
+
+    @property
+    def bound(self) -> float:
+        return _ZOO[self.family].bound
 
     def _check_domain(self, *values) -> None:
         for v in values:
@@ -237,7 +262,7 @@ class KernelSpec:
                 raise ValueError("out must not share memory with the kernel's arguments")
         # a far pair's difference or square overflows to inf, where K is 0
         with np.errstate(over="ignore"):
-            _EVALUATORS[self.family](self, s, t, out)
+            _ZOO[self.family].evaluate(self, s, t, out)
         if out.ndim == 0:
             return float(out)
         return out
@@ -248,6 +273,13 @@ def _check_out(out, shape) -> None:
     if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != tuple(shape):
         got = (getattr(out, "shape", None), getattr(out, "dtype", type(out).__name__))
         raise ValueError(f"out must be a float64 array of shape {tuple(shape)}, got {got}")
+
+
+def _inside(inner: Interval, outer: Interval) -> bool:
+    """Whether inner lies inside outer; an infinite endpoint of outer sets no limit."""
+    return (outer.lo == -math.inf or (inner.lo, inner.lo_open) >= (outer.lo, outer.lo_open)) and (
+        outer.hi == math.inf or (inner.hi, not inner.hi_open) <= (outer.hi, not outer.hi_open)
+    )
 
 
 # Each evaluator writes K(s, t) into out, a float64 array of the broadcast
@@ -305,12 +337,60 @@ def _eval_sinc(spec, s, t, out):
     np.copyto(out, 0.0, where=far)
 
 
-_EVALUATORS = {
-    Family.EXPONENTIAL: _eval_exponential,
-    Family.BROWNIAN_BRIDGE: _eval_brownian_bridge,
-    Family.GAUSSIAN: _eval_gaussian,
-    Family.WENDLAND_D3_K1: _eval_wendland_d3_k1,
-    Family.SINC: _eval_sinc,
+_SINH_TOP = math.asinh(np.finfo(float).max)  # the largest d with a finite sinh(d)
+
+
+def _sinh(d: float) -> tuple[float, float]:
+    """sinh(d) as (m, s), m e^s; past _SINH_TOP, e^-2d is below round-off and
+    sinh(d) = sinh(_SINH_TOP) e^(d - _SINH_TOP)."""
+    if d <= _SINH_TOP:
+        return math.sinh(d), 0.0
+    return math.sinh(_SINH_TOP), d - _SINH_TOP
+
+
+# ---------------------------------------------------------------------------
+# the zoo: one row per family
+
+
+@dataclass(frozen=True)
+class _FamilyRow:
+    """Everything a family is besides its name.
+
+    markov is the family's Markov row of the module docstring, in forms
+    exact for it and with u <= v: p(u)/p(v), q(v)/q(u), and W(u, v) up to a
+    positive factor as a pair (m, s) meaning m e^s, so that no gap
+    overflows; None where the family is no Gauss-Markov covariance.  A1 and
+    A2 are proven for every family, and A4 exactly where there is a Markov
+    row.  sigma is the default of the one family that takes a sigma.
+    """
+
+    evaluate: object  # writes K(s, t) into out, as the evaluators above
+    domain: Interval
+    bound: float
+    a3: Status
+    markov: tuple | None = None
+    sigma: float | None = None
+    flags: AdmissibilityFlags = field(init=False)
+
+    def __post_init__(self):
+        a4 = Status.DISPROVEN if self.markov is None else Status.PROVEN
+        object.__setattr__(self, "flags", AdmissibilityFlags(Status.PROVEN, Status.PROVEN, self.a3, a4))
+
+
+_ZOO = {
+    Family.EXPONENTIAL: _FamilyRow(_eval_exponential, _REAL_LINE, 1.0, Status.PROVEN, markov=(
+        lambda u, v: math.exp(u - v),
+        lambda u, v: math.exp(u - v),
+        lambda u, v: _sinh(v - u),
+    )),
+    Family.BROWNIAN_BRIDGE: _FamilyRow(_eval_brownian_bridge, _UNIT_OPEN, 0.25, Status.PROVEN, markov=(
+        lambda u, v: u / v,
+        lambda u, v: (1.0 - v) / (1.0 - u),
+        lambda u, v: (v - u, 0.0),
+    )),
+    Family.GAUSSIAN: _FamilyRow(_eval_gaussian, _REAL_LINE, 1.0, Status.PROVEN, sigma=1.0),
+    Family.WENDLAND_D3_K1: _FamilyRow(_eval_wendland_d3_k1, _REAL_LINE, 1.0, Status.PROVEN),
+    Family.SINC: _FamilyRow(_eval_sinc, _REAL_LINE, 1.0, Status.DISPROVEN),
 }
 
 
@@ -322,33 +402,14 @@ def exponential(domain: Interval | None = None) -> KernelSpec:
     """K(s,t) = exp(-|s-t|), all four admissibility conditions proven; A3 and
     A4 by the module docstring's distributional and Markov arguments, with
     p = e^s and q = e^-s."""
-    return KernelSpec(
-        family=Family.EXPONENTIAL,
-        domain=domain or _REAL_LINE,
-        flags=_ALL_PROVEN,
-        bound=1.0,
-    )
+    return KernelSpec(Family.EXPONENTIAL, domain)
 
 
 def brownian_bridge(domain: Interval | None = None) -> KernelSpec:
     """K(s,t) = min(s,t) - s*t on (0,1), all four conditions proven; A3 and A4
     by the module docstring's distributional and Markov arguments, with p = s
     and q = 1 - s."""
-    dom = domain or _UNIT_OPEN
-    inside = (
-        dom.lo >= 0.0
-        and dom.hi <= 1.0
-        and (dom.lo > 0.0 or dom.lo_open)
-        and (dom.hi < 1.0 or dom.hi_open)
-    )
-    if not inside:
-        raise ValueError(f"Brownian bridge domain must lie strictly inside (0,1); got {dom}")
-    return KernelSpec(
-        family=Family.BROWNIAN_BRIDGE,
-        domain=dom,
-        flags=_ALL_PROVEN,
-        bound=0.25,
-    )
+    return KernelSpec(Family.BROWNIAN_BRIDGE, domain)
 
 
 def gaussian(sigma: float = 1.0, domain: Interval | None = None) -> KernelSpec:
@@ -356,15 +417,7 @@ def gaussian(sigma: float = 1.0, domain: Interval | None = None) -> KernelSpec:
     (Wendland 2005, ch. 6); fails A4.  A3 on every domain by the module
     docstring's transform argument: phi-hat is a Gaussian, and an l1 expansion
     is entire, so vanishing on an interval forces vanishing on R."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"gaussian sigma must be positive and finite, got {sigma}")
-    return KernelSpec(
-        family=Family.GAUSSIAN,
-        domain=domain or _REAL_LINE,
-        flags=_A4_DISPROVEN,
-        bound=1.0,
-        sigma=float(sigma),
-    )
+    return KernelSpec(Family.GAUSSIAN, domain, sigma)
 
 
 def wendland_d3_k1(domain: Interval | None = None) -> KernelSpec:
@@ -377,12 +430,7 @@ def wendland_d3_k1(domain: Interval | None = None) -> KernelSpec:
     coefficients are (1.1288, -0.4210), so L(t) = 1.54975, with rcond 0.151;
     50-digit arithmetic agrees.
     """
-    return KernelSpec(
-        family=Family.WENDLAND_D3_K1,
-        domain=domain or _REAL_LINE,
-        flags=_A4_DISPROVEN,
-        bound=1.0,
-    )
+    return KernelSpec(Family.WENDLAND_D3_K1, domain)
 
 
 def sinc(domain: Interval | None = None) -> KernelSpec:
@@ -396,59 +444,16 @@ def sinc(domain: Interval | None = None) -> KernelSpec:
     A4 fails: on x = (0, 1) the Gram is the identity, so at t = 0.5 the
     cardinal coefficients are (2/pi, 2/pi) and L(t) = 4/pi, rcond 1.
     """
-    return KernelSpec(
-        family=Family.SINC,
-        domain=domain or _REAL_LINE,
-        flags=AdmissibilityFlags(Status.PROVEN, Status.PROVEN, Status.DISPROVEN, Status.DISPROVEN),
-        bound=1.0,
-    )
-
-
-_CONSTRUCTORS = {
-    Family.EXPONENTIAL: exponential,
-    Family.BROWNIAN_BRIDGE: brownian_bridge,
-    Family.GAUSSIAN: gaussian,
-    Family.WENDLAND_D3_K1: wendland_d3_k1,
-    Family.SINC: sinc,
-}
+    return KernelSpec(Family.SINC, domain)
 
 
 # ---------------------------------------------------------------------------
 # closed-form cardinal functions
 
 
-_SINH_TOP = math.asinh(np.finfo(float).max)  # the largest d with a finite sinh(d)
-
-
-def _sinh(d: float) -> tuple[float, float]:
-    """sinh(d) as (m, s), m e^s; past _SINH_TOP, e^-2d is below round-off and
-    sinh(d) = sinh(_SINH_TOP) e^(d - _SINH_TOP)."""
-    if d <= _SINH_TOP:
-        return math.sinh(d), 0.0
-    return math.sinh(_SINH_TOP), d - _SINH_TOP
-
-
-# For each Markov kernel of the module docstring, in forms exact for it and
-# with u <= v: p(u)/p(v), q(v)/q(u), and W(u, v) up to a positive factor as a
-# pair (m, s) meaning m e^s, so that no gap overflows.  A family has a row
-# exactly when its A4 flag is PROVEN.
-_MARKOV = {
-    Family.EXPONENTIAL: (
-        lambda u, v: math.exp(u - v),
-        lambda u, v: math.exp(u - v),
-        lambda u, v: _sinh(v - u),
-    ),
-    Family.BROWNIAN_BRIDGE: (
-        lambda u, v: u / v,
-        lambda u, v: (1.0 - v) / (1.0 - u),
-        lambda u, v: (v - u, 0.0),
-    ),
-}
-
-
 def _markov_cardinal(row, x: np.ndarray, t: float) -> np.ndarray:
     """The module docstring's cardinal vector at t on sorted, distinct x, from
-    a row (p(u)/p(v), q(v)/q(u), W(u, v) as (m, s)) like those of _MARKOV."""
+    a Markov row (p(u)/p(v), q(v)/q(u), W(u, v) as (m, s)) like those of _ZOO."""
     p_ratio, q_ratio, casoratian = row
     w = np.zeros_like(x)
     if t <= x[0]:
@@ -489,7 +494,7 @@ def closed_form_cardinal(kernel: KernelSpec, points, t: float) -> np.ndarray:
     numpy.ndarray, shape (n,)
         Coefficients aligned with the input point order.
     """
-    row = _MARKOV.get(kernel.family)
+    row = _ZOO[kernel.family].markov
     if row is None:
         raise UnsupportedKernel(
             f"no closed-form cardinal functions for the {kernel.name} kernel"
@@ -525,18 +530,26 @@ def kernel_to_json(kernel: KernelSpec) -> dict:
 
 
 def kernel_from_json(obj: dict) -> KernelSpec:
-    """Build a spec from {"family": ..., "params": {...}} (domain optional)."""
+    """Build a spec from {"family": ..., "params": {...}} (domain optional);
+    a malformed object raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a kernel spec is a JSON object, got {obj!r}")
     try:
         family = Family(obj["family"])
     except (KeyError, ValueError):
         known = ", ".join(f.value for f in Family)
         raise ValueError(f"unknown kernel family {obj.get('family')!r}; expected one of: {known}")
-    params = dict(obj.get("params") or {})
+    params = obj.get("params") or {}
+    if not isinstance(params, dict) or not set(params) <= {"sigma"}:
+        raise ValueError(f"kernel params must be an object whose one key is sigma, got {params!r}")
     domain = None
     if obj.get("domain") is not None:
-        lo, hi = obj["domain"]
-        lo = -math.inf if lo is None else float(lo)
-        hi = math.inf if hi is None else float(hi)
-        lo_open, hi_open = obj.get("domain_open", [not math.isfinite(lo), not math.isfinite(hi)])
+        try:
+            lo, hi = obj["domain"]
+            lo = -math.inf if lo is None else float(lo)
+            hi = math.inf if hi is None else float(hi)
+            lo_open, hi_open = obj.get("domain_open", [not math.isfinite(lo), not math.isfinite(hi)])
+        except TypeError as exc:
+            raise ValueError(f"bad kernel domain: {exc}")
         domain = Interval(lo, hi, bool(lo_open), bool(hi_open))
-    return _CONSTRUCTORS[family](**params, domain=domain)
+    return KernelSpec(family, domain, params.get("sigma"))

@@ -83,6 +83,7 @@ from scipy.linalg.lapack import dtrtrs
 from .errors import DimensionMismatch, NegativeMu
 from .gram import CoefficientVector, GramSystem, Side, _lu_factor_gated, _lu_solve
 from .interpolation import _reject_broken_l1
+from .streams import _check_real
 
 # the certificate's relative tolerance (see the module docs)
 KKT_TOL = 1e-8
@@ -192,13 +193,15 @@ def _data_vector(y, n: int, name: str = "data") -> np.ndarray:
 
 
 def _check_weight(mu: float) -> float:
-    """Reject a weight that is negative or not finite, before any work.
-    Returns the weight as a Python float, which JSON can write."""
-    if mu < 0:
+    """Reject a weight that is not a real number, negative or not finite,
+    before any work.  Returns the weight as a Python float, which JSON can
+    write."""
+    weight = _check_real("regularization weight", mu)
+    if weight < 0:
         raise NegativeMu(f"regularization weight must be nonnegative, got {mu}")
-    if not math.isfinite(mu):
+    if not math.isfinite(weight):
         raise ValueError(f"regularization weight must be finite, got {mu}")
-    return float(mu)
+    return weight
 
 
 def _append_column(qb: np.ndarray, rb: np.ndarray, m: int, v: np.ndarray) -> None:

@@ -32,6 +32,15 @@ def _check_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _check_real(name: str, value) -> float:
+    """Reject a value that is not a real number, before any work: Python and
+    numpy reals pass, bools and strings fail.  Returns it as a Python float,
+    which JSON can write."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def stream(master_seed: int, trial_index: int, purpose: str) -> np.random.Generator:
     """Independent generator for one (seed, trial, purpose) triple."""
     key = np.random.SeedSequence((int(master_seed), int(trial_index), _purpose_code(purpose)))

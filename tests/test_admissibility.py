@@ -351,9 +351,10 @@ def test_audit_a2_within_declared_bounds():
     assert report.stats.worst_value == pytest.approx(0.25)
 
 
-def test_audit_a2_detects_bound_violation():
-    shrunk = dataclasses.replace(exponential(), bound=0.5)
-    report = audit_a2(shrunk, pair_grid(np.linspace(-1, 1, 21)))
+def test_audit_a2_detects_bound_violation(monkeypatch):
+    row = dataclasses.replace(kernels._ZOO[Family.EXPONENTIAL], bound=0.5)
+    monkeypatch.setitem(kernels._ZOO, Family.EXPONENTIAL, row)
+    report = audit_a2(exponential(), pair_grid(np.linspace(-1, 1, 21)))
     assert report.verdict is Verdict.FAIL
     assert report.witness.value == pytest.approx(1.0)
 
@@ -364,7 +365,8 @@ def test_audit_a2_is_inconclusive_on_a_value_that_is_not_finite(monkeypatch):
     def evaluate(spec, s, t, out):
         np.copyto(out, np.where(s > t, np.nan, 1.0))
 
-    monkeypatch.setitem(kernels._EVALUATORS, Family.EXPONENTIAL, evaluate)
+    row = dataclasses.replace(kernels._ZOO[Family.EXPONENTIAL], evaluate=evaluate)
+    monkeypatch.setitem(kernels._ZOO, Family.EXPONENTIAL, row)
     report = audit_a2(exponential(), [[0.0, 0.0], [0.5, 0.25], [1.0, 0.0]])
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.message == "|K| is nan at (s, t) = (0.5, 0.25)"

@@ -108,6 +108,10 @@ def test_audit_bad_kernel_is_usage_error(capsys):
     for argv in (
         ("--kernel", "exponential", "--trials", "0"),
         ("--kernel", "brownian_bridge", "--window=-1,1"),
+        ("--kernel", '{"family": "exponential", "params": {"sigma": 2}}'),
+        ("--kernel", '{"family": "gaussian", "params": {"sigma": 1, "width": 2}}'),
+        ("--kernel", '{"family": "gaussian", "params": [1]}'),
+        ("--kernel", '{"family": "exponential", "domain": 5}'),
     ):
         assert run_cli("audit", *argv) == 1
         captured = capsys.readouterr()

@@ -107,6 +107,12 @@ def test_noise_model_validation():
     for kind in (NoiseKind.GAUSSIAN, NoiseKind.UNIFORM):
         with pytest.raises(ValueError, match="pepper noise only"):
             NoiseModel(kind, 0.1, 0.5)
+    # noise parameters are real numbers; bools are not
+    for bad in ("1", None, True):
+        with pytest.raises(ValueError, match="variance must be a real number"):
+            NoiseModel.gaussian(bad)
+        with pytest.raises(ValueError, match="corrupt_fraction must be a real number"):
+            NoiseModel.pepper_sauce(0.1, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +592,14 @@ def test_experiment_config_validation():
     # a sweep keys its fits by weight, so a repeated one would count its steps twice
     with pytest.raises(ValueError, match="must not repeat a weight"):
         ExperimentConfig(mu_grid=(0.1, 0.1, 1e-3))
+    # a weight grid is a sequence of real numbers
+    for bad in (0.1, "0.1", None, ((0.1, 1.0),)):
+        with pytest.raises(ValueError, match="mu_grid must be a sequence of weights"):
+            ExperimentConfig(mu_grid=bad)
+    for bad in (("0.1", 1.0), (True, 0.5)):
+        with pytest.raises(ValueError, match="must be a real number"):
+            ExperimentConfig(mu_grid=bad)
+    assert ExperimentConfig(mu_grid=np.array([0.1, 1.0])).mu_grid == (0.1, 1.0)
     # counts are integers, checked before any work; bools are not counts
     for bad in (dict(trials=2.5), dict(trials=2.0), dict(trials=True), dict(n_points=20.5),
                 dict(n_points=np.float64(20.0)), dict(master_seed=1.5), dict(master_seed=False)):

@@ -241,6 +241,10 @@ def test_expansion_function_takes_raw_points_as_expansion_does():
                  (f.coefficients.values, g.coefficients.values)):
         assert np.array_equal(a, b)
     assert not np.shares_memory(f.points.points, points)
+    # raw coefficients have no side: expansion() is the builder that takes them
+    for raw in (values, values.tolist()):
+        with pytest.raises(ValueError, match=r"CoefficientVector; expansion\(\) takes raw values"):
+            ExpansionFunction(exponential(), points, raw)
 
 
 def test_to_json():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from l1kernels import (
     DomainError,
     Family,
     Interval,
+    KernelSpec,
     SingularGram,
     Status,
     UnsupportedKernel,
@@ -26,7 +28,7 @@ from l1kernels import (
     wendland_d3_k1,
 )
 from l1kernels.admissibility import A4_TOL
-from l1kernels.kernels import _CONSTRUCTORS, _EVALUATORS, _MARKOV, _markov_cardinal
+from l1kernels.kernels import _ZOO, _markov_cardinal
 
 ZOO = [
     exponential(),
@@ -240,6 +242,23 @@ def test_parameter_validation():
         brownian_bridge(Interval(-0.1, 0.5))
     with pytest.raises(ValueError):
         brownian_bridge(Interval(0.0, 1.0, lo_open=False, hi_open=True))
+    # a spec is its family, domain and sigma: every other fact is the family's,
+    # and a spec built directly passes the same rules as its constructor
+    assert [f.name for f in dataclasses.fields(KernelSpec)] == ["family", "domain", "sigma"]
+    assert KernelSpec(Family.GAUSSIAN) == gaussian() and KernelSpec(Family.SINC) == sinc()
+    with pytest.raises(ValueError, match="must lie inside"):
+        KernelSpec(Family.BROWNIAN_BRIDGE, Interval())
+    for family, domain in (("gaussian", None), (Family.EXPONENTIAL, (0.0, 1.0))):
+        with pytest.raises(ValueError, match="needs a Family and an Interval"):
+            KernelSpec(family, domain)
+    assert KernelSpec(Family.GAUSSIAN, Interval(), 1.0).flags.a4 is Status.DISPROVEN
+    for sigma in ("1", True):
+        with pytest.raises(ValueError, match="gaussian sigma must be positive and finite"):
+            gaussian(sigma)
+    for family in (Family.EXPONENTIAL, Family.BROWNIAN_BRIDGE, Family.WENDLAND_D3_K1, Family.SINC):
+        with pytest.raises(ValueError, match=f"the {family.value} kernel takes no sigma"):
+            KernelSpec(family, sigma=2.0)
+    assert gaussian(np.float32(0.5)).sigma == 0.5 and type(gaussian(2).sigma) is float
 
 
 def test_admissibility_metadata():
@@ -302,13 +321,13 @@ def test_sinc_a4_witness():
 
 
 def test_every_family_is_registered_and_verdicted():
-    # a family with no constructor, no evaluator or no JSON round trip cannot
-    # join (or stay in) the zoo unnoticed; AdmissibilityFlags has no default
-    # and Status only PROVEN and DISPROVEN, so every condition is verdicted
+    # a family with no row or no JSON round trip cannot join (or stay in) the
+    # zoo unnoticed; AdmissibilityFlags has no default and Status only PROVEN
+    # and DISPROVEN, so every condition is verdicted
+    assert set(_ZOO) == set(Family)
     for family in Family:
-        assert family in _EVALUATORS and family in _CONSTRUCTORS, family
-        kernel = _CONSTRUCTORS[family]()
-        assert kernel.family is family
+        kernel = KernelSpec(family)
+        assert kernel.family is family and kernel.domain == _ZOO[family].domain
         assert kernel_from_json(kernel_to_json(kernel)) == kernel
 
 
@@ -349,9 +368,9 @@ def test_cardinal_unsupported_family():
     for kernel in (gaussian(1.0), wendland_d3_k1(), sinc()):
         with pytest.raises(UnsupportedKernel, match=f"for the {kernel.name} kernel"):
             closed_form_cardinal(kernel, [0.0, 1.0], 0.5)
-    # the module docstring's A4 proof covers exactly the families with a row
-    proven = {f for f in Family if _CONSTRUCTORS[f]().flags.a4 is Status.PROVEN}
-    assert set(_MARKOV) == proven == {Family.EXPONENTIAL, Family.BROWNIAN_BRIDGE}
+    # the module docstring's A4 proof covers exactly the families with a Markov row
+    proven = {f for f in Family if KernelSpec(f).flags.a4 is Status.PROVEN}
+    assert proven == {Family.EXPONENTIAL, Family.BROWNIAN_BRIDGE}
 
 
 def test_cardinal_exponential_wide_gaps_stay_finite():
@@ -483,3 +502,21 @@ def test_json_unknown_family():
     for name in ("laplacian_of_doom", "bspline", "inverse_multiquadric", "wendland_d3_k0"):
         with pytest.raises(ValueError, match="unknown kernel family"):
             kernel_from_json({"family": name, "params": {}})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"family": "gaussian", "params": {"sigma": 1.0, "width": 2.0}}, "params must be an object"),
+        ({"family": "gaussian", "params": [1.0]}, "params must be an object"),
+        ({"family": "exponential", "params": {"sigma": 2.0}}, "exponential kernel takes no sigma"),
+        ({"family": "gaussian", "params": {"sigma": "1"}}, "sigma must be positive and finite"),
+        ({"family": "exponential", "domain": 5}, "bad kernel domain"),
+        ({"family": "exponential", "domain": [0, 1], "domain_open": 1}, "bad kernel domain"),
+        ({"family": "brownian_bridge", "domain": [-1, 2]}, "must lie inside"),
+        (["exponential"], "a kernel spec is a JSON object"),
+    ],
+)
+def test_json_malformed_spec_is_a_value_error(obj, message):
+    with pytest.raises(ValueError, match=message):
+        kernel_from_json(obj)

@@ -126,6 +126,14 @@ def test_lasso_validation_errors():
     for mu in (math.nan, math.inf):
         with pytest.raises(ValueError):
             LassoConfig(mu=mu)
+    # a weight is a real number; bools are not weights
+    for mu in ("1", None, True, [0.1]):
+        with pytest.raises(ValueError, match="regularization weight must be a real number"):
+            LassoConfig(mu=mu)
+        with pytest.raises(ValueError, match="regularization weight must be a real number"):
+            kkt_residual(system, [1.0, 0.0], mu, [0.0, 0.0])
+    for mu in (np.float32(0.5), np.int64(2), 3):
+        assert type(LassoConfig(mu=mu).mu) is float
     with pytest.raises(DimensionMismatch):
         lasso_gram(system, [1.0, 2.0, 3.0], LassoConfig(mu=0.1))
     for bad in (math.nan, math.inf):
@@ -1038,6 +1046,9 @@ def test_ridge_validation():
         with pytest.raises(ValueError, match="must be finite"):
             ridge_gram(system, [1.0, bad], 0.1)
         with pytest.raises(ValueError, match="must be finite"):
+            ridge_gram(system, [1.0, 0.0], bad)
+    for bad in ("1", None, False):
+        with pytest.raises(ValueError, match="regularization weight must be a real number"):
             ridge_gram(system, [1.0, 0.0], bad)
 
 

@@ -112,6 +112,8 @@ class NoiseModel:
     corrupt_fraction: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, NoiseKind):
+            raise ValueError(f"a noise model needs a NoiseKind, got {self.kind!r}")
         scale = _check_real(_SCALES[self.kind], self.scale)
         fraction = _check_real("corrupt_fraction", self.corrupt_fraction)
         if not 0 < scale < math.inf:

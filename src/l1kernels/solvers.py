@@ -39,12 +39,17 @@ lam = 2 |c0_j| / (sign(c0_j) d_j), and the crossings by lam = mu predict
 the zeros at mu.  The bottom pays about one leave per zero and the top one
 join per nonzero, so the path starts at the bottom exactly when mu is below
 the split: the ceil(n/2)-th smallest crossing weight, capped at the top's
-weight, and 0 when c0 has an exact zero.  A path from the bottom climbs in lam: from the
-stop of an earlier solve on the same data at a smaller weight, else from
-the signs of c0 and the QR of all of K (LAPACK geqrf and orgqr, kept by a
-pinned solver).  It gives up, and the same solve starts again from above,
-when its active set falls to half of n or fewer, when it has taken n steps,
-or when its fit fails its certificate; the split of that data then drops to
+weight, and 0 when c0 has an exact zero.  Below the smallest crossing
+weight the path is the full-support line itself, so a solve from the bottom
+with no stop to climb from reads its fit c0 - (mu / 2) d off the record, in
+one step, certified like any fit.  Any other path from the bottom climbs in
+lam: from the stop of an earlier solve on the same data at a smaller weight,
+else from the signs of c0 and the QR of all of K (LAPACK geqrf and orgqr,
+kept by a pinned solver).  So that QR is factored only by a climb that
+reaches a leave, by one whose read-off fit failed its certificate, and by
+pin().  A climb gives up, and the same solve starts again from above, when
+its active set falls to half of n or fewer, when it has taken n steps, or
+when its fit fails its certificate; the split of that data then drops to
 that weight.  From above, a solver pinned at an anchor (LassoSolver.pin:
 the path point of some data at its weight, kept with the QR of all of K as
 the bottom frame) first moves the data from the anchor's to y at the
@@ -245,16 +250,20 @@ def _twice_residual(q: np.ndarray, v: np.ndarray, qtv: np.ndarray, out: np.ndarr
     out *= 2.0
 
 
-def _bottom_split(c0: np.ndarray, d: np.ndarray) -> float:
-    """The split (see module docs) for c0 = K^-1 y and d = K^-1 K^-1 sign(c0),
-    before its cap at the top's weight; a coordinate of c0 - (lam / 2) d that
-    never crosses zero has crossing weight inf."""
-    sigma = np.sign(c0)
-    if not sigma.all():
-        return 0.0
-    rate = sigma * d
-    crossings = np.divide(2.0 * np.abs(c0), rate, out=np.full(c0.size, np.inf), where=rate > 0.0)
-    k = (c0.size - 1) // 2
+def _crossings(c0: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The weight at which each coordinate of the full-support line
+    c0 - (lam / 2) d, for c0 = K^-1 y and d = K^-1 K^-1 sign(c0), crosses
+    zero; inf for one that never does, and all 0 when c0 has an exact zero."""
+    if not c0.all():
+        return np.zeros(c0.size)
+    rate = np.sign(c0) * d
+    return np.divide(2.0 * np.abs(c0), rate, out=np.full(c0.size, np.inf), where=rate > 0.0)
+
+
+def _bottom_split(crossings: np.ndarray) -> float:
+    """The split (see module docs) for the crossing weights of the
+    full-support line, before its cap at the top's weight."""
+    k = (crossings.size - 1) // 2
     return float(np.partition(crossings, k)[k])
 
 
@@ -273,9 +282,6 @@ def _factor_qr(gram: np.ndarray, q: np.ndarray, r: np.ndarray) -> None:
         raise ValueError(f"illegal value in argument {-info} of geqrf or orgqr")
 
 
-# the boundaries +lam and -lam, one row of join events each
-_BOUNDS = np.array([[1.0], [-1.0]])
-
 # recent scipy wraps qr_delete in a decorator that maps it over stacked
 # matrices; on one small factor its argument checks cost as much as the
 # rotations, so call the routine underneath when there is one
@@ -285,12 +291,17 @@ _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_dele
 @dataclass(eq=False)
 class _Data:
     """A solver's own copy of its last data y, y's top weight 2 ||K^T y||_inf,
-    split and interpolant signs sign(K^-1 y), and the stop (lam, m, blocked)
-    of the last solve on y, or None."""
+    split, the full-support line c0 - (lam / 2) d with its first crossing
+    weight and signs sign(c0), and the stop (lam, m, blocked) of the last
+    solve on y, or None; m is None at a point of the line, which the buffers
+    do not hold."""
 
     y: np.ndarray
     top: float
     split: float
+    c0: np.ndarray
+    d: np.ndarray
+    cross: float
     signs: np.ndarray
     stop: tuple | None = None
 
@@ -303,7 +314,8 @@ class LassoSolver:
     matrix must be finite, since the updates scan nothing.
 
     Between calls the solver keeps two records: _data, of the last data
-    vector with the stop whose path point the buffers hold, and _pinned, the
+    vector with the stop whose path point the buffers hold (or a point of
+    the full-support line, which they need not hold), and _pinned, the
     anchor that pin() keeps with the bottom frame.  solve() clears the stop
     before it reads anything and sets it only when the path reaches mu, so a
     solve cut short by MAX_PATH_STEPS, one at mu = 0 or one that raises
@@ -332,7 +344,7 @@ class LassoSolver:
         # the last data's record (at first one that matches no data), and the
         # anchor pin() keeps: its data and weight, copies of its active set,
         # signs, Q and R, and the QR of all of K (the bottom frame)
-        self._data = _Data(np.empty(0), 0.0, 0.0, np.empty(0))
+        self._data = _Data(np.empty(0), 0.0, 0.0, np.empty(0), np.empty(0), 0.0, np.empty(0))
         self._pinned: tuple | None = None
 
     def solve(self, y, config: LassoConfig) -> FitResult:
@@ -347,6 +359,11 @@ class LassoSolver:
         steps = 0
         if not np.array_equal(y, data.y):
             data, stop = self._record(y), None
+        elif stop is not None and stop[1] is None:
+            # a point of the full-support line leaves nothing to resume: below
+            # it the path is the same line, and a climb above it from the
+            # bottom takes the steps it would take from the point
+            stop = None
         if stop is not None and mu <= stop[0]:
             lam, m, blocked = stop
             c, steps = self._follow(y, mu, m, blocked, lam)
@@ -354,6 +371,12 @@ class LassoSolver:
         if mu < data.split:
             # up in lam = mu - s as s falls to 0, from the point below mu or
             # from the interpolant
+            if stop is None and mu < data.cross:
+                # below the first zero crossing the path is the full-support line
+                fit = self._finish(data.c0 - mu / 2.0 * data.d, y, config, iterations=1)
+                if fit.converged:
+                    data.stop = (mu, None, None)
+                    return fit
             if stop is not None:
                 s, m = mu - stop[0], stop[1]
             else:
@@ -387,10 +410,16 @@ class LassoSolver:
         data, self._pinned = self._data, None
         if data.stop is not None:
             lam, m, _ = data.stop
-            point = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]
             frame = np.empty_like(self._qb), np.empty_like(self._rb)
             _factor_qr(self.system.gram, *frame)
-            self._pinned = data.y, lam, tuple(b.copy() for b in point), frame
+            if m is None:
+                # a point of the full-support line: every coordinate active,
+                # with the interpolant's signs, on the frame itself
+                point = np.arange(self.system.n), data.signs, *frame
+            else:
+                point = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]
+                point = tuple(b.copy() for b in point)
+            self._pinned = data.y, lam, point, frame
         return fit
 
     def sweep(self, y, mus) -> dict[float, FitResult]:
@@ -417,7 +446,9 @@ class LassoSolver:
         signs = np.sign(c0)
         d = system.solve(system.solve(signs))
         top = zero_mu_threshold(system, y)
-        self._data = _Data(y.copy(), top, min(_bottom_split(c0, d), top), signs)
+        crossings = _crossings(c0, d)
+        split = min(_bottom_split(crossings), top)
+        self._data = _Data(y.copy(), top, split, c0, d, float(crossings.min()), signs)
         return self._data
 
     def _load_bottom(self) -> None:
@@ -493,13 +524,16 @@ class LassoSolver:
                     _twice_residual(q, e, qte, out=w[1])
                 elif h != 1.0:
                     w[1] *= h
-                p, slope = w @ k
-                # rho_j(t) = b (lam0 + t h), b = +1 or -1, at (b p_j - lam0) / (h - b slope_j)
+                # rho_j(t) = b (lam0 + t h), b = +1 or -1, at (b p_j - lam0) / (h - b slope_j):
+                # p and slope land in the two rows of joins, then become b p and
+                # h - b slope, as 1-D passes (h + slope is h - (-1 slope) bit for bit)
                 join_rates = rates[:2 * n].reshape(2, n)
-                np.multiply(_BOUNDS, p, out=joins)
+                p, slope = np.dot(w, k, out=joins)
+                np.subtract(h, slope, out=join_rates[0])
+                np.add(h, slope, out=join_rates[1])
+                np.negative(p, out=slope)
                 if lam0:
                     joins -= lam0
-                np.subtract(h, _BOUNDS * slope, out=join_rates)
                 join_rates[:, active[:m]] = 0.0
                 # c_i(t) = 0 at t = s + c_a_i / x1_i, kept as a quotient of
                 # -sigma c_a and -sigma x1 until s is added
@@ -512,11 +546,11 @@ class LassoSolver:
                 # an event moving away from its boundary never arrives; one
                 # past it by round-off arrives at once
                 closed = rates <= 0.0
-                rates[closed] = 1.0
+                np.putmask(rates, closed, 1.0)
                 events /= rates
                 leaves += s
                 np.minimum(events, s, out=events)
-                events[closed] = -np.inf
+                np.putmask(events, closed, -np.inf)
             i = int(events.argmax())
             s = max(float(events[i]), end)
             if events[i] < end:
@@ -570,9 +604,10 @@ class RidgeSolver:
         mu = _check_weight(mu)
         factorization = self._factorizations.get(mu)
         if factorization is None:
-            factorization, _ = _lu_factor_gated(
-                system.gram + mu * np.eye(system.n), f"K[x] + mu I at mu={mu:g}"
-            )
+            # K[x] + mu I, with mu added on the diagonal of a copy of K[x]
+            shifted = system.gram.copy()
+            shifted.flat[:: system.n + 1] += mu
+            factorization, _ = _lu_factor_gated(shifted, f"K[x] + mu I at mu={mu:g}")
             self._factorizations[mu] = factorization
         h = _lu_solve(factorization, y)
         kh = system.gram @ h

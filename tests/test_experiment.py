@@ -113,6 +113,10 @@ def test_noise_model_validation():
             NoiseModel.gaussian(bad)
         with pytest.raises(ValueError, match="corrupt_fraction must be a real number"):
             NoiseModel.pepper_sauce(0.1, bad)
+    # the kind is a NoiseKind, not its name
+    for bad in ("gaussian", None, 0):
+        with pytest.raises(ValueError, match="needs a NoiseKind"):
+            NoiseModel(bad, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +436,7 @@ def test_two_ended_sweep_selects_what_the_path_down_selects(noise, monkeypatch):
         record, fits = run_trial(cfg, k), bench.lasso.sweep(y, cfg.mu_grid)
         climbed = [bottom_by_crossings(bench.system, y, mu) for mu in cfg.mu_grid]
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_bottom_split", lambda c0, d: 0.0)
+            patch.setattr(solvers, "_bottom_split", lambda crossings: 0.0)
             down_record, down = run_trial(cfg, k), bench.lasso.sweep(y, cfg.mu_grid)
         assert (record.rkbs, record.rkhs) == (down_record.rkbs, down_record.rkhs)
         assert 3 <= sum(climbed) < len(cfg.mu_grid) - 2

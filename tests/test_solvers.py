@@ -27,6 +27,7 @@ from l1kernels import (
     ridge_gram,
     sinc,
     target_function,
+    wendland_d3_k1,
     zero_mu_threshold,
 )
 from l1kernels import solvers
@@ -189,7 +190,7 @@ def start_at(patch, end):
     """Make every cold solve start from one end of the path, "top" (c = 0)
     or "bottom" (the interpolant), whatever the rule would pick: the split
     is then the top's weight or 0."""
-    patch.setattr(solvers, "_bottom_split", lambda c0, d: math.inf if end == "bottom" else 0.0)
+    patch.setattr(solvers, "_bottom_split", lambda crossings: math.inf if end == "bottom" else 0.0)
 
 
 def trace_lines(patch):
@@ -441,7 +442,10 @@ def test_lasso_anchor_serves_only_weights_below_its_own(monkeypatch):
     rng = np.random.default_rng(31)
     system = build_system(*well_spaced(rng, False, 30))
     y0, y1 = rng.uniform(-2, 2, (2, system.n))
-    high, low = LassoConfig(mu=0.5), LassoConfig(mu=1e-3)
+    # the anchor's weight lies above the first zero crossing of the
+    # full-support line (3.7e-3), so the anchor comes off a path: one read off
+    # that line differs from the path's point in the last bits
+    high, low = LassoConfig(mu=0.5), LassoConfig(mu=5e-3)
 
     def assert_cold(fit, y, config):
         cold = LassoSolver(system).solve(y, config)
@@ -453,7 +457,7 @@ def test_lasso_anchor_serves_only_weights_below_its_own(monkeypatch):
     # above the anchor's weight the path cannot start from it
     assert_cold(solver.solve(y1, high), y1, high)
     # below it, with the top forced, no start other than the anchor lies
-    # below the top (the interpolant would take 1 step here), and each solve
+    # below the top (the interpolant would take 2 steps here), and each solve
     # switches data, so none resumes a stop.  On the anchor's own data the
     # move has length zero: one step to the anchor's own fit.  On other data
     # the data moves on one line, in fewer steps than a cold path from the
@@ -516,7 +520,7 @@ def test_split_agrees_with_the_crossing_count_at_every_weight(seed, bridge, n, l
     y = rng.uniform(-2, 2, n)
     c0 = system.solve(y)
     d = system.solve(system.solve(np.sign(c0)))
-    split = min(solvers._bottom_split(c0, d), zero_mu_threshold(system, y))
+    split = min(solvers._bottom_split(solvers._crossings(c0, d)), zero_mu_threshold(system, y))
     rate = np.sign(c0) * d
     crossings = 2.0 * np.abs(c0[rate > 0.0]) / rate[rate > 0.0]
     probes = [0.0, split, *(10.0 ** m for m in log_mus)]
@@ -569,6 +573,77 @@ def test_cold_fits_from_either_end_match_coordinate_descent():
             assert np.abs(fit.coefficients.values - oracle).max() <= 1e-6
             gap = fit.objective - lasso_objective(system.gram, y, mu, oracle)
             assert abs(gap) <= 1e-9 * max(1.0, fit.objective)
+
+
+def count_qr(patch):
+    """Count the factorizations of the QR of all of K, in a list returned."""
+    factor, calls = solvers._factor_qr, []
+
+    def counted(*args):
+        calls.append(1)
+        return factor(*args)
+
+    patch.setattr(solvers, "_factor_qr", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+@pytest.mark.parametrize("n", [9, 40, 200])
+def test_bottom_fit_below_the_first_crossing_is_read_off_the_line(n, bridge, monkeypatch):
+    # below the first zero crossing of c0 - (lam / 2) d the path is that
+    # line: a cold solve reads its fit off the record in one step, with no QR
+    # of K, and it is the 1-step climb's fit up to round-off
+    rng = np.random.default_rng(n)
+    # n points jittered about a uniform grid of the kernel's domain
+    lo, hi = (0.01, 0.99) if bridge else (-2.0, 2.0)
+    x = np.linspace(lo, hi, n) + rng.uniform(-0.3, 0.3, n) * (hi - lo) / n
+    system = build_system(brownian_bridge() if bridge else exponential(), x)
+    y = rng.uniform(-2, 2, n)
+    record = LassoSolver(system)._record(y)
+    first = min(record.cross, record.split)
+    record_climb = LassoSolver._record
+
+    def no_line(self, y):
+        data = record_climb(self, y)
+        data.cross = 0.0
+        return data
+
+    for f in (1e-9, 1e-3, 0.5, 0.99):
+        config = LassoConfig(mu=f * first)
+        with monkeypatch.context() as patch:
+            calls = count_qr(patch)
+            fit = LassoSolver(system).solve(y, config)
+            assert calls == []
+            patch.setattr(LassoSolver, "_record", no_line)
+            climb = LassoSolver(system).solve(y, config)
+            assert calls == [1]
+        assert fit.converged and fit.iterations == climb.iterations == 1
+        assert np.array_equal(np.sign(fit.coefficients.values), np.sign(climb.coefficients.values))
+        assert np.array_equal(np.sign(fit.coefficients.values), np.sign(record.c0))
+        assert_same_fit(fit, climb)
+
+
+def test_lasso_pin_on_the_full_support_line_keeps_its_anchor(monkeypatch):
+    # a pin below the first zero crossing reads its fit off the line and
+    # keeps that point as its anchor, on the one QR of K it factors for the
+    # bottom frame; solves below its weight then move from it
+    rng = np.random.default_rng(31)
+    system = build_system(*well_spaced(rng, False, 30))
+    y0, y1, y2 = rng.uniform(-2, 2, (3, system.n))
+    solver = LassoSolver(system)
+    mu = 0.5 * solver._record(y0).cross
+    calls = count_qr(monkeypatch)
+    anchor = solver.pin(y0, LassoConfig(mu=mu))
+    assert anchor.converged and anchor.sparsity == system.n and calls == [1]
+    # each solve switches data, so with the top forced each starts from the anchor
+    requests = [(y1, mu), (y2, 0.5 * mu), (y1, 0.1 * mu)]
+    with monkeypatch.context() as patch:
+        start_at(patch, "top")
+        lines = trace_lines(patch)
+        fits = [solver.solve(y, LassoConfig(mu=weight)) for y, weight in requests]
+    assert lines == ["M", "M", "M"] and calls == [1]
+    for fit, (y, weight) in zip(fits, requests):
+        assert_same_fit(fit, LassoSolver(system).solve(y, LassoConfig(mu=weight)))
 
 
 def test_lasso_resumes_below_a_stop_reached_from_the_bottom(monkeypatch):
@@ -633,10 +708,12 @@ def test_lasso_bottom_path_restarts_from_the_top_within_one_solve(monkeypatch):
             start_at(patch, "top")
             return LassoSolver(system).solve(y, LassoConfig(mu=mu))
 
-    # a Gaussian Gram with rcond 1.6e-8: the bottom fit at mu = 1e-7, 1 step,
-    # misses its certificate (KKT 4.2e-8 against KKT_TOL * ||y||_inf = 1.45e-8);
-    # the top's meets it (6.3e-9)
-    rng = np.random.default_rng(3678)
+    # a Gaussian Gram with rcond 1.4e-8: at mu = 1e-7 both bottom fits, the
+    # one read off the full-support line and the 1-step climb, miss their
+    # certificate (KKT 2.8e-8 and 2.9e-8 against KKT_TOL * ||y||_inf =
+    # 1.5e-8); the top's meets it (5.7e-9).  (At seed 3678 the line's fit
+    # meets it, at KKT 1.7e-10, where the climb read 4.2e-8)
+    rng = np.random.default_rng(7776)
     system = build_system(gaussian(), np.sort(rng.uniform(-1, 1, 6)))
     y = rng.uniform(-2, 2, 6)
     assert bottom_by_crossings(system, y, 1e-7)
@@ -665,8 +742,8 @@ def test_lasso_bottom_path_restarts_from_the_top_within_one_solve(monkeypatch):
 # per problem of the test below: the end of each cold solve, largest mu first,
 # and the summed steps (all from the top: 318, 1,998, 2,590 and 1,337)
 PINNED_COLD_PATHS = [
-    ("T T T T B B B B B", 112),
-    ("T T T T B B B B B", 604),
+    ("T T T T B B   ", 112),
+    ("T T T T B    ", 604),
     ("T T T T T B B B B", 932),
     ("BT BT B B B B B B B", 477),
 ]
@@ -678,7 +755,8 @@ def test_cold_path_steps_and_ends_are_pinned(monkeypatch):
     # five-bump target plus gaussian or pepper noise on random points of
     # [-1, 1], over the default grid; then the smooth tie data, the rule's
     # worst case.  "T" is a solve from the top, "B" one from the bottom,
-    # "BT" one that gave the bottom up and started again at the top
+    # "BT" one that gave the bottom up and started again at the top, and ""
+    # one that read its fit off the full-support line, on no line at all
     lines = trace_lines(monkeypatch)
 
     def cold_path(system, y):
@@ -1062,6 +1140,26 @@ def test_ridge_singular_shifted():
     with pytest.raises(SingularGram, match=r"^K\[x\] \+ mu I at mu=0 numerically singular: rcond ") as caught:
         ridge_gram(doctored, [1.0, 1.0], 0.0)
     assert caught.value.rcond < RCOND_FLOOR
+
+
+@pytest.mark.parametrize("kernel", [exponential(), wendland_d3_k1()])
+def test_ridge_shifts_the_gram_as_the_sum_does(kernel, monkeypatch):
+    # K + mu I, formed on a copy of K, has the bits of gram + mu * eye(n);
+    # Wendland's Gram on points 1 apart holds exact zeros off its diagonal
+    system = build_system(kernel, np.linspace(-3.0, 3.0, 7))
+    factored = []
+    gated = solvers._lu_factor_gated
+
+    def kept(a, what):
+        factored.append(a.copy())
+        return gated(a, what)
+
+    monkeypatch.setattr(solvers, "_lu_factor_gated", kept)
+    for mu in (0.0, 1e-7, 0.3, 1e3):
+        RidgeSolver(system).solve(np.ones(system.n), mu)
+        expected = system.gram + mu * np.eye(system.n)
+        assert factored[-1].tobytes() == expected.tobytes()
+    assert (system.gram == 0.0).any() == (kernel.family.value == "wendland_d3_k1")
 
 
 def test_ridge_solver_cache_consistent():

@@ -71,9 +71,9 @@ MAX_POINT_DRAWS = 10_000
 # uniform nodes of a Lebesgue grid (profile_grid) unless a caller asks otherwise
 GRID_SIZE = 2001
 
-# trials of audit_a4 and audit_relaxed_a4, and master seed of every sampled
-# audit's trial streams, unless a caller asks otherwise
-AUDIT_TRIALS = 50
+# trials of audit_a4, audit_relaxed_a4 and the CLI's audits, and master seed
+# of every sampled audit's trial streams, unless a caller asks otherwise
+AUDIT_TRIALS = 100
 MASTER_SEED = 0
 
 
@@ -164,12 +164,14 @@ def lebesgue_constant(system: GramSystem, grid) -> LebesgueProfile:
 
 
 def profile_grid(domain: Interval, grid_size: int = GRID_SIZE, points=None) -> np.ndarray:
-    """Uniform grid of grid_size >= 2 nodes over a bounded domain plus
-    midpoints of adjacent points.
+    """Uniform grid of grid_size >= 2 nodes over a bounded domain plus the
+    sample points and the midpoints of adjacent points.
 
-    Midpoints are included because the closed-form cardinal functions show
-    the Lebesgue extrema landing between nodes; open endpoints are trimmed.
-    points is a PointSet, or an array checked as one.
+    The points are included because the Lebesgue function is 1 at each of
+    them, so a grid supremum is never below 1; the midpoints because the
+    closed-form cardinal functions show the Lebesgue extrema landing between
+    points.  Open endpoints are trimmed.  points is a PointSet, or an array
+    checked as one.
     """
     grid_size = _check_count("grid_size", grid_size, 2)
     if not domain.bounded:
@@ -182,10 +184,9 @@ def profile_grid(domain: Interval, grid_size: int = GRID_SIZE, points=None) -> n
         if not isinstance(points, PointSet):
             points = PointSet(points)
         x = points.points[points.order]
-        if x.size > 1:
-            # halved before the sum, which then cannot overflow: the same bits
-            # as 0.5 * (a + b) wherever that is finite, off the subnormal range
-            ts = np.unique(np.concatenate([ts, 0.5 * x[1:] + 0.5 * x[:-1]]))
+        # midpoints halved before the sum, which then cannot overflow: the same
+        # bits as 0.5 * (a + b) wherever that is finite, off the subnormal range
+        ts = np.unique(np.concatenate([ts, x, 0.5 * x[1:] + 0.5 * x[:-1]]))
     return ts
 
 

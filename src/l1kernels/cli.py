@@ -233,7 +233,7 @@ def _build_parser() -> _Parser:
     p_audit = sub.add_parser("audit", help="numerically audit admissibility conditions")
     p_audit.add_argument("--kernel", required=True, help="family name or JSON spec")
     p_audit.add_argument("--condition", choices=["a1", "a2", "a4", "all"], default="all")
-    p_audit.add_argument("--trials", type=int, default=100)
+    p_audit.add_argument("--trials", type=int, default=adm.AUDIT_TRIALS)
     p_audit.add_argument("--grid", type=int, default=adm.GRID_SIZE, help="Lebesgue grid size")
     p_audit.add_argument("--seed", type=int, default=adm.MASTER_SEED)
     p_audit.add_argument(

@@ -42,23 +42,23 @@ the split: the ceil(n/2)-th smallest crossing weight, capped at the top's
 weight, and 0 when c0 has an exact zero.  Below the smallest crossing
 weight the path is the full-support line itself, so a solve from the bottom
 with no stop to climb from reads its fit c0 - (mu / 2) d off the record, in
-one step, certified like any fit.  Any other path from the bottom climbs in
-lam: from the stop of an earlier solve on the same data at a smaller weight,
-else from the signs of c0 and the QR of all of K (LAPACK geqrf and orgqr,
-kept by a pinned solver).  So that QR is factored only by a climb that
-reaches a leave, by one whose read-off fit failed its certificate, and by
-pin().  A climb gives up, and the same solve starts again from above, when
-its active set falls to half of n or fewer, when it has taken n steps, or
-when its fit fails its certificate; the split of that data then drops to
-that weight.  From above, a solver pinned at an anchor (LassoSolver.pin:
-the path point of some data at its weight, kept with the QR of all of K as
-the bottom frame) first moves the data from the anchor's to y at the
-anchor's weight, when mu is no larger than that weight and below y's top
-weight, and then goes on down; any other path from above starts from c = 0
-at the top's weight.  LassoSolver.sweep orders a grid so that each solve
-finds its start: the weights below the split in increasing order, each
-climb resuming the last, then the rest in decreasing order, each path down
-resuming the last.
+one step, certified like any fit; it leaves no stop.  Any other path from
+the bottom climbs in lam: from the stop of an earlier solve on the same data
+at a smaller weight, else from the signs of c0 and the QR of all of K
+(LAPACK geqrf and orgqr, kept by a pinned solver).  So that QR is factored
+only by a climb that reaches a leave, by one whose read-off fit failed its
+certificate, and by a pin() that keeps an anchor.  A climb gives up, and the
+same solve starts again from above, when its active set falls to half of n
+or fewer, when it has taken n steps, or when its fit fails its certificate;
+the split of that data then drops to that weight.  From above, a solver
+pinned at an anchor (LassoSolver.pin: the path point of some data at its
+weight, kept with the QR of all of K as the bottom frame) first moves the
+data from the anchor's to y at the anchor's weight, when mu is no larger
+than that weight and below y's top weight, and then goes on down; any other
+path from above starts from c = 0 at the top's weight.  LassoSolver.sweep
+orders a grid so that each solve finds its start: the weights below the
+split in increasing order, each climb resuming the last, then the rest in
+decreasing order, each path down resuming the last.
 
 The certificate.  Every lasso fit is certified by its KKT residual, not by
 trusting the path, and every ridge fit by its linear-system residual
@@ -159,24 +159,20 @@ def _certified(c: np.ndarray, objective: float, residual: float, y: np.ndarray, 
     )
 
 
-def _kkt_from_gradient(grad: np.ndarray, mu: float, c: np.ndarray) -> float:
-    nonzero = c != 0.0
-    viol = np.where(
-        nonzero,
-        np.abs(grad + mu * np.sign(c)),
-        np.maximum(np.abs(grad) - mu, 0.0),
-    )
-    return float(viol.max())
+def _certificate(gram: np.ndarray, y: np.ndarray, mu: float, c: np.ndarray) -> tuple[float, float]:
+    """The lasso objective ||K c - y||^2 + mu ||c||_1 at c and its KKT
+    residual, the largest violation of the module docs' conditions."""
+    r = gram @ c - y
+    grad = 2.0 * (gram.T @ r)
+    viol = np.where(c != 0.0, np.abs(grad + mu * np.sign(c)), np.maximum(np.abs(grad) - mu, 0.0))
+    return float(r @ r) + mu * float(np.abs(c).sum()), float(viol.max())
 
 
 def kkt_residual(system: GramSystem, y, mu: float, c) -> float:
     """Maximum violation of the subgradient optimality conditions at c."""
     y = _data_vector(y, system.n)
     c = _data_vector(c, system.n, "coefficients")
-    mu = _check_weight(mu)
-    a = system.gram
-    grad = 2.0 * (a.T @ (a @ c - y))
-    return _kkt_from_gradient(grad, mu, c)
+    return _certificate(system.gram, y, _check_weight(mu), c)[1]
 
 
 def zero_mu_threshold(system: GramSystem, y) -> float:
@@ -292,9 +288,8 @@ _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_dele
 class _Data:
     """A solver's own copy of its last data y, y's top weight 2 ||K^T y||_inf,
     split, the full-support line c0 - (lam / 2) d with its first crossing
-    weight and signs sign(c0), and the stop (lam, m, blocked) of the last
-    solve on y, or None; m is None at a point of the line, which the buffers
-    do not hold."""
+    weight, and the stop (lam, m, blocked) of the last solve on y: the path
+    point that the buffers hold, or None."""
 
     y: np.ndarray
     top: float
@@ -302,7 +297,6 @@ class _Data:
     c0: np.ndarray
     d: np.ndarray
     cross: float
-    signs: np.ndarray
     stop: tuple | None = None
 
 
@@ -314,15 +308,15 @@ class LassoSolver:
     matrix must be finite, since the updates scan nothing.
 
     Between calls the solver keeps two records: _data, of the last data
-    vector with the stop whose path point the buffers hold (or a point of
-    the full-support line, which they need not hold), and _pinned, the
+    vector with the stop whose path point the buffers hold, and _pinned, the
     anchor that pin() keeps with the bottom frame.  solve() clears the stop
-    before it reads anything and sets it only when the path reaches mu, so a
-    solve cut short by MAX_PATH_STEPS, one at mu = 0 or one that raises
-    leaves none.  Every solve returns the exact path point at mu, certified
-    by _finish, and its iterations count this solve's steps, data moves and
-    a climb given up included.  The buffers make a solver stateful: one must
-    not be shared between threads.
+    before it reads anything and sets it only when a path it follows reaches
+    mu, so a solve cut short by MAX_PATH_STEPS, one at mu = 0, one read off
+    the full-support line or one that raises leaves none.  Every solve
+    returns the exact path point at mu, certified by _finish, and its
+    iterations count this solve's steps, data moves and a climb given up
+    included.  The buffers make a solver stateful: one must not be shared
+    between threads.
     """
 
     def __init__(self, system: GramSystem):
@@ -344,7 +338,7 @@ class LassoSolver:
         # the last data's record (at first one that matches no data), and the
         # anchor pin() keeps: its data and weight, copies of its active set,
         # signs, Q and R, and the QR of all of K (the bottom frame)
-        self._data = _Data(np.empty(0), 0.0, 0.0, np.empty(0), np.empty(0), 0.0, np.empty(0))
+        self._data = _Data(np.empty(0), 0.0, 0.0, np.empty(0), np.empty(0), 0.0)
         self._pinned: tuple | None = None
 
     def solve(self, y, config: LassoConfig) -> FitResult:
@@ -359,11 +353,6 @@ class LassoSolver:
         steps = 0
         if not np.array_equal(y, data.y):
             data, stop = self._record(y), None
-        elif stop is not None and stop[1] is None:
-            # a point of the full-support line leaves nothing to resume: below
-            # it the path is the same line, and a climb above it from the
-            # bottom takes the steps it would take from the point
-            stop = None
         if stop is not None and mu <= stop[0]:
             lam, m, blocked = stop
             c, steps = self._follow(y, mu, m, blocked, lam)
@@ -375,7 +364,6 @@ class LassoSolver:
                 # below the first zero crossing the path is the full-support line
                 fit = self._finish(data.c0 - mu / 2.0 * data.d, y, config, iterations=1)
                 if fit.converged:
-                    data.stop = (mu, None, None)
                     return fit
             if stop is not None:
                 s, m = mu - stop[0], stop[1]
@@ -403,23 +391,18 @@ class LassoSolver:
     def pin(self, y, config: LassoConfig) -> FitResult:
         """solve(y, config), then keep the path point it reached as the anchor
         and the QR of all of K as the bottom frame, from which later solves
-        on any data start (module docs).  A solve that stops short of
-        config.mu, or runs at mu = 0, keeps nothing, not even an earlier
-        anchor."""
+        on any data start (module docs).  A solve that leaves no stop keeps
+        nothing, not even an earlier anchor: one that stops short of
+        config.mu, runs at mu = 0 or reads its fit off the full-support
+        line."""
         fit = self.solve(y, config)
         data, self._pinned = self._data, None
         if data.stop is not None:
             lam, m, _ = data.stop
             frame = np.empty_like(self._qb), np.empty_like(self._rb)
             _factor_qr(self.system.gram, *frame)
-            if m is None:
-                # a point of the full-support line: every coordinate active,
-                # with the interpolant's signs, on the frame itself
-                point = np.arange(self.system.n), data.signs, *frame
-            else:
-                point = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]
-                point = tuple(b.copy() for b in point)
-            self._pinned = data.y, lam, point, frame
+            point = self._active[:m], self._signs[:m], self._qb[:, :m], self._rb[:m, :m]
+            self._pinned = data.y, lam, tuple(b.copy() for b in point), frame
         return fit
 
     def sweep(self, y, mus) -> dict[float, FitResult]:
@@ -443,26 +426,25 @@ class LassoSolver:
         """Keep a new record of data y, with no stop."""
         system = self.system
         c0 = system.solve(y)
-        signs = np.sign(c0)
-        d = system.solve(system.solve(signs))
+        d = system.solve(system.solve(np.sign(c0)))
         top = zero_mu_threshold(system, y)
         crossings = _crossings(c0, d)
         split = min(_bottom_split(crossings), top)
-        self._data = _Data(y.copy(), top, split, c0, d, float(crossings.min()), signs)
+        self._data = _Data(y.copy(), top, split, c0, d, float(crossings.min()))
         return self._data
 
     def _load_bottom(self) -> None:
-        """Make every coordinate active, with the interpolant's signs that the
-        record keeps (whose split is 0 at an exact zero, so no climb starts
-        from one) and the QR of the whole Gram in the buffers, copied from the
-        pinned frame or else factored in place."""
+        """Make every coordinate active, with the signs of the interpolant c0
+        that the record keeps (whose split is 0 at an exact zero, so no climb
+        starts from one) and the QR of the whole Gram in the buffers, copied
+        from the pinned frame or else factored in place."""
         qb, rb = self._qb, self._rb
         if self._pinned is None:
             _factor_qr(self.system.gram, qb, rb)
         else:
             qb[:], rb[:] = self._pinned[3]
         self._active[:] = np.arange(self.system.n)
-        self._signs[:] = self._data.signs
+        self._signs[:] = np.sign(self._data.c0)
 
     def _follow(self, y, mu, m, blocked, s, lam0=0.0, h=1.0, e=None, end=None, steps=0):
         """Follow the path from the point in the buffers (m active columns;
@@ -577,11 +559,7 @@ class LassoSolver:
         return c, steps
 
     def _finish(self, c: np.ndarray, y: np.ndarray, config: LassoConfig, iterations: int) -> FitResult:
-        system = self.system
-        r = system.gram @ c - y
-        objective = float(r @ r) + config.mu * float(np.abs(c).sum())
-        grad = 2.0 * (system.gram.T @ r)
-        kkt = _kkt_from_gradient(grad, config.mu, c)
+        objective, kkt = _certificate(self.system.gram, y, config.mu, c)
         return _certified(c, objective, kkt, y, iterations)
 
 

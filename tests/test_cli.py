@@ -79,7 +79,7 @@ def test_audit_line_of_a_report_with_no_worst_value(capsys):
     ]
     assert run_cli("audit", "--kernel", "exponential", "--trials", "3", "--condition", "a4") == 0
     (line,) = capsys.readouterr().out.splitlines()
-    assert line.startswith("a4: pass (3 trials, worst 0.99") and line.endswith(")")
+    assert line.startswith("a4: pass (3 trials, worst 1") and line.endswith(")")
 
 
 def test_audit_a1_skips_the_singular_grams_it_cannot_refute(capsys):
@@ -351,6 +351,17 @@ def test_audit_a2_of_a_far_window_reads_no_nan(capsys):
     assert run_cli(*argv) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["a2: pass (1936 trials, worst 1)"]
+    assert captured.err == ""
+
+
+def test_audit_a4_of_a_far_window_reads_the_lebesgue_function_at_the_points(capsys):
+    # on points more than 1e306 apart every cardinal function underflows to 0
+    # at each uniform node and midpoint, but L(x_j) = 1 at each sample point,
+    # which the Lebesgue grid includes
+    argv = ("audit", "--kernel", "exponential", "--window=0.5,1e308", "--trials", "1", "--grid", "20", "--condition", "a4")
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["a4: pass (1 trials, worst 1)"]
     assert captured.err == ""
 
 

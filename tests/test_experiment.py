@@ -424,6 +424,16 @@ def test_anchored_trial_path_steps_are_pinned(monkeypatch, fresh_workbench):
     assert sum(fit.iterations for fit in fits) == sum(r.lasso_path.steps for r in records) == 837
 
 
+@pytest.mark.parametrize("n, steps", [(20, 23), (200, 327)])
+def test_workbench_anchor_is_a_path_point_the_pin_keeps(n, steps):
+    # a pin keeps only a path point that the solver's buffers hold, so an
+    # anchor read off the full-support line would be lost: the benchmark's
+    # anchor at the largest weight comes off the path from the top
+    bench = experiment._Workbench(n, ExperimentConfig.mu_grid)
+    assert bench.lasso._pinned is not None
+    assert bench.anchor_stats.steps == steps and bench.anchor_stats.unconverged == 0
+
+
 @pytest.mark.parametrize("noise", [NoiseModel.gaussian(), NoiseModel.uniform(), NoiseModel.pepper_sauce()])
 def test_two_ended_sweep_selects_what_the_path_down_selects(noise, monkeypatch):
     # the weights the oracle selects lie above the rule's split, where the

@@ -62,6 +62,13 @@ def test_point_set_immutable():
         ps.order[0] = 1
 
 
+def test_reprs_name_the_points_and_the_system():
+    # a point set shows its points in the order given, not sorted
+    assert repr(PointSet([0.5, -1.0, 2.0])) == "PointSet([0.5, -1.0, 2.0])"
+    system = build_system(exponential(), [0.0, 1.0, 3.0])
+    assert repr(system) == "GramSystem(exponential, n=3, rcond=3.83e-01)"
+
+
 def test_coefficient_vector():
     c = CoefficientVector([1.0, -2.0], Side.LEFT)
     assert c.n == 2 and c.side is Side.LEFT

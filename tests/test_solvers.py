@@ -623,25 +623,29 @@ def test_bottom_fit_below_the_first_crossing_is_read_off_the_line(n, bridge, mon
         assert_same_fit(fit, climb)
 
 
-def test_lasso_pin_on_the_full_support_line_keeps_its_anchor(monkeypatch):
-    # a pin below the first zero crossing reads its fit off the line and
-    # keeps that point as its anchor, on the one QR of K it factors for the
-    # bottom frame; solves below its weight then move from it
+def test_lasso_pin_on_the_full_support_line_keeps_nothing(monkeypatch):
+    # a pin below the first zero crossing reads its fit off the line, which
+    # leaves no stop, so it keeps no anchor, not even the one an earlier pin
+    # kept, and factors no QR of K for a bottom frame; solves below its
+    # weight then start as cold solves do
     rng = np.random.default_rng(31)
     system = build_system(*well_spaced(rng, False, 30))
     y0, y1, y2 = rng.uniform(-2, 2, (3, system.n))
     solver = LassoSolver(system)
     mu = 0.5 * solver._record(y0).cross
+    solver.pin(y1, LassoConfig(mu=0.5 * zero_mu_threshold(system, y1)))
+    assert solver._pinned is not None
     calls = count_qr(monkeypatch)
-    anchor = solver.pin(y0, LassoConfig(mu=mu))
-    assert anchor.converged and anchor.sparsity == system.n and calls == [1]
-    # each solve switches data, so with the top forced each starts from the anchor
+    read_off = solver.pin(y0, LassoConfig(mu=mu))
+    assert read_off.converged and read_off.sparsity == system.n and read_off.iterations == 1
+    assert solver._pinned is None and solver._data.stop is None and calls == []
+    # each solve switches data, so with the top forced each starts from c = 0
     requests = [(y1, mu), (y2, 0.5 * mu), (y1, 0.1 * mu)]
     with monkeypatch.context() as patch:
         start_at(patch, "top")
         lines = trace_lines(patch)
         fits = [solver.solve(y, LassoConfig(mu=weight)) for y, weight in requests]
-    assert lines == ["M", "M", "M"] and calls == [1]
+    assert lines == ["T", "T", "T"] and calls == []
     for fit, (y, weight) in zip(fits, requests):
         assert_same_fit(fit, LassoSolver(system).solve(y, LassoConfig(mu=weight)))
 
